@@ -57,7 +57,7 @@ def measure(requests: int = DEFAULT_REQUESTS, workers: int = 2,
         statuses[key] = statuses.get(key, 0) + 1
     divergences: List[str] = list(report["failures"])
     divergences += [f"replay: {m}"
-                    for m in report.get("replay_mismatches") or []]
+                    for m in report.get("mismatches") or []]
     divergences += [f"replay-run: {m}"
                     for m in report.get("replay_failures") or []]
     payload: Dict[str, Any] = {

@@ -11,9 +11,15 @@ asserts the robustness contract:
   no matter which faults are injected (the runtime's recovery paths
   must preserve O1–O3/R1–R3);
 * **deterministic replay** — re-executing a run's recorded fault
-  schedule through a :class:`ReplayInjector` reproduces the run
-  bit-for-bit (same fault sequence, status, cycle count, output, and
-  stats summary).
+  schedule through a replaying :class:`~repro.faults.FaultInjector`
+  reproduces the run bit-for-bit (same fault sequence, status, cycle
+  count, output, and stats summary).
+
+This module is the runtime target of the shared fault core
+(:mod:`repro.faults`): it keeps the runtime's contract, its identity
+function (:meth:`ChaosOutcome.identity`) and its schedule runner
+(:func:`rerun`); plans, injection, schedule files and the identity
+diff are the core's.
 
 Outcome taxonomy (``ChaosOutcome.status``):
 
@@ -30,15 +36,18 @@ contract working as designed.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from ..core.api import AnalyzedProgram, analyze
 from ..errors import ReproError, SanitizerViolation
+from ..faults import (FaultInjector, FaultPlan, FaultRecord,
+                      ScheduleError, fault_key, identity_diff,
+                      save_schedule)
 from ..interp.machine import Machine, RunOptions
-from ..rtsj.faults import (FaultPlan, FaultRecord, ReplayInjector,
-                           fault_key, load_schedule, save_schedule)
 
 #: chaos runs bound the clock tightly: an injected fault that degrades
 #: a producer/consumer pair into a busy-wait should end in a prompt
@@ -107,24 +116,27 @@ class ChaosOutcome:
 
 def run_one(program: Union[str, AnalyzedProgram],
             plan: Optional[FaultPlan] = None,
-            injector: Optional[Any] = None,
+            replay: Optional[Sequence[FaultRecord]] = None,
             label: str = "<program>",
             max_cycles: int = DEFAULT_MAX_CYCLES,
             record: bool = False,
             backend: str = "interp") -> ChaosOutcome:
-    """Execute one program under one fault plan (or explicit injector),
-    sanitizer armed, degradation on.  Never raises for simulated
-    failures — they land in the outcome.  ``record`` arms the flight
-    recorder (cycle-neutral, so replay identity is unaffected).
-    ``backend`` is plumbed through to :class:`RunOptions`; with fault
-    injection active the compiled backends decline the configuration
-    and the run falls back to the interpreter, so replay identity is
-    backend-independent by construction."""
+    """Execute one program under one fault plan, sanitizer armed,
+    degradation on; ``replay`` re-fires a recorded schedule instead of
+    drawing from the plan's seed.  Never raises for simulated failures
+    — they land in the outcome.  ``record`` arms the flight recorder
+    (cycle-neutral, so replay identity is unaffected).  ``backend`` is
+    plumbed through to :class:`RunOptions`; with fault injection active
+    the compiled backends decline the configuration and the run falls
+    back to the interpreter, so replay identity is backend-independent
+    by construction."""
     analyzed = analyze(program) if isinstance(program, str) else program
     if analyzed.errors:
         raise analyzed.errors[0]
+    injector = (FaultInjector(plan, replay) if plan is not None
+                else None)
     options = RunOptions(checks_enabled=True, validate=True,
-                         fault_plan=plan, fault_injector=injector,
+                         fault_injector=injector,
                          sanitize=True, degrade=True,
                          max_cycles=max_cycles, record=record,
                          backend=backend)
@@ -162,35 +174,47 @@ def run_one(program: Union[str, AnalyzedProgram],
 def verify_replay(program: Union[str, AnalyzedProgram],
                   plan: FaultPlan, baseline: ChaosOutcome,
                   max_cycles: int = DEFAULT_MAX_CYCLES) -> List[str]:
-    """Re-run ``baseline``'s recorded schedule through a
-    :class:`ReplayInjector` and diff the replay-comparable identity.
-    Returns the list of mismatches (empty = bit-for-bit replay)."""
-    injector = ReplayInjector(baseline.faults, plan)
-    replay = run_one(program, injector=injector, label=baseline.program,
-                     max_cycles=max_cycles)
-    mismatches: List[str] = []
-    want, got = baseline.identity(), replay.identity()
-    for key in want:
-        if want[key] != got[key]:
-            mismatches.append(
-                f"{key}: recorded {want[key]!r} != replayed "
-                f"{got[key]!r}")
-    return mismatches
+    """Re-run ``baseline``'s recorded schedule and diff the
+    replay-comparable identity.  Returns the list of mismatches
+    (empty = bit-for-bit replay)."""
+    replay = run_one(program, plan, replay=baseline.faults,
+                     label=baseline.program, max_cycles=max_cycles)
+    return identity_diff(baseline.identity(), replay.identity())
+
+
+def rerun(plan: FaultPlan, records: Sequence[FaultRecord],
+          meta: Mapping[str, Any]) -> Dict[str, Any]:
+    """Re-execute a runtime schedule read back from disk: the runtime
+    runner behind :func:`repro.faults.replay_schedule`.  The program is
+    the source the schedule's metadata embeds."""
+    source = meta.get("source")
+    if not source:
+        raise ScheduleError(
+            "schedule embeds no program source; name the program: "
+            "repro chaos --replay FILE PROGRAM")
+    analyzed = analyze(source)
+    if analyzed.errors:
+        raise ScheduleError(f"schedule program does not typecheck: "
+                            f"{analyzed.errors[0]}")
+    outcome = run_one(analyzed, plan, replay=records,
+                      label=str(meta.get("program", "<schedule>")),
+                      max_cycles=int(meta.get("max_cycles",
+                                              DEFAULT_MAX_CYCLES)))
+    # a faithful rerun of a recorded failure is a successful replay
+    return {"ok": True, "identity": outcome.identity(),
+            "outcome": outcome}
 
 
 def run_chaos(corpus: Sequence[Tuple[str, str]],
               seeds: Sequence[int],
-              rate: float = 0.02,
-              rates: Optional[Dict[str, float]] = None,
-              sites: Optional[Tuple[str, ...]] = None,
-              gc_spike_factor: int = 8,
+              plan: FaultPlan,
               max_cycles: int = DEFAULT_MAX_CYCLES,
               verify: bool = True,
               schedule_dir: Optional[str] = None,
               backend: str = "interp") -> Dict[str, Any]:
-    """Run every (label, source) program under every seed; optionally
-    verify replay and persist the schedules.  Returns a report dict
-    with per-run outcomes and campaign-level pass/fail."""
+    """Run every (label, source) program under ``plan`` once per seed;
+    optionally verify replay and persist the schedules.  Returns a
+    report dict with per-run outcomes and campaign-level pass/fail."""
     import os
     results: List[Dict[str, Any]] = []
     failures: List[str] = []
@@ -199,10 +223,8 @@ def run_chaos(corpus: Sequence[Tuple[str, str]],
         if analyzed.errors:
             raise analyzed.errors[0]
         for seed in seeds:
-            plan = FaultPlan(seed=seed, rate=rate, rates=rates or {},
-                             sites=sites,
-                             gc_spike_factor=gc_spike_factor)
-            outcome = run_one(analyzed, plan=plan, label=label,
+            seeded = dataclasses.replace(plan, seed=seed)
+            outcome = run_one(analyzed, seeded, label=label,
                               max_cycles=max_cycles,
                               record=schedule_dir is not None,
                               backend=backend)
@@ -221,7 +243,7 @@ def run_chaos(corpus: Sequence[Tuple[str, str]],
                     f"{label} seed={seed}: {outcome.status} "
                     f"({(outcome.error or {}).get('type')})")
             if verify:
-                mismatches = verify_replay(analyzed, plan, outcome,
+                mismatches = verify_replay(analyzed, seeded, outcome,
                                            max_cycles=max_cycles)
                 entry["replay_ok"] = not mismatches
                 if mismatches:
@@ -232,7 +254,7 @@ def run_chaos(corpus: Sequence[Tuple[str, str]],
                 safe = label.replace("/", "_").replace(".", "_")
                 path = os.path.join(schedule_dir,
                                     f"{safe}-seed{seed}.schedule.jsonl")
-                save_schedule(path, plan, outcome.faults, meta={
+                save_schedule(path, seeded, outcome.faults, meta={
                     "program": label,
                     "source": source,
                     "max_cycles": max_cycles,
@@ -300,35 +322,3 @@ def campaign_telemetry(report: Dict[str, Any]) -> Dict[str, Any]:
         taxonomy["replay_checked"] = replay_checked
         taxonomy["replay_ok"] = replay_ok
     return taxonomy
-
-
-def replay_schedule(path: str,
-                    source: Optional[str] = None) -> Dict[str, Any]:
-    """Re-execute a persisted schedule file.  The program source
-    embedded in the schedule's metadata is used unless ``source``
-    overrides it.  Returns {ok, mismatches, outcome}."""
-    plan, records, meta = load_schedule(path)
-    program = source if source is not None else meta.get("source")
-    if not program:
-        raise ValueError(
-            f"schedule {path} embeds no program source; pass the "
-            "program explicitly")
-    max_cycles = int(meta.get("max_cycles", DEFAULT_MAX_CYCLES))
-    injector = ReplayInjector(records, plan)
-    outcome = run_one(program, injector=injector,
-                      label=str(meta.get("program", path)),
-                      max_cycles=max_cycles)
-    mismatches: List[str] = []
-    recorded = meta.get("identity")
-    if recorded is not None:
-        got = outcome.identity()
-        for key, want in recorded.items():
-            have = got.get(key)
-            if key == "faults":
-                # JSON round-trip turns the (site, seq) tuples into lists
-                have = [list(pair) for pair in have]
-            if want != have:
-                mismatches.append(
-                    f"{key}: recorded {want!r} != replayed {have!r}")
-    return {"ok": not mismatches, "mismatches": mismatches,
-            "outcome": outcome}

@@ -518,7 +518,7 @@ def _print_serve_chaos(args, report, replayed: bool = False) -> int:
                                 else "MISMATCH"))
     for failure in report.get("failures") or []:
         print(f"chaos failure: {failure}", file=sys.stderr)
-    for mismatch in report.get("replay_mismatches") or []:
+    for mismatch in report.get("mismatches") or []:
         print(f"replay mismatch: {mismatch}", file=sys.stderr)
     for failure in report.get("replay_failures") or []:
         print(f"replay-run failure: {failure}", file=sys.stderr)
@@ -532,16 +532,23 @@ def cmd_chaos(args) -> int:
     import glob
     import os
 
-    from .chaos import replay_schedule, run_chaos
-    from .rtsj.faults import FAULT_SITES
+    from .chaos import run_chaos
+    from .faults import FaultPlan, ScheduleError, replay_schedule
 
     if args.replay:
-        from .serve.faults import peek_schedule_target
-        if peek_schedule_target(args.replay) == "serve":
-            from .serve.chaos import replay_schedule as serve_replay
-            report = serve_replay(args.replay)
+        # an optional PROGRAM replaces the source the schedule embeds
+        if len(args.paths) > 1:
+            print("error: --replay takes at most one PROGRAM",
+                  file=sys.stderr)
+            return 1
+        source = _read(args.paths[0]) if args.paths else None
+        try:
+            report = replay_schedule(args.replay, source=source)
+        except ScheduleError as err:
+            print(f"invalid fault schedule: {err}", file=sys.stderr)
+            return 1
+        if report["target"] == "serve":
             return _print_serve_chaos(args, report, replayed=True)
-        report = replay_schedule(args.replay)
         outcome = report["outcome"]
         print(f"{outcome.program}: replayed {len(outcome.faults)} "
               f"fault(s), status={outcome.status}, "
@@ -567,12 +574,13 @@ def cmd_chaos(args) -> int:
             print(f"wrote {schedule_path}", file=sys.stderr)
         return _print_serve_chaos(args, report)
 
-    if args.sites:
-        unknown = [s for s in args.sites if s not in FAULT_SITES]
-        if unknown:
-            print(f"error: unknown fault site(s) {unknown}; known: "
-                  f"{list(FAULT_SITES)}", file=sys.stderr)
-            return 1
+    try:
+        plan = FaultPlan(rate=args.rate,
+                         sites=tuple(args.sites) if args.sites else None,
+                         magnitudes={"gc_spike_factor": args.gc_spike})
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     paths = args.paths or sorted(glob.glob(
         os.path.join("examples", "*.py")))
     corpus = []
@@ -593,9 +601,7 @@ def cmd_chaos(args) -> int:
     if args.schedule_out:
         os.makedirs(args.schedule_out, exist_ok=True)
     seeds = [args.seed_base + i for i in range(args.seeds)]
-    report = run_chaos(corpus, seeds, rate=args.rate,
-                       sites=tuple(args.sites) if args.sites else None,
-                       gc_spike_factor=args.gc_spike,
+    report = run_chaos(corpus, seeds, plan,
                        max_cycles=args.max_cycles,
                        verify=not args.no_verify,
                        schedule_dir=args.schedule_out or None,
@@ -657,8 +663,13 @@ def cmd_inspect(args) -> int:
         compare = compare_header
     schedule = None
     if args.schedule:
-        from .rtsj.faults import load_schedule
-        _, schedule, _ = load_schedule(args.schedule)
+        from .faults import ScheduleError, load_schedule
+        try:
+            _, schedule, _ = load_schedule(args.schedule,
+                                           target="runtime")
+        except ScheduleError as err:
+            print(f"invalid fault schedule: {err}", file=sys.stderr)
+            return 1
     report = build_report(header, records, schedule=schedule,
                           compare=compare)
     if args.html:
@@ -731,7 +742,18 @@ def cmd_metricsd(args) -> int:
 def cmd_serve(args) -> int:
     import signal
 
+    from .faults import FaultInjector, FaultPlan
     from .serve import ServeConfig, ServeService
+
+    # deterministic fault injection for smoke/chaos drills: the seed
+    # fixes the schedule, max-faults bounds the blast radius
+    try:
+        plan = FaultPlan(seed=args.fault_seed, rate=args.fault_rate,
+                         sites=("worker_crash",),
+                         max_faults=args.max_faults, target="serve")
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
     def _graceful(_signum, _frame):
         # supervisors stop services with SIGTERM; route it through the
@@ -752,15 +774,7 @@ def cmd_serve(args) -> int:
         trace_sample=args.trace_sample,
         access_log=args.access_log,
         flight_dir=args.flight_dir)
-    injector = None
-    if args.fault_rate > 0:
-        # deterministic fault injection for smoke/chaos drills: the
-        # seed fixes the schedule, max-faults bounds the blast radius
-        from .serve.faults import ServiceFaultInjector, ServiceFaultPlan
-        injector = ServiceFaultInjector(ServiceFaultPlan(
-            seed=args.fault_seed, rate=args.fault_rate,
-            sites=("worker_crash",),
-            max_faults=args.max_faults))
+    injector = FaultInjector(plan) if plan.rate > 0 else None
     service = ServeService(config, fault_injector=injector)
     # workers are forked and the socket is listening: connections are
     # already queueing in the backlog, so this ready line is accurate
@@ -1137,7 +1151,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[p_backend, p_telemetry])
     p_chaos.add_argument("paths", nargs="*",
                          help="programs to perturb (default: "
-                              "examples/*.py with an embedded PROGRAM)")
+                              "examples/*.py with an embedded PROGRAM); "
+                              "with --replay, one program to run in "
+                              "place of the source the schedule embeds")
     p_chaos.add_argument("--target", choices=("runtime", "serve"),
                          default="runtime",
                          help="what to perturb: the RTSJ runtime "

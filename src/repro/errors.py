@@ -22,7 +22,7 @@ class ReproError(Exception):
     Every instance can render itself as a *structured diagnostic* — a
     plain dict with the error type, message, and (when the failure
     happened inside a simulated run) the fault site, thread, and cycle
-    it occurred at.  The fault-injection plane (:mod:`repro.rtsj.faults`)
+    it occurred at.  The fault-injection core (:mod:`repro.faults`)
     and the chaos driver rely on this: a run must never end in a bare
     traceback, only in a diagnosable record.
     """
@@ -31,7 +31,8 @@ class ReproError(Exception):
     #: ``vt_chunk``, ``region_enter``, ``portal_write``,
     #: ``thread_spawn``, ...) or None for organic static/runtime errors
     site: Optional[str] = None
-    #: True when the failure was injected by a :class:`FaultInjector`
+    #: True when the failure was injected by a
+    #: :class:`~repro.faults.FaultInjector`
     #: rather than arising organically
     injected: bool = False
     #: simulated thread the failure occurred on (filled by the scheduler)

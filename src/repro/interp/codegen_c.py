@@ -1280,12 +1280,12 @@ def _make_bind(lib: Any) -> Any:
 
 def compile_c(machine: Any) -> Any:
     """Compile ``machine``'s program for the C backend, or raise
-    :class:`CodegenUnsupported` with the reason."""
+    :class:`CodegenUnsupported` with the reason.  Callers go through
+    :func:`~repro.interp.codegen_py.select_program`, which has already
+    applied the machine gate."""
     from .codegen_py import PyProgram
     analyzed = machine.analyzed
     opts = machine.options
-    if getattr(analyzed, "errors", None):
-        raise CodegenUnsupported("program has static errors")
     if opts.checks_enabled:
         raise CodegenUnsupported(
             "C backend is checks-erased (static mode only)")
@@ -1296,24 +1296,6 @@ def compile_c(machine: Any) -> Any:
     if not lowered.fused_ok:
         raise CodegenUnsupported(
             "hazards: " + ", ".join(sorted(lowered.hazards)))
-    if _MAIN_KEY not in lowered.units:
-        raise CodegenUnsupported("no main block")
-    stats = machine.stats
-    if not (stats.tracer.null and stats.metrics.null
-            and stats.profile.null):
-        raise CodegenUnsupported("instrumented run")
-    if stats.recorder is not None:
-        raise CodegenUnsupported("flight recorder attached")
-    if machine.fault_injector is not None:
-        raise CodegenUnsupported("fault injection active")
-    if opts.sanitize:
-        raise CodegenUnsupported("sanitizer active")
-    if opts.degrade:
-        raise CodegenUnsupported("degrade mode")
-    info = analyzed.info
-    if "LocalRegion" in info.region_kinds \
-            or "SharedRegion" in info.region_kinds:
-        raise CodegenUnsupported("regionKind shadows a built-in kind")
     key = cost_key(machine.cost_model)
     per = _C_CACHE.get(analyzed)
     if per is None or key not in per:

@@ -37,11 +37,14 @@ and reruns on a fresh one with the *faithful* generator backend, which
 reproduces the interpreter yield-for-yield.  Bailing is therefore
 always safe — a spurious bail costs wall clock, never correctness.
 
-Eligibility is decided per machine: no hazards from lowering, a
-well-typed program, null instrumentation sinks, no recorder, faults,
+Eligibility is decided once per machine, before anything is lowered,
+by the machine gate in :func:`select_program` — a well-typed program
+with a main block, null instrumentation sinks, no recorder, faults,
 sanitizer, or degrade mode, and no user ``regionKind`` shadowing the
-built-in kinds.  ``repro bench`` (``instrument=False``) qualifies;
-a default ``repro run`` (instrumented) routes to the faithful backend.
+built-in kinds — and then per form: the fused form also needs no
+hazards from lowering.  ``repro bench`` (``instrument=False``)
+qualifies; a default ``repro run`` (instrumented) runs the
+interpreter.
 
 Known host-level divergence (documented in docs/PERFORMANCE.md): deep
 simulated recursion consumes one host frame per call in every backend,
@@ -880,16 +883,30 @@ def _fused_bind(analyzed: Any, lowered: LoweredProgram,
 
 def compile_fused(machine: Any) -> PyProgram:
     """Compile ``machine``'s program for fused execution, or raise
-    :class:`CodegenUnsupported` with the reason."""
+    :class:`CodegenUnsupported` with the reason.  Callers go through
+    :func:`select_program`, which has already applied the machine
+    gate."""
     analyzed = machine.analyzed
     opts = machine.options
-    if getattr(analyzed, "errors", None):
-        raise CodegenUnsupported("program has static errors")
     lowered = lower(analyzed)
     if not lowered.fused_ok:
         raise CodegenUnsupported(
             "hazards: " + ", ".join(sorted(lowered.hazards)))
-    if _MAIN_KEY not in lowered.units:
+    bind = _fused_bind(analyzed, lowered, opts.checks_enabled,
+                       opts.validate, machine.cost_model)
+    return PyProgram("py-fused", "py-faithful", bind(machine))
+
+
+def _machine_gate(machine: Any) -> None:
+    """Raise :class:`CodegenUnsupported` when no compiled backend can
+    run this machine's program and configuration: every compiled form
+    compiles observability, fault injection and the sanitizer out, and
+    none models a main-less program or a shadowed built-in kind."""
+    analyzed = machine.analyzed
+    opts = machine.options
+    if getattr(analyzed, "errors", None):
+        raise CodegenUnsupported("program has static errors")
+    if analyzed.program.main is None:
         raise CodegenUnsupported("no main block")
     stats = machine.stats
     if not (stats.tracer.null and stats.metrics.null
@@ -907,9 +924,6 @@ def compile_fused(machine: Any) -> PyProgram:
     if "LocalRegion" in info.region_kinds \
             or "SharedRegion" in info.region_kinds:
         raise CodegenUnsupported("regionKind shadows a built-in kind")
-    bind = _fused_bind(analyzed, lowered, opts.checks_enabled,
-                       opts.validate, machine.cost_model)
-    return PyProgram("py-fused", "py-faithful", bind(machine))
 
 
 def select_program(machine: Any, backend: str) -> PyProgram:
@@ -919,19 +933,12 @@ def select_program(machine: Any, backend: str) -> PyProgram:
     generator backend; the explicit ``py-fused`` / ``py-faithful``
     names force one form (tests use them).  Raises
     :class:`CodegenUnsupported` when nothing can compile the program —
-    the machine then runs the interpreter.
+    the machine then runs the interpreter.  The machine gate runs once,
+    before anything is lowered.
     """
-    if backend == "py":
-        try:
-            return compile_fused(machine)
-        except CodegenUnsupported:
-            from .codegen_py_faithful import compile_faithful
-            return compile_faithful(machine)
-    if backend == "py-fused":
-        return compile_fused(machine)
-    if backend == "py-faithful":
-        from .codegen_py_faithful import compile_faithful
-        return compile_faithful(machine)
+    if backend not in ("c", "py", "py-fused", "py-faithful"):
+        raise CodegenUnsupported(f"unknown backend {backend!r}")
+    _machine_gate(machine)
     if backend == "c":
         from .codegen_c import compile_c
         try:
@@ -940,5 +947,13 @@ def select_program(machine: Any, backend: str) -> PyProgram:
             # chain down the capability ladder; keep the C reason
             # visible (``repro run -v`` surfaces it)
             machine.codegen_fallback = f"c unavailable ({exc})"
-            return select_program(machine, "py")
-    raise CodegenUnsupported(f"unknown backend {backend!r}")
+            backend = "py"
+    if backend == "py-fused":
+        return compile_fused(machine)
+    if backend == "py":
+        try:
+            return compile_fused(machine)
+        except CodegenUnsupported:
+            pass
+    from .codegen_py_faithful import compile_faithful
+    return compile_faithful(machine)

@@ -22,13 +22,14 @@ checked/unchecked field helpers bound on the interpreter, the scoped
 region protocol, and the statement preamble (``stats.steps``/
 ``temps.clear()``).
 
-Eligibility mirrors the fused backend's machine-level gate (null
-observability sinks, no recorder/faults/sanitizer/degrade), but the
-lowering *hazards* do not apply: they describe what slot renaming
-cannot mirror, and this backend does not rename.  The only program
-gate is the emitter itself — constructs it does not cover (subregions,
-declared region kinds, ...) raise :class:`CodegenUnsupported` during
-emission and the machine runs the interpreter instead.
+The machine gate in :func:`~repro.interp.codegen_py.select_program`
+applies here too (null observability sinks, no
+recorder/faults/sanitizer/degrade), but the lowering *hazards* do not:
+they describe what slot renaming cannot mirror, and this backend does
+not rename.  The only program gate is the emitter itself — constructs
+it does not cover (subregions, declared region kinds, ...) raise
+:class:`CodegenUnsupported` during emission and the machine runs the
+interpreter instead.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ from .interpreter import (Frame, _MISSING, _Return, _java_div, _java_mod,
                           _ref_eq, _restore)
 from .lower import THIS, LoweredProgram, MethodUnit, lower
 from .values import RegionHandle, format_value, region_of_owner
-
-_MAIN_KEY = ("", "<main>")
 
 _ARRAY_CLASSES = ("IntArray", "FloatArray")
 
@@ -1056,35 +1055,16 @@ def _faithful_bind(analyzed: Any, lowered: LoweredProgram, active: bool,
 
 def compile_faithful(machine: Any) -> Any:
     """Compile ``machine``'s program for faithful generator execution,
-    or raise :class:`CodegenUnsupported` with the reason."""
+    or raise :class:`CodegenUnsupported` with the reason.  Callers go
+    through :func:`~repro.interp.codegen_py.select_program`, which has
+    already applied the machine gate."""
     from .codegen_py import PyProgram
     analyzed = machine.analyzed
-    opts = machine.options
-    if getattr(analyzed, "errors", None):
-        raise CodegenUnsupported("program has static errors")
-    lowered = lower(analyzed)
     # no hazard pre-filter: lowering hazards describe what the *fused*
     # slot-renaming backend cannot mirror; the faithful emitter keeps
     # the interpreter's runtime name/owner semantics, so its only gate
     # is the emitter itself (CodegenUnsupported during emission)
-    if _MAIN_KEY not in lowered.units:
-        raise CodegenUnsupported("no main block")
-    stats = machine.stats
-    if not (stats.tracer.null and stats.metrics.null
-            and stats.profile.null):
-        raise CodegenUnsupported("instrumented run")
-    if stats.recorder is not None:
-        raise CodegenUnsupported("flight recorder attached")
-    if machine.fault_injector is not None:
-        raise CodegenUnsupported("fault injection active")
-    if opts.sanitize:
-        raise CodegenUnsupported("sanitizer active")
-    if opts.degrade:
-        raise CodegenUnsupported("degrade mode")
-    info = analyzed.info
-    if "LocalRegion" in info.region_kinds \
-            or "SharedRegion" in info.region_kinds:
-        raise CodegenUnsupported("regionKind shadows a built-in kind")
+    lowered = lower(analyzed)
     bind = _faithful_bind(analyzed, lowered, machine.checks.active,
                           machine.cost_model)
     return PyProgram("py-faithful", "interp", bind(machine))

@@ -22,9 +22,10 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..core.api import AnalyzedProgram, analyze
 from ..core.relations import RelationGraph
 from ..errors import OwnershipTypeError, ReproError
+from ..faults import FaultInjector
 from ..obs import MetricsRegistry, ProfileCollector, Tracer
 from ..rtsj.checks import CheckEngine
-from ..rtsj.faults import FaultInjector, FaultPlan, RecoveryPolicy
+from ..rtsj.faults import RecoveryPolicy
 from ..rtsj.gc import GarbageCollector
 from ..rtsj.objects import ArrayStorage, ObjRef
 from ..rtsj.regions import RegionManager
@@ -65,10 +66,10 @@ class RunOptions:
     instrument: bool = True
     # -- robustness plane (all off by default: a plain run compiles in
     #    none of the fault/sanitizer code paths) --
-    #: seeded fault-injection plan; builds a FaultInjector for the run
-    fault_plan: Optional[FaultPlan] = None
-    #: pre-built injector (e.g. a ReplayInjector); wins over fault_plan
-    fault_injector: Optional[Any] = None
+    #: fault injector (seeded or replaying) consulted at the runtime's
+    #: fault sites; every Machine runs a fresh copy with its own consult
+    #: counters, so one options object can drive any number of runs
+    fault_injector: Optional[FaultInjector] = None
     #: retry/backoff/spill policy used when an injector is active
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     #: run the region sanitizer at checkpoints
@@ -158,12 +159,11 @@ class Machine:
         if recorder is not None:
             recorder.bind_clock(self.stats)
             self.regions.attach_recorder(recorder)
-        # fault-injection plane: an explicit injector (replay) wins
-        # over a plan; both default to None so plain runs carry no hooks
-        self.fault_injector = self.options.fault_injector
-        if self.fault_injector is None \
-                and self.options.fault_plan is not None:
-            self.fault_injector = FaultInjector(self.options.fault_plan)
+        # fault-injection plane: None unless asked for, so plain runs
+        # carry no hooks
+        injector = self.options.fault_injector
+        self.fault_injector = (injector.fresh() if injector is not None
+                               else None)
         self.recovery = self.options.recovery
         if self.fault_injector is not None:
             self.fault_injector.stats = self.stats

@@ -35,6 +35,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..faults import FaultRecord
 from .flightrec import FlightRecord
 
 #: kinds that count as "the runtime reacted to a fault" for the join
@@ -418,11 +419,9 @@ def combine_ledgers(primary: Dict[str, Any],
 # ---------------------------------------------------------------------------
 
 def join_faults(records: Sequence[FlightRecord],
-                schedule: Sequence[Any]) -> List[Dict[str, Any]]:
-    """Map each fault of a chaos schedule to the flight events it
-    caused.  ``schedule`` items need ``site``/``seq``/``detail``
-    attributes (``repro.rtsj.faults.FaultRecord``) or the equivalent
-    dict keys.
+                schedule: Sequence[FaultRecord]) -> List[Dict[str, Any]]:
+    """Map each fault of a chaos schedule (a list of
+    :class:`repro.faults.FaultRecord`) to the flight events it caused.
 
     Faults are matched to ``fault-injected`` flight records by
     ``(site, seq)``; the *reaction* is the first subsequent record whose
@@ -440,16 +439,9 @@ def join_faults(records: Sequence[FlightRecord],
                    int(attrs.get("seq", -1)))
             injected.setdefault(key, rec)
 
-    def fault_fields(item: Any) -> Tuple[str, int, str]:
-        if isinstance(item, dict):
-            return (str(item.get("site")), int(item.get("seq", -1)),
-                    str(item.get("detail", "")))
-        return (str(getattr(item, "site")), int(getattr(item, "seq", -1)),
-                str(getattr(item, "detail", "")))
-
     joins: List[Dict[str, Any]] = []
     for item in schedule:
-        site, seq, detail = fault_fields(item)
+        site, seq, detail = item.site, item.seq, item.detail
         event = injected.get((site, seq))
         entry: Dict[str, Any] = {"site": site, "seq": seq,
                                  "detail": detail}
@@ -769,12 +761,12 @@ class InspectReport:
 
 def build_report(header: Dict[str, Any],
                  records: Sequence[FlightRecord],
-                 schedule: Optional[Sequence[Any]] = None,
+                 schedule: Optional[Sequence[FaultRecord]] = None,
                  compare: Optional[Dict[str, Any]] = None
                  ) -> InspectReport:
     """Assemble the full report.  ``compare`` is the *header* of a
     second dump (the other mode) for the Figure 12 comparison;
-    ``schedule`` is a list of chaos ``FaultRecord``s to join."""
+    ``schedule`` is a list of runtime ``FaultRecord``s to join."""
     meta = header.get("meta") or {}
     summary = meta.get("summary") or {}
     horizon = int(summary.get("cycles") or 0)

@@ -1,219 +1,25 @@
-"""Deterministic fault-injection plane for the simulated RTSJ runtime.
+"""How the simulated runtime degrades when a fault hits.
 
 The paper's theorems say well-typed programs never *fail* the RTSJ
 dynamic checks — but a production runtime still has failure paths the
 type system says nothing about: LT budgets sized too small, VT chunk
 pools under pressure, denied region enters, portal teardown races,
-thread-table pressure, GC pause spikes.  This module makes those paths
-exercisable *deterministically*:
+thread-table pressure, GC pause spikes.  The shared fault core
+(:mod:`repro.faults`, target ``runtime``) makes those paths
+exercisable deterministically; the consult points live in
+:mod:`repro.rtsj.regions`, :mod:`repro.rtsj.threads`,
+:mod:`repro.rtsj.gc`, :mod:`repro.rtsj.checks` and the interpreter.
 
-* a :class:`FaultPlan` names the sites to perturb and a per-site
-  probability, all derived from one seed;
-* a :class:`FaultInjector` is consulted at each site (``fire``) and
-  records every injected fault as a :class:`FaultRecord` — the ordered
-  list of records is a *schedule*;
-* a :class:`ReplayInjector` re-fires a recorded schedule bit-for-bit:
-  the nth consult of a site fails exactly when it failed in the
-  recorded run, with no randomness involved, so any failing chaos run
-  can be re-executed and debugged (``repro chaos --replay``).
-
-Determinism contract: ``fire`` keys decisions on the per-site consult
-counter, never on wall clock or host state.  Because the simulator
-itself is deterministic, the consult sequence — and therefore the
-injected schedule and the run it produces — is a pure function of
-(program, plan).
-
-Recovery policy lives here too (:class:`RecoveryPolicy`): bounded
-retries with exponential backoff, VT overflow spilling to a longer-
-lived area where the outlives relation permits, and the LT watchdog
-that aborts an overrunning thread without wedging the scheduler.
+This module holds the runtime's side of the contract: the
+:class:`RecoveryPolicy` — bounded retries with exponential backoff, VT
+overflow spilling to a longer-lived area where the outlives relation
+permits, and the LT watchdog that aborts an overrunning thread without
+wedging the scheduler.
 """
 
 from __future__ import annotations
 
-import json
-import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Iterable, List, Mapping, Optional, Tuple
-
-#: every site the injector can be consulted at, in documentation order
-FAULT_SITES: Tuple[str, ...] = (
-    "lt_alloc",        # LT allocation denied (budget pressure)
-    "vt_chunk",        # VT chunk acquisition denied (pool pressure)
-    "region_enter",    # (sub)region enter denied (teardown race)
-    "portal_write",    # portal store denied (teardown race)
-    "thread_spawn",    # thread spawn denied (thread-table pressure)
-    "gc_pause_spike",  # one GC pause multiplied by ``gc_spike_factor``
-)
-
-SCHEDULE_VERSION = 1
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """What to inject: one seed, per-site rates, an optional site filter.
-
-    ``rate`` is the default probability applied to every enabled site;
-    ``rates`` overrides individual sites.  ``sites`` (when given)
-    restricts injection to that subset.  ``max_faults`` caps the total
-    number of injected faults per run.
-    """
-
-    seed: int = 0
-    rate: float = 0.0
-    rates: Mapping[str, float] = field(default_factory=dict)
-    sites: Optional[Tuple[str, ...]] = None
-    max_faults: Optional[int] = None
-    #: multiplier applied to one GC pause when ``gc_pause_spike`` fires
-    gc_spike_factor: int = 8
-
-    def __post_init__(self) -> None:
-        unknown = set(self.rates) - set(FAULT_SITES)
-        if self.sites is not None:
-            unknown |= set(self.sites) - set(FAULT_SITES)
-        if unknown:
-            raise ValueError(
-                f"unknown fault site(s) {sorted(unknown)}; "
-                f"known: {list(FAULT_SITES)}")
-
-    def rate_for(self, site: str) -> float:
-        if self.sites is not None and site not in self.sites:
-            return 0.0
-        return float(self.rates.get(site, self.rate))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "rate": self.rate,
-            "rates": dict(self.rates),
-            "sites": list(self.sites) if self.sites is not None else None,
-            "max_faults": self.max_faults,
-            "gc_spike_factor": self.gc_spike_factor,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        sites = data.get("sites")
-        return cls(seed=int(data.get("seed", 0)),
-                   rate=float(data.get("rate", 0.0)),
-                   rates=dict(data.get("rates") or {}),
-                   sites=tuple(sites) if sites is not None else None,
-                   max_faults=data.get("max_faults"),
-                   gc_spike_factor=int(data.get("gc_spike_factor", 8)))
-
-
-@dataclass(frozen=True)
-class FaultRecord:
-    """One injected fault: the ``seq``-th consult of ``site`` fired."""
-
-    index: int          # global injection order (0-based)
-    site: str
-    seq: int            # per-site consult number the fault fired at
-    detail: str = ""    # site-specific context (area name, thread, ...)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"index": self.index, "site": self.site, "seq": self.seq,
-                "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultRecord":
-        return cls(index=int(data["index"]), site=str(data["site"]),
-                   seq=int(data["seq"]),
-                   detail=str(data.get("detail", "")))
-
-
-def fault_key(records: Iterable[FaultRecord]) -> List[Tuple[str, int]]:
-    """The replay-comparable identity of a schedule: ``(site, seq)`` in
-    injection order.  ``detail`` strings are diagnostics, not identity."""
-    return [(r.site, r.seq) for r in records]
-
-
-class FaultInjector:
-    """Seeded random injector; every decision is recorded.
-
-    One PRNG draw happens per consult of an *enabled* site (rate > 0),
-    so the decision stream is a deterministic function of the plan and
-    the consult order — which the deterministic scheduler fixes.
-    """
-
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-        self._rng = random.Random(plan.seed)
-        self.site_counts: Dict[str, int] = {s: 0 for s in FAULT_SITES}
-        self.injected: List[FaultRecord] = []
-        self._rates = {s: plan.rate_for(s) for s in FAULT_SITES}
-        #: optional Stats hook (set by the Machine): every injection
-        #: bumps ``faults_injected`` here, so the counter always equals
-        #: the schedule length regardless of which site fired
-        self.stats: Optional[Any] = None
-
-    @property
-    def gc_spike_factor(self) -> int:
-        return self.plan.gc_spike_factor
-
-    def fire(self, site: str, detail: str = "") -> bool:
-        """Consult the injector at ``site``; True means inject a fault
-        here.  Always advances the per-site consult counter so recorded
-        and replayed runs stay aligned."""
-        counts = self.site_counts
-        seq = counts[site]
-        counts[site] = seq + 1
-        rate = self._rates[site]
-        if rate <= 0.0:
-            return False
-        if (self.plan.max_faults is not None
-                and len(self.injected) >= self.plan.max_faults):
-            return False
-        if self._rng.random() >= rate:
-            return False
-        self.injected.append(
-            FaultRecord(index=len(self.injected), site=site, seq=seq,
-                        detail=detail))
-        if self.stats is not None:
-            self.stats.faults_injected += 1
-            rec = self.stats.recorder
-            if rec is not None:
-                rec.record("fault-injected", site,
-                           cycle=self.stats.cycles, thread="<fault>",
-                           attrs={"site": site, "seq": seq,
-                                  "detail": detail})
-        return True
-
-
-class ReplayInjector:
-    """Re-fires a recorded schedule exactly: the nth consult of a site
-    fails iff the recorded run's nth consult of that site failed."""
-
-    def __init__(self, records: Iterable[FaultRecord],
-                 plan: Optional[FaultPlan] = None) -> None:
-        self.plan = plan or FaultPlan()
-        self._fire_at = {(r.site, r.seq) for r in records}
-        self.site_counts: Dict[str, int] = {s: 0 for s in FAULT_SITES}
-        self.injected: List[FaultRecord] = []
-        self.stats: Optional[Any] = None
-
-    @property
-    def gc_spike_factor(self) -> int:
-        return self.plan.gc_spike_factor
-
-    def fire(self, site: str, detail: str = "") -> bool:
-        counts = self.site_counts
-        seq = counts[site]
-        counts[site] = seq + 1
-        if (site, seq) not in self._fire_at:
-            return False
-        self.injected.append(
-            FaultRecord(index=len(self.injected), site=site, seq=seq,
-                        detail=detail))
-        if self.stats is not None:
-            self.stats.faults_injected += 1
-            rec = self.stats.recorder
-            if rec is not None:
-                rec.record("fault-injected", site,
-                           cycle=self.stats.cycles, thread="<fault>",
-                           attrs={"site": site, "seq": seq,
-                                  "detail": detail})
-        return True
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -240,44 +46,3 @@ class RecoveryPolicy:
     def backoff_cycles(self, attempt: int) -> int:
         """Cycles charged before retry number ``attempt`` (0-based)."""
         return self.backoff_base << min(attempt, 16)
-
-
-# ---------------------------------------------------------------------------
-# schedule persistence (JSON Lines: one header object, one line per fault)
-# ---------------------------------------------------------------------------
-
-def write_schedule(handle: IO[str], plan: FaultPlan,
-                   records: Iterable[FaultRecord],
-                   meta: Optional[Dict[str, Any]] = None) -> None:
-    header = {"version": SCHEDULE_VERSION, "plan": plan.to_dict()}
-    if meta:
-        header["meta"] = meta
-    handle.write(json.dumps(header, sort_keys=True) + "\n")
-    for record in records:
-        handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-
-
-def save_schedule(path: str, plan: FaultPlan,
-                  records: Iterable[FaultRecord],
-                  meta: Optional[Dict[str, Any]] = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        write_schedule(handle, plan, records, meta)
-
-
-def load_schedule(path: str) -> Tuple[FaultPlan, List[FaultRecord],
-                                      Dict[str, Any]]:
-    """Read a schedule file back: (plan, records, meta)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle if line.strip()]
-    if not lines:
-        raise ValueError(f"empty fault schedule: {path}")
-    header = json.loads(lines[0])
-    version = header.get("version")
-    if version != SCHEDULE_VERSION:
-        raise ValueError(
-            f"unsupported schedule version {version!r} in {path} "
-            f"(expected {SCHEDULE_VERSION})")
-    plan = FaultPlan.from_dict(header.get("plan") or {})
-    records = [FaultRecord.from_dict(json.loads(line))
-               for line in lines[1:]]
-    return plan, records, dict(header.get("meta") or {})

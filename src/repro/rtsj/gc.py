@@ -89,7 +89,7 @@ class GarbageCollector:
             # heap, finalizer storm).  Regular threads eat the longer
             # pause; RT threads stay unpaused — the latency histogram
             # asserts the paper's claim survives the spike.
-            pause *= injector.gc_spike_factor
+            pause *= injector.plan.magnitudes["gc_spike_factor"]
             self.stats.tracer.emit(
                 "fault-injected", "gc_pause_spike",
                 cycle=self.stats.cycles, thread="<gc>",

@@ -8,7 +8,8 @@ per-tenant token-bucket quotas, and deadline propagation.  See
 ``docs/SERVING.md`` for the architecture and tuning guide.
 
 The resilience plane lives alongside: deterministic service-fault
-injection (:mod:`~repro.serve.faults`), the healthy→brownout→shed
+injection (the ``serve`` target of :mod:`repro.faults`, consulted by
+the pool), the healthy→brownout→shed
 degradation ladder (:mod:`~repro.serve.degrade`), a self-healing
 retrying client (:mod:`~repro.serve.client`), and seeded chaos
 campaigns against a live service (:mod:`~repro.serve.chaos`).  See
@@ -25,8 +26,6 @@ trace``.  See the "Request tracing" section of
 from .client import ClientPolicy, ResilientClient, ServeClientError
 from .degrade import (RUNG_BROWNOUT, RUNG_HEALTHY, RUNG_NAMES,
                       RUNG_SHED, DegradationLadder)
-from .faults import (SERVICE_FAULT_SITES, ReplayServiceInjector,
-                     ServiceFaultInjector, ServiceFaultPlan)
 from .pool import PendingJob, WorkerPool
 from .protocol import (ENDPOINTS, TRACE_HEADER, TRACE_ID_HEADER, Job,
                        JobOutcome, admit_trace, format_traceparent,
@@ -39,8 +38,7 @@ __all__ = [
     "ENDPOINTS", "Job", "JobOutcome", "PendingJob", "QuotaTable",
     "ServeConfig", "ServeService", "TokenBucket", "WarmWorker",
     "WorkerPool", "job_fingerprint", "program_sha",
-    "SERVICE_FAULT_SITES", "ServiceFaultPlan", "ServiceFaultInjector",
-    "ReplayServiceInjector", "DegradationLadder", "RUNG_HEALTHY",
+    "DegradationLadder", "RUNG_HEALTHY",
     "RUNG_BROWNOUT", "RUNG_SHED", "RUNG_NAMES", "ClientPolicy",
     "ResilientClient", "ServeClientError", "TRACE_HEADER",
     "TRACE_ID_HEADER", "admit_trace", "format_traceparent",

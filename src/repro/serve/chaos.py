@@ -6,8 +6,8 @@ degrades honestly under injected faults; this module proves the
 
 1. boots a real :class:`~repro.serve.server.ServeService` (forked
    workers, HTTP sockets, the whole admission path) with a
-   :class:`~repro.serve.faults.ServiceFaultInjector` wired into the
-   pool's dispatch loop;
+   :class:`~repro.faults.FaultInjector` for the ``serve`` target wired
+   into the pool's dispatch loop;
 2. drives it with one sequential
    :class:`~repro.serve.client.ResilientClient` over a deterministic
    program corpus (each request a fresh content address, so every
@@ -18,10 +18,14 @@ degrades honestly under injected faults; this module proves the
    must *never* leak into a response), every killed worker respawned,
    torn shards quarantined on disk, and the degradation ladder riding
    healthy → brownout → healthy;
-4. optionally re-runs the whole campaign under a
-   :class:`~repro.serve.faults.ReplayServiceInjector` and demands the
-   same *identity* — fault schedule, per-request final statuses, and
-   response digests — bit for bit.
+4. optionally re-runs the whole campaign re-firing the recorded
+   schedule and demands the same *identity* — fault schedule,
+   per-request final statuses, and response digests — bit for bit.
+
+This module is the service target of the shared fault core
+(:mod:`repro.faults`): it keeps the service's contract, its identity
+and its schedule runner (:func:`rerun`); plans, injection, schedule
+files and the identity diff are the core's.
 
 Why replay works here at all: the client is strictly sequential, so
 jobs reach the pool in request order regardless of how long retries,
@@ -43,13 +47,13 @@ import tempfile
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..faults import (FaultInjector, FaultPlan, FaultRecord, fault_key,
+                      identity_diff, save_schedule)
 from .client import ClientPolicy, ResilientClient
-from .faults import (ReplayServiceInjector, ServiceFaultInjector,
-                     ServiceFaultPlan, fault_key, save_schedule)
 from .server import ServeConfig, ServeService
 
 __all__ = ["CAMPAIGN_SCHEMA", "DEFAULT_MINIMA", "default_plan",
-           "run_campaign", "run_serve_chaos", "replay_schedule",
+           "run_campaign", "run_serve_chaos", "rerun",
            "campaign_telemetry"]
 
 CAMPAIGN_SCHEMA = "repro-serve-chaos/1"
@@ -73,15 +77,16 @@ DEFAULT_MINIMA = {"worker_crash": 3, "worker_stall": 1,
 TOPUP_FACTOR = 3
 
 
-def default_plan(seed: int = 0) -> ServiceFaultPlan:
+def default_plan(seed: int = 0) -> FaultPlan:
     """Rates tuned so ~32 requests meet :data:`DEFAULT_MINIMA` for
     most seeds without top-up traffic."""
-    return ServiceFaultPlan(
+    return FaultPlan(
         seed=seed,
         rates={"worker_crash": 0.14, "worker_stall": 0.05,
                "latency_spike": 0.10, "pipe_write": 0.06,
                "cache_corrupt": 0.08},
-        stall_ms=4000.0, spike_ms=40.0)
+        magnitudes={"stall_ms": 4000.0, "spike_ms": 40.0},
+        target="serve")
 
 
 def _campaign_config(workers: int, cache_dir: str) -> ServeConfig:
@@ -178,19 +183,17 @@ def _minima_met(injector: Any,
                for site, floor in minima.items())
 
 
-def run_campaign(plan: Optional[ServiceFaultPlan] = None,
+def run_campaign(plan: Optional[FaultPlan] = None,
+                 replay: Optional[List[FaultRecord]] = None,
                  requests: int = 32, workers: int = 2,
-                 injector: Optional[Any] = None,
                  minima: Optional[Dict[str, int]] = None,
                  fast: bool = True) -> Dict[str, Any]:
-    """One full campaign against a freshly booted service.  Pass a
-    ``ReplayServiceInjector`` as ``injector`` to re-run a recorded
-    schedule; otherwise a seeded random injector is built from
-    ``plan``."""
+    """One full campaign against a freshly booted service, drawing
+    faults from ``plan``'s seed or, with ``replay``, re-firing a
+    recorded schedule."""
     plan = plan or default_plan()
     minima = DEFAULT_MINIMA if minima is None else minima
-    if injector is None:
-        injector = ServiceFaultInjector(plan)
+    injector = FaultInjector(plan, replay)
     sources = _corpus_sources(fast=fast)
     reference = _references(sources)
     bases = list(CORPUS_BASES)
@@ -321,8 +324,7 @@ def run_campaign(plan: Optional[ServiceFaultPlan] = None,
             f"brownout->healthy={int(up)}")
 
     identity = {
-        "fault_key": [list(pair)
-                      for pair in fault_key(injector.injected)],
+        "fault_key": fault_key(injector.injected),
         "statuses": [r["status"] for r in results],
         "digests": [r["body_sha256"] for r in results],
     }
@@ -359,27 +361,6 @@ def run_campaign(plan: Optional[ServiceFaultPlan] = None,
     }
 
 
-def _identity_mismatches(expected: Dict[str, Any],
-                         actual: Dict[str, Any]) -> List[str]:
-    out: List[str] = []
-    # JSON round-trips turn tuples into lists; normalise both sides
-    for key in ("fault_key", "statuses", "digests"):
-        want = [list(v) if isinstance(v, (list, tuple)) else v
-                for v in expected.get(key, [])]
-        have = [list(v) if isinstance(v, (list, tuple)) else v
-                for v in actual.get(key, [])]
-        if want != have:
-            out.append(
-                f"{key} diverged: recorded {len(want)} item(s), "
-                f"replay {len(have)}"
-                + ("" if len(want) != len(have) else
-                   next((f"; first at index {i}: "
-                         f"{want[i]!r} != {have[i]!r}"
-                         for i in range(len(want))
-                         if want[i] != have[i]), "")))
-    return out
-
-
 def run_serve_chaos(seed: int = 0, requests: int = 32,
                     workers: int = 2, verify: bool = True,
                     schedule_path: Optional[str] = None,
@@ -389,26 +370,20 @@ def run_serve_chaos(seed: int = 0, requests: int = 32,
     plan = default_plan(seed)
     report = run_campaign(plan, requests=requests, workers=workers,
                           fast=fast)
+    records = [FaultRecord.from_dict(r) for r in report["records"]]
     if schedule_path:
-        from .faults import FaultRecord
-        save_schedule(schedule_path, plan,
-                      [FaultRecord.from_dict(r)
-                       for r in report["records"]],
+        save_schedule(schedule_path, plan, records,
                       meta={"identity": report["identity"],
                             "requests": requests,
                             "workers": workers})
         report["schedule_path"] = schedule_path
     if verify:
-        from .faults import FaultRecord
-        records = [FaultRecord.from_dict(r)
-                   for r in report["records"]]
-        replayed = run_campaign(
-            plan, requests=requests, workers=workers,
-            injector=ReplayServiceInjector(records, plan), fast=fast)
-        mismatches = _identity_mismatches(report["identity"],
-                                          replayed["identity"])
+        replayed = run_campaign(plan, replay=records, requests=requests,
+                                workers=workers, fast=fast)
+        mismatches = identity_diff(report["identity"],
+                                   replayed["identity"])
         report["replay_ok"] = (not mismatches) and replayed["ok"]
-        report["replay_mismatches"] = mismatches
+        report["mismatches"] = mismatches
         report["replay_failures"] = replayed["failures"]
         if mismatches:
             report["status"] = "violation"
@@ -418,28 +393,13 @@ def run_serve_chaos(seed: int = 0, requests: int = 32,
     return report
 
 
-def replay_schedule(path: str, requests: Optional[int] = None,
-                    workers: Optional[int] = None) -> Dict[str, Any]:
-    """Re-run a persisted serve schedule and diff against its recorded
-    identity."""
-    from .faults import load_schedule
-    plan, records, meta = load_schedule(path)
-    report = run_campaign(
-        plan,
-        requests=int(requests or meta.get("requests", 32)),
-        workers=int(workers or meta.get("workers", 2)),
-        injector=ReplayServiceInjector(records, plan))
-    mismatches: List[str] = []
-    expected = meta.get("identity")
-    if expected is not None:
-        mismatches = _identity_mismatches(expected,
-                                          report["identity"])
-    report["replay_ok"] = (not mismatches) and report["ok"]
-    report["replay_mismatches"] = mismatches
-    if mismatches:
-        report["status"] = "violation"
-        report["ok"] = False
-    return report
+def rerun(plan: FaultPlan, records: List[FaultRecord],
+          meta: Dict[str, Any]) -> Dict[str, Any]:
+    """Re-run a serve schedule read back from disk: the service runner
+    behind :func:`repro.faults.replay_schedule`."""
+    return run_campaign(plan, replay=records,
+                        requests=int(meta.get("requests", 32)),
+                        workers=int(meta.get("workers", 2)))
 
 
 def campaign_telemetry(report: Dict[str, Any]) -> Dict[str, Any]:

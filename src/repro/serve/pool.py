@@ -24,8 +24,8 @@ dispatcher thread.  All dispatchers pull from a single shared queue:
   crash, so a missed deadline can't pin a dispatcher forever.
 
 The pool is also where the serve resilience plane injects failures: an
-optional :class:`~repro.serve.faults.ServiceFaultInjector` is
-consulted once per site per dispatch (fixed order, so recorded chaos
+optional :class:`~repro.faults.FaultInjector` for the ``serve`` target
+is consulted once per site per dispatch (fixed order, so recorded chaos
 schedules replay bit-for-bit), and worker-lifecycle events are
 reported to an optional callback the degradation ladder listens on.
 
@@ -43,6 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from ..faults import FaultInjector
 from ..obs.trace import end_span, start_span
 from .protocol import Job, JobOutcome, error_body
 
@@ -99,7 +100,7 @@ class WorkerPool:
                  cache_root: Optional[str] = None,
                  batch_max: int = 8,
                  metrics: Optional[Any] = None,
-                 fault_injector: Optional[Any] = None,
+                 fault_injector: Optional[FaultInjector] = None,
                  stall_timeout_s: Optional[float] = None,
                  requeue_on_crash: bool = True,
                  on_worker_event: Optional[Callable[[str], None]]
@@ -114,8 +115,8 @@ class WorkerPool:
         #: record here, keyed by trace id (see WarmWorker._dump_flight)
         self.flight_dir = flight_dir
         self.batch_max = max(1, batch_max)
-        #: anything with fire(site, detail) / stall_ms / spike_ms —
-        #: a ServiceFaultInjector or its replay twin (None in prod)
+        #: a serve-target FaultInjector, seeded or replaying (None in
+        #: prod)
         self.faults = fault_injector
         #: reply-wait bound per dispatch; None disables the watchdog
         self.stall_timeout_s = stall_timeout_s
@@ -251,9 +252,9 @@ class WorkerPool:
             self._corrupt_shard(live[0].job.source_sha)
         delay_ms: Optional[float] = None
         if stall:
-            delay_ms = float(injector.stall_ms)
+            delay_ms = injector.plan.magnitudes["stall_ms"]
         elif spike:
-            delay_ms = float(injector.spike_ms)
+            delay_ms = injector.plan.magnitudes["spike_ms"]
         if kill or stall or spike or pipe_fail or corrupt:
             # any fired fault taints every job riding this dispatch —
             # the tail sampler retains their traces unconditionally

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
+from ..faults import FaultInjector
 from ..obs.exporters import to_prometheus
 from ..obs.live import PROMETHEUS_CONTENT_TYPE
 from ..obs.metrics import MetricsRegistry
@@ -175,7 +176,8 @@ class ServeService:
 
     def __init__(self, config: Optional[ServeConfig] = None,
                  registry: Optional[MetricsRegistry] = None,
-                 fault_injector: Optional[Any] = None) -> None:
+                 fault_injector: Optional[FaultInjector] = None
+                 ) -> None:
         self.config = config or ServeConfig()
         self.metrics = registry if registry is not None \
             else MetricsRegistry()

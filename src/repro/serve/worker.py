@@ -126,7 +126,7 @@ class WarmWorker:
         delay_ms = job.get("_delay_ms")
         if delay_ms:
             # fault-injected slow analysis (latency spike) or wedge
-            # (stall past the pool watchdog); see serve/faults.py
+            # (stall past the pool watchdog); see WorkerPool._consult_faults
             time.sleep(float(delay_ms) / 1000.0)
         parent = job.get("parent_span")
         spans: Optional[List[Dict[str, Any]]] = (

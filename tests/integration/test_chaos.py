@@ -13,7 +13,7 @@ import pytest
 from repro.chaos import (replay_schedule, run_chaos, run_one,
                          verify_replay)
 from repro.cli import main
-from repro.rtsj.faults import FaultPlan, load_schedule, save_schedule
+from repro.faults import FaultPlan, load_schedule, save_schedule
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from conftest import (PRODUCER_CONSUMER_SOURCE, TSTACK_SOURCE,  # noqa: E402
@@ -78,7 +78,8 @@ class TestCampaign:
         import os
         os.makedirs(schedule_dir)
         report = run_chaos([("tstack", TSTACK_SOURCE)], seeds=[0, 1, 2],
-                           rate=0.2, schedule_dir=schedule_dir)
+                           plan=FaultPlan(rate=0.2),
+                           schedule_dir=schedule_dir)
         assert report["ok"], report["failures"]
         assert report["runs"] == 3
         assert sum(report["statuses"].values()) == 3
@@ -89,7 +90,7 @@ class TestCampaign:
     def test_persisted_schedule_replays_standalone(self, tmp_path):
         schedule_dir = str(tmp_path)
         report = run_chaos([("tstack", TSTACK_SOURCE)], seeds=[4],
-                           rate=0.4, verify=False,
+                           plan=FaultPlan(rate=0.4), verify=False,
                            schedule_dir=schedule_dir)
         path = report["results"][0]["schedule"]
         result = replay_schedule(path)
@@ -109,7 +110,7 @@ class TestCampaign:
 
     def test_schedule_meta_identifies_the_run(self, tmp_path):
         report = run_chaos([("tstack", TSTACK_SOURCE)], seeds=[6],
-                           rate=0.3, verify=False,
+                           plan=FaultPlan(rate=0.3), verify=False,
                            schedule_dir=str(tmp_path))
         plan, records, meta = load_schedule(
             report["results"][0]["schedule"])
@@ -166,3 +167,73 @@ class TestChaosCli:
         code, _out, err = run_cli("chaos", str(script), "--seeds", "1")
         assert "skipping" in err
         assert code != 0  # empty corpus is an error, not a silent pass
+
+
+class TestReplayCli:
+    """``repro chaos --replay``: bad files end in one line and exit 1,
+    a tampered identity exits 4, and the committed v1 fixture
+    replays."""
+
+    FIXTURE = (Path(__file__).resolve().parent.parent / "data"
+               / "schedule_v1_runtime.jsonl")
+
+    def _one_line_error(self, *argv):
+        code, _out, err = run_cli("chaos", *argv)
+        assert code == 1
+        assert err.startswith("invalid fault schedule: ")
+        assert len(err.strip().splitlines()) == 1
+        return err
+
+    def test_missing_file(self, tmp_path):
+        err = self._one_line_error("--replay",
+                                   str(tmp_path / "absent.jsonl"))
+        assert "cannot read" in err
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.schedule.jsonl"
+        path.write_text("")
+        assert "empty fault schedule" in self._one_line_error(
+            "--replay", str(path))
+
+    def test_sourceless_schedule_takes_the_program_argument(
+            self, tmp_path):
+        path = tmp_path / "bare.schedule.jsonl"
+        save_schedule(str(path), FaultPlan(seed=0, rate=0.0), [])
+        err = self._one_line_error("--replay", str(path))
+        assert "repro chaos --replay FILE PROGRAM" in err
+        program = tmp_path / "prog.rtj"
+        program.write_text(TSTACK_SOURCE)
+        code, out, _err = run_cli("chaos", "--replay", str(path),
+                                  str(program))
+        assert code == 0
+        assert "status=clean" in out
+
+    def test_tampered_identity_exits_4(self, tmp_path):
+        report = run_chaos([("tstack", TSTACK_SOURCE)], seeds=[4],
+                           plan=FaultPlan(rate=0.4), verify=False,
+                           schedule_dir=str(tmp_path))
+        path = Path(report["results"][0]["schedule"])
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["meta"]["identity"]["cycles"] += 1
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        code, _out, err = run_cli("chaos", "--replay", str(path))
+        assert code == 4
+        assert "replay mismatch: cycles: recorded" in err
+
+    def test_v1_fixture_replays(self):
+        code, out, err = run_cli("chaos", "--replay", str(self.FIXTURE))
+        assert code == 0, err
+        assert "replayed 2 fault(s), status=recovered" in out
+
+
+class TestPlanValidationCli:
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-1", "1.5"])
+    def test_rate_outside_unit_interval_exits_1(self, tmp_path, rate):
+        program = tmp_path / "prog.rtj"
+        program.write_text(TSTACK_SOURCE)
+        code, out, err = run_cli("chaos", str(program), "--seeds", "1",
+                                 "--rate", rate)
+        assert code == 1
+        assert err.startswith("error: fault rate")
+        assert out == ""

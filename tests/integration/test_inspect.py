@@ -18,7 +18,7 @@ from repro.core.api import analyze
 from repro.interp.machine import Machine, RunOptions
 from repro.obs.analyze import build_report, join_faults
 from repro.obs.flightrec import load_flight, validate_flight
-from repro.rtsj.faults import load_schedule
+from repro.faults import FaultPlan, load_schedule
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from conftest import PRODUCER_CONSUMER_SOURCE  # noqa: E402
@@ -207,6 +207,20 @@ class TestInspectCLI:
         assert code == 1
         assert "invalid flight record" in err
 
+    @pytest.mark.parametrize("schedule", [
+        Path(__file__).resolve().parent.parent / "data"
+        / "schedule_v1_serve.jsonl",
+        Path("absent.schedule.jsonl"),
+    ], ids=["serve-target", "missing"])
+    def test_bad_schedule_is_one_line_error(self, dumps, schedule):
+        dyn, _ = dumps
+        code, out, err = run_cli("inspect", str(dyn),
+                                 "--schedule", str(schedule))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("invalid fault schedule: ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_tampered_summary_exits_2(self, dumps, tmp_path):
         dyn, _ = dumps
         lines = dyn.read_text().splitlines()
@@ -224,7 +238,8 @@ class TestChaosFlightDump:
     def test_failed_run_dumps_flight_next_to_schedule(self, tmp_path):
         report = run_chaos(
             [("pc", PRODUCER_CONSUMER_SOURCE)], seeds=[0],
-            rate=1.0, sites=("thread_spawn",), verify=False,
+            plan=FaultPlan(rate=1.0, sites=("thread_spawn",)),
+            verify=False,
             schedule_dir=str(tmp_path))
         entry = report["results"][0]
         assert entry["status"] == "diagnosed"
@@ -241,7 +256,8 @@ class TestChaosFlightDump:
     def test_inspect_joins_schedule_to_flight(self, tmp_path):
         report = run_chaos(
             [("pc", PRODUCER_CONSUMER_SOURCE)], seeds=[0],
-            rate=1.0, sites=("thread_spawn",), verify=False,
+            plan=FaultPlan(rate=1.0, sites=("thread_spawn",)),
+            verify=False,
             schedule_dir=str(tmp_path))
         entry = report["results"][0]
         code, out, err = run_cli("inspect", entry["flight"],
@@ -261,7 +277,8 @@ class TestChaosFlightDump:
     def test_clean_run_dumps_no_flight(self, tmp_path):
         report = run_chaos(
             [("pc", PRODUCER_CONSUMER_SOURCE)], seeds=[0],
-            rate=0.0, verify=False, schedule_dir=str(tmp_path))
+            plan=FaultPlan(rate=0.0), verify=False,
+            schedule_dir=str(tmp_path))
         entry = report["results"][0]
         assert entry["status"] == "clean"
         assert "flight" not in entry

@@ -27,9 +27,9 @@ import time
 import pytest
 
 from repro.core.cache import AnalysisCache, _entries_digest
+from repro.faults import FaultInjector, FaultPlan
 from repro.serve import (ClientPolicy, ResilientClient, ServeConfig,
-                         ServeService, ServiceFaultInjector,
-                         ServiceFaultPlan)
+                         ServeService)
 
 SOURCE = """\
 class Cell<Owner o> {
@@ -69,8 +69,9 @@ class TestCrashStorm:
 
     def test_storm_of_kills_loses_nothing_and_heals(self, tmp_path):
         kills = 3
-        injector = ServiceFaultInjector(ServiceFaultPlan(
-            rates={"worker_crash": 1.0}, max_faults=kills))
+        injector = FaultInjector(FaultPlan(
+            rates={"worker_crash": 1.0}, max_faults=kills,
+            target="serve"))
         config = ServeConfig(workers=2,
                              cache_dir=str(tmp_path / "cache"),
                              stall_timeout_s=5.0, heal_after_s=0.2)
@@ -101,9 +102,9 @@ class TestCrashStorm:
                 client.close()
 
     def test_stalled_worker_trips_the_watchdog(self, tmp_path):
-        injector = ServiceFaultInjector(ServiceFaultPlan(
+        injector = FaultInjector(FaultPlan(
             rates={"worker_stall": 1.0}, max_faults=1,
-            stall_ms=4000.0))
+            magnitudes={"stall_ms": 4000.0}, target="serve"))
         config = ServeConfig(workers=1,
                              cache_dir=str(tmp_path / "cache"),
                              stall_timeout_s=0.5, heal_after_s=0.2)
@@ -126,8 +127,8 @@ class TestCrashStorm:
 class TestDegradationLadder:
 
     def test_crash_browns_out_then_heals(self):
-        injector = ServiceFaultInjector(ServiceFaultPlan(
-            rates={"worker_crash": 1.0}, max_faults=1))
+        injector = FaultInjector(FaultPlan(
+            rates={"worker_crash": 1.0}, max_faults=1, target="serve"))
         config = ServeConfig(workers=1, stall_timeout_s=5.0,
                              heal_after_s=0.2)
         with ServeService(config, fault_injector=injector
@@ -326,3 +327,24 @@ class _FakeDecl:
     """Just enough ClassDecl surface for cache.record()."""
 
     methods = ()
+
+
+class TestFaultFlags:
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--fault-rate", "nan"], "fault rate"),
+        (["--fault-rate", "-1"], "fault rate"),
+        (["--fault-rate", "0.5", "--max-faults", "-3"], "max_faults"),
+    ])
+    def test_invalid_fault_flags_exit_1_before_boot(self, flags,
+                                                    message):
+        import io
+        from contextlib import redirect_stderr
+
+        from repro.cli import main
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(["serve", "--port", "0", *flags])
+        assert code == 1
+        assert err.getvalue().startswith("error: ")
+        assert message in err.getvalue()

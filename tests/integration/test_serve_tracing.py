@@ -30,9 +30,9 @@ import time
 import pytest
 
 from repro.obs.trace import validate_trace
+from repro.faults import FaultInjector, FaultPlan
 from repro.serve import (ClientPolicy, ResilientClient, ServeConfig,
-                         ServeService, ServiceFaultInjector,
-                         ServiceFaultPlan, format_traceparent)
+                         ServeService, format_traceparent)
 from repro.serve.protocol import TRACE_HEADER
 
 from .test_serve import SOURCE, _get, _post, _variant
@@ -188,8 +188,9 @@ class TestRequeueAcrossCrash:
 
     def test_requeued_job_keeps_its_trace_and_shows_both_dispatches(
             self, tmp_path):
-        injector = ServiceFaultInjector(ServiceFaultPlan(
-            seed=0, rate=1.0, sites=("worker_crash",), max_faults=1))
+        injector = FaultInjector(FaultPlan(
+            seed=0, rate=1.0, sites=("worker_crash",), max_faults=1,
+            target="serve"))
         config = ServeConfig(workers=1, trace_sample=1000)
         with ServeService(config, fault_injector=injector) \
                 .serve_background() as svc:

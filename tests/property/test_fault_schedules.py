@@ -18,7 +18,7 @@ import pytest
 from repro import RunOptions
 from repro.errors import ReproError, SanitizerViolation
 from repro.interp.machine import Machine
-from repro.rtsj.faults import FaultPlan
+from repro.faults import FaultInjector, FaultPlan, fault_key
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from conftest import (PRODUCER_CONSUMER_SOURCE, REALTIME_SOURCE,  # noqa: E402
@@ -41,7 +41,8 @@ def chaos_run(analyzed, seed):
     Returns (machine, error): error is None for a completed run."""
     plan = FaultPlan(seed=seed, rate=PLAN_RATE)
     machine = Machine(analyzed, RunOptions(
-        checks_enabled=True, validate=True, fault_plan=plan,
+        checks_enabled=True, validate=True,
+        fault_injector=FaultInjector(plan),
         sanitize=True, degrade=True, max_cycles=5_000_000))
     try:
         machine.run()
@@ -86,7 +87,6 @@ class TestSeededFaultSchedules:
         analyzed = assert_well_typed(source)
         a, err_a = chaos_run(analyzed, seed=1)
         b, err_b = chaos_run(analyzed, seed=1)
-        from repro.rtsj.faults import fault_key
         assert fault_key(a.fault_injector.injected) == \
             fault_key(b.fault_injector.injected)
         assert a.stats.cycles == b.stats.cycles

@@ -2,6 +2,7 @@
 records: region reconstruction, leak flagging, portal/thread stats,
 the check-elimination ledger, and the chaos fault join."""
 
+from repro.faults import FaultRecord
 from repro.obs.analyze import (InspectReport, build_ledger,
                                build_portal_stats, build_region_lives,
                                build_report, build_thread_stats,
@@ -183,9 +184,9 @@ class TestFaultJoin:
             _rec(4, 40, "thread-aborted", "w", thread="w",
                  attrs={"error": "ThreadSpawnError"}),
         ]
-        schedule = [{"site": "lt_alloc", "seq": 0, "detail": "r"},
-                    {"site": "thread_spawn", "seq": 2, "detail": "w"},
-                    {"site": "vt_chunk", "seq": 9, "detail": "gone"}]
+        schedule = [FaultRecord(0, "lt_alloc", 0, "r"),
+                    FaultRecord(1, "thread_spawn", 2, "w"),
+                    FaultRecord(2, "vt_chunk", 9, "gone")]
         joins = join_faults(records, schedule)
         assert joins[0]["outcome"] == "recovered:recovery"
         assert joins[0]["outcome_event_id"] == 2

@@ -182,11 +182,12 @@ class TestCSource:
             codegen_c.compile_c(_machine(SIMPLE, checks_enabled=True))
 
     def test_compile_c_declines_instrumented_machines(self):
+        # the machine gate in select_program declines before lowering
         analyzed = analyze(SIMPLE)
         machine = Machine(analyzed, RunOptions(
             checks_enabled=False, validate=False))  # instrument=True
-        with pytest.raises(CodegenUnsupported):
-            codegen_c.compile_c(machine)
+        with pytest.raises(CodegenUnsupported, match="instrumented run"):
+            select_program(machine, "c")
 
 
 # ---------------------------------------------------------------------------

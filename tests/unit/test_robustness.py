@@ -13,7 +13,8 @@ from repro.errors import (IllegalAssignmentError, OutOfMemoryError,
                           OutOfRegionMemoryError, SanitizerViolation,
                           ThreadCrashError)
 from repro.interp.machine import Machine
-from repro.rtsj.faults import FaultPlan, RecoveryPolicy
+from repro.faults import FaultInjector, FaultPlan
+from repro.rtsj.faults import RecoveryPolicy
 from repro.rtsj.regions import LT, MemoryArea, RegionManager
 from repro.rtsj.stats import Stats
 from repro.rtsj.threads import Scheduler, SimThread
@@ -211,7 +212,7 @@ class TestErrorPaths:
         # structured OutOfMemoryError naming the site
         plan = FaultPlan(seed=0, rate=1.0, sites=("vt_chunk",))
         options = RunOptions(
-            fault_plan=plan,
+            fault_injector=FaultInjector(plan),
             recovery=RecoveryPolicy(max_retries=0, vt_spill=False))
         with pytest.raises(OutOfMemoryError) as exc:
             run_source(assert_well_typed(TSTACK_SOURCE), options)
