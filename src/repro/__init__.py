@@ -30,8 +30,6 @@ from .errors import (IllegalAssignmentError, InferenceError,
                      MemoryAccessError, OwnershipTypeError, ParseError,
                      RealtimeViolationError, ReproError)
 from .interp.machine import Machine, RunOptions, RunResult, run_source
-from .interp.compile_py import (CompiledProgram, CompileError,
-                                compile_to_python)
 from .interp.translate import AllocStrategy, Translation, translate
 from .lang import parse_program, pretty_program
 from .rtsj.stats import CostModel, Stats
@@ -43,7 +41,6 @@ __all__ = [
     "parse_program", "pretty_program",
     "run_source", "Machine", "RunOptions", "RunResult",
     "translate", "Translation", "AllocStrategy",
-    "compile_to_python", "CompiledProgram", "CompileError",
     "CostModel", "Stats",
     "ReproError", "ParseError", "OwnershipTypeError", "InferenceError",
     "IllegalAssignmentError", "MemoryAccessError",

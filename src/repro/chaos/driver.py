@@ -201,8 +201,8 @@ def rerun(plan: FaultPlan, records: Sequence[FaultRecord],
                       max_cycles=int(meta.get("max_cycles",
                                               DEFAULT_MAX_CYCLES)))
     # a faithful rerun of a recorded failure is a successful replay
-    return {"ok": True, "identity": outcome.identity(),
-            "outcome": outcome}
+    return {"ok": True, "status": outcome.status,
+            "identity": outcome.identity(), "outcome": outcome}
 
 
 def run_chaos(corpus: Sequence[Tuple[str, str]],

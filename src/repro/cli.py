@@ -67,11 +67,20 @@ _EMBEDDED_PROGRAM = re.compile(r'^PROGRAM\s*=\s*r?"""(.*?)"""',
                                re.S | re.M)
 
 
+class _Unreadable(Exception):
+    """An input file that cannot be read; ``main`` reports it in one
+    line and exits 1."""
+
+
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise _Unreadable(f"cannot read {path}: {reason}") from err
     if path.endswith(".py"):
         # a Python driver script (examples/*.py): run the embedded
         # core-language program it carries
@@ -321,20 +330,17 @@ def cmd_infer(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    from .interp.compile_py import CompileError, compile_to_python
+    from .interp.codegen_base import CodegenUnsupported
+    from .interp.codegen_py import erased_source
     analyzed = _analyze_or_report(_read(args.file), args.file)
     if analyzed.errors:
         return 1
     try:
-        compiled = compile_to_python(analyzed, checks=args.dynamic_checks)
-    except CompileError as err:
+        text = erased_source(analyzed, checks=args.dynamic_checks)
+    except CodegenUnsupported as err:
         print(f"compile error: {err}", file=sys.stderr)
         return 2
-    if args.execute:
-        for line in compiled.run():
-            print(line)
-    else:
-        print(compiled.source, end="")
+    print(text, end="")
     return 0
 
 
@@ -551,7 +557,7 @@ def cmd_chaos(args) -> int:
             return _print_serve_chaos(args, report, replayed=True)
         outcome = report["outcome"]
         print(f"{outcome.program}: replayed {len(outcome.faults)} "
-              f"fault(s), status={outcome.status}, "
+              f"fault(s), status={report['status']}, "
               f"cycles={outcome.cycles}")
         for mismatch in report["mismatches"]:
             print(f"replay mismatch: {mismatch}", file=sys.stderr)
@@ -1069,9 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("file")
     p_comp.add_argument("--dynamic-checks", action="store_true",
                         help="emit the RTSJ build with store checks")
-    p_comp.add_argument("--execute", action="store_true",
-                        help="run the compiled program instead of "
-                             "printing it")
     p_comp.set_defaults(func=cmd_compile)
 
     p_lint = sub.add_parser(
@@ -1405,6 +1408,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _Unreadable as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # downstream pager/head closed the pipe; not an error
         try:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..errors import LexError, OwnershipTypeError, ParseError
 from ..lang import ast, parse_program
@@ -50,6 +50,11 @@ class AnalyzedProgram:
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: per-run analysis-cache counters when a cache was used, else None
     cache_stats: Optional[Dict[str, int]] = None
+    #: forms compiled from this program (the lowered program and each
+    #: bound backend form, keyed by form plus the options it bakes in);
+    #: they live and die with the program (``codegen_base.memo``)
+    compiled: Dict[Any, Any] = field(default_factory=dict, repr=False,
+                                     compare=False)
 
     @property
     def well_typed(self) -> bool:

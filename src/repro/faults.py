@@ -18,8 +18,9 @@ machinery every chaos gate rests on lives here, once:
 * the JSONL schedule format (:func:`save_schedule`/:func:`load_schedule`:
   one header line naming the target, one line per fault);
 * :func:`replay_schedule`, which reruns a schedule file through its
-  target's runner, and :func:`identity_diff`, the one comparison of a
-  recorded identity against a replayed one.
+  target's runner; :func:`identity_diff`, the one comparison of a
+  recorded identity against a replayed one; and :func:`judge_replay`,
+  where a replay mismatch turns a report's status to ``violation``.
 
 Determinism contract: ``fire`` keys every decision on the per-site
 consult counter, never on wall clock.  A consult always advances its
@@ -374,14 +375,30 @@ def identity_diff(recorded: Mapping[str, Any],
     return out
 
 
+def judge_replay(report: Dict[str, Any],
+                 recorded: Optional[Mapping[str, Any]],
+                 replayed: Mapping[str, Any]) -> None:
+    """Fold a replay's verdict into ``report``: ``mismatches`` (the
+    identity diff, empty when nothing was recorded), ``replay_ok``, and
+    on a mismatch ``status`` becomes ``violation`` and ``ok`` false.
+    Replay from a file (either target) and the serve campaign's
+    in-process verification both decide this here."""
+    mismatches = ([] if recorded is None
+                  else identity_diff(recorded, replayed))
+    report["mismatches"] = mismatches
+    report["replay_ok"] = not mismatches
+    if mismatches:
+        report["status"] = "violation"
+        report["ok"] = False
+
+
 def replay_schedule(path: str,
                     source: Optional[str] = None) -> Dict[str, Any]:
-    """Rerun a schedule file through its target's runner and diff the
-    rerun's identity against the recorded one.
+    """Rerun a schedule file through its target's runner and judge the
+    rerun's identity against the recorded one (:func:`judge_replay`).
 
     ``source`` replaces the program a runtime schedule embeds.  Returns
-    the runner's report plus ``target``, ``mismatches``, ``replay_ok``
-    and an ``ok`` that also requires a bit-for-bit replay."""
+    the runner's report plus ``target`` and the verdict."""
     plan, records, meta = load_schedule(path)
     if source is not None:
         meta["source"] = source
@@ -390,10 +407,6 @@ def replay_schedule(path: str,
     else:
         from .chaos.driver import rerun
     report = rerun(plan, records, meta)
-    recorded = meta.get("identity")
-    mismatches = ([] if recorded is None
-                  else identity_diff(recorded, report["identity"]))
-    report.update(target=plan.target, mismatches=mismatches,
-                  replay_ok=not mismatches,
-                  ok=report["ok"] and not mismatches)
+    report["target"] = plan.target
+    judge_replay(report, meta.get("identity"), report["identity"])
     return report

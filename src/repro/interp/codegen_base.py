@@ -11,20 +11,21 @@ facts; this module holds the pieces the concrete emitters
   catches it and falls back to the next-most-capable backend, so
   raising it is always safe and never user-visible as a failure;
 * name mangling and literal baking helpers;
-* the cost-model cache key (generated code bakes cost constants into
-  its text, so the compiled-source cache must key on them).
+* :func:`memo` — every compiled form lives on the
+  ``AnalyzedProgram`` it was built from and is freed with it;
+* the cost-model key (generated code bakes cost constants into its
+  text, so a memoized form must key on them).
 
 Nothing here knows about Python-vs-C specifics.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, List, Tuple
 
 from ..rtsj.stats import CostModel
 
-#: fields of CostModel baked into generated code, in cache-key order
+#: fields of CostModel baked into generated code, in key order
 COST_FIELDS = (
     "op_basic", "op_local", "op_field_read", "op_field_write",
     "op_invoke", "op_return", "op_branch", "op_builtin",
@@ -48,38 +49,26 @@ class CodegenUnsupported(Exception):
 
 
 def cost_key(cost: CostModel) -> Tuple[int, ...]:
-    """Cache key over every cost constant the emitters bake in."""
+    """Memo key over every cost constant the emitters bake in."""
     return tuple(getattr(cost, name) for name in COST_FIELDS)
 
 
-class IdentityCache:
-    """Cache keyed on object *identity* with weakref lifetime.
+def memo(analyzed: Any, key: Any, build: Callable[[], Any]) -> Any:
+    """The compiled form ``key`` of ``analyzed``, built on first use.
 
-    ``AnalyzedProgram`` (the natural cache key for lowering and
-    compiled-source caches) is an unfrozen dataclass — unhashable, so a
-    ``WeakKeyDictionary`` rejects it — but it is weakref-able.  This
-    cache keys on ``id(obj)`` and drops the entry when the key object
-    is collected, so repeated runs of the same analyzed program reuse
-    the compiled artifacts without pinning any program in memory.
+    Forms are kept in ``analyzed.compiled``: a repeated run of one
+    analyzed program reuses them.  No form may refer back to the
+    program (the lowered program keeps the AST and tables, not the
+    ``AnalyzedProgram``), so a program and its forms stay acyclic and
+    reference counting frees them the moment the last reference goes —
+    a serve worker's LRU eviction frees them at once, leaving no work
+    for the cyclic collector.
     """
-
-    __slots__ = ("_data",)
-
-    def __init__(self) -> None:
-        self._data: Dict[int, Tuple[Any, Any]] = {}
-
-    def get(self, obj: Any) -> Any:
-        entry = self._data.get(id(obj))
-        return entry[1] if entry is not None else None
-
-    def set(self, obj: Any, value: Any) -> None:
-        key = id(obj)
-        data = self._data
-        try:
-            ref = weakref.ref(obj, lambda _r: data.pop(key, None))
-        except TypeError:  # not weakref-able: skip caching
-            return
-        data[key] = (ref, value)
+    forms = analyzed.compiled
+    form = forms.get(key)
+    if form is None:
+        form = forms[key] = build()
+    return form
 
 
 def mangle(name: str) -> str:

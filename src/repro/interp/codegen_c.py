@@ -64,9 +64,8 @@ from ..core.program import convert_type
 from ..core.types import BOOLEAN, ClassType, FLOAT, INT
 from ..lang import ast
 from ..rtsj.regions import MemoryArea
-from .codegen_base import (CodegenUnsupported, IdentityCache,
-                           SourceWriter, cost_key)
-from .lower import THIS, LoweredProgram, MethodUnit, lower
+from .codegen_base import CodegenUnsupported, SourceWriter, cost_key, memo
+from .lower import THIS, LoweredProgram, MethodUnit
 
 _MAIN_KEY = ("", "<main>")
 
@@ -1211,9 +1210,6 @@ def _get_lib(src: str) -> Any:
 # compile + bind
 # ---------------------------------------------------------------------------
 
-_C_CACHE = IdentityCache()
-
-
 def c_source(lowered: LoweredProgram, cost: Any) -> str:
     """The generated C text (exposed for tests and debugging)."""
     return _CEmitter(lowered, cost).emit_module()
@@ -1283,8 +1279,7 @@ def compile_c(machine: Any) -> Any:
     :class:`CodegenUnsupported` with the reason.  Callers go through
     :func:`~repro.interp.codegen_py.select_program`, which has already
     applied the machine gate."""
-    from .codegen_py import PyProgram
-    analyzed = machine.analyzed
+    from .codegen_py import PyProgram, _fusable
     opts = machine.options
     if opts.checks_enabled:
         raise CodegenUnsupported(
@@ -1292,17 +1287,8 @@ def compile_c(machine: Any) -> Any:
     if opts.validate:
         raise CodegenUnsupported(
             "C backend erases check validation (use --no-validate)")
-    lowered = lower(analyzed)
-    if not lowered.fused_ok:
-        raise CodegenUnsupported(
-            "hazards: " + ", ".join(sorted(lowered.hazards)))
-    key = cost_key(machine.cost_model)
-    per = _C_CACHE.get(analyzed)
-    if per is None or key not in per:
-        src = c_source(lowered, machine.cost_model)
-        lib = _get_lib(src)
-        if per is None:
-            per = {}
-            _C_CACHE.set(analyzed, per)
-        per[key] = _make_bind(lib)
-    return PyProgram("c", "py", per[key](machine))
+    lowered = _fusable(machine.analyzed)
+    cost = machine.cost_model
+    bind = memo(machine.analyzed, ("c", cost_key(cost)),
+                lambda: _make_bind(_get_lib(c_source(lowered, cost))))
+    return PyProgram("c", "py", bind(machine))

@@ -61,9 +61,9 @@ from ..core.types import BOOLEAN, FLOAT, INT
 from ..lang import ast
 from ..rtsj.objects import ObjRef, make_array
 from ..rtsj.regions import LT, VT
-from .codegen_base import (CodegenUnsupported, IdentityCache,
-                           SourceWriter, bake, cost_key,
-                           mangle)
+from ..rtsj.stats import CostModel
+from .codegen_base import (CodegenUnsupported, SourceWriter, bake,
+                           cost_key, mangle, memo)
 from .lower import THIS, LoweredProgram, MethodUnit, lower
 from .values import RegionHandle, format_value
 
@@ -851,11 +851,8 @@ class _FusedEmitter:
 
 
 # ---------------------------------------------------------------------------
-# compile + cache
+# compile + bind
 # ---------------------------------------------------------------------------
-
-_FUSED_CACHE = IdentityCache()
-
 
 def fused_source(lowered: LoweredProgram, checks_enabled: bool,
                  validate: bool, cost: Any) -> str:
@@ -866,19 +863,28 @@ def fused_source(lowered: LoweredProgram, checks_enabled: bool,
 
 def _fused_bind(analyzed: Any, lowered: LoweredProgram,
                 checks_enabled: bool, validate: bool, cost: Any) -> Any:
-    key = (bool(checks_enabled), bool(validate), cost_key(cost))
-    per = _FUSED_CACHE.get(analyzed)
-    if per is not None and key in per:
-        return per[key]
-    src = fused_source(lowered, checks_enabled, validate, cost)
-    ns: Dict[str, Any] = {}
-    exec(compile(src, "<repro-fused>", "exec"), ns)
-    bind = ns["make"](_CTX)
-    if per is None:
-        per = {}
-        _FUSED_CACHE.set(analyzed, per)
-    per[key] = bind
-    return bind
+    def build() -> Any:
+        src = fused_source(lowered, checks_enabled, validate, cost)
+        ns: Dict[str, Any] = {}
+        exec(compile(src, "<repro-fused>", "exec"), ns)
+        # popped: ``make`` in the namespace that is its own globals
+        # would be a reference cycle, and the form must stay acyclic
+        # (see ``memo``)
+        return ns.pop("make")(_CTX)
+    key = ("py-fused", bool(checks_enabled), bool(validate),
+           cost_key(cost))
+    return memo(analyzed, key, build)
+
+
+def _fusable(analyzed: Any) -> LoweredProgram:
+    """``analyzed`` lowered, or :class:`CodegenUnsupported` when
+    lowering found hazards the straight-line forms (fused Python, C)
+    cannot mirror."""
+    lowered = lower(analyzed)
+    if not lowered.fused_ok:
+        raise CodegenUnsupported(
+            "hazards: " + ", ".join(sorted(lowered.hazards)))
+    return lowered
 
 
 def compile_fused(machine: Any) -> PyProgram:
@@ -886,28 +892,44 @@ def compile_fused(machine: Any) -> PyProgram:
     :class:`CodegenUnsupported` with the reason.  Callers go through
     :func:`select_program`, which has already applied the machine
     gate."""
-    analyzed = machine.analyzed
     opts = machine.options
-    lowered = lower(analyzed)
-    if not lowered.fused_ok:
-        raise CodegenUnsupported(
-            "hazards: " + ", ".join(sorted(lowered.hazards)))
-    bind = _fused_bind(analyzed, lowered, opts.checks_enabled,
-                       opts.validate, machine.cost_model)
+    bind = _fused_bind(machine.analyzed, _fusable(machine.analyzed),
+                       opts.checks_enabled, opts.validate,
+                       machine.cost_model)
     return PyProgram("py-fused", "py-faithful", bind(machine))
+
+
+def erased_source(analyzed: Any, checks: bool) -> str:
+    """The Section 2.6 erasure of ``analyzed`` as ``repro compile``
+    prints it: the fused module of the checks-on build (the RTSJ
+    dynamic checks) or of the checks-off build (no check code at all),
+    without validation and under the default cost model.  Raises
+    :class:`CodegenUnsupported` with the reason when the fused form
+    refuses the program."""
+    _program_gate(analyzed)
+    return fused_source(_fusable(analyzed), checks, False, CostModel())
+
+
+def _program_gate(analyzed: Any) -> None:
+    """Raise :class:`CodegenUnsupported` for a program no compiled form
+    models: one with static errors, without a main block, or whose
+    ``regionKind`` shadows a built-in kind."""
+    if analyzed.errors:
+        raise CodegenUnsupported("program has static errors")
+    if analyzed.program.main is None:
+        raise CodegenUnsupported("no main block")
+    kinds = analyzed.info.region_kinds
+    if "LocalRegion" in kinds or "SharedRegion" in kinds:
+        raise CodegenUnsupported("regionKind shadows a built-in kind")
 
 
 def _machine_gate(machine: Any) -> None:
     """Raise :class:`CodegenUnsupported` when no compiled backend can
-    run this machine's program and configuration: every compiled form
-    compiles observability, fault injection and the sanitizer out, and
-    none models a main-less program or a shadowed built-in kind."""
-    analyzed = machine.analyzed
-    opts = machine.options
-    if getattr(analyzed, "errors", None):
-        raise CodegenUnsupported("program has static errors")
-    if analyzed.program.main is None:
-        raise CodegenUnsupported("no main block")
+    run this machine's program and configuration: the program gate's
+    refusals, plus any run that needs observability, a flight recorder,
+    fault injection, the sanitizer or degrade mode, which every
+    compiled form compiles out."""
+    _program_gate(machine.analyzed)
     stats = machine.stats
     if not (stats.tracer.null and stats.metrics.null
             and stats.profile.null):
@@ -916,14 +938,10 @@ def _machine_gate(machine: Any) -> None:
         raise CodegenUnsupported("flight recorder attached")
     if machine.fault_injector is not None:
         raise CodegenUnsupported("fault injection active")
-    if opts.sanitize:
+    if machine.options.sanitize:
         raise CodegenUnsupported("sanitizer active")
-    if opts.degrade:
+    if machine.options.degrade:
         raise CodegenUnsupported("degrade mode")
-    info = analyzed.info
-    if "LocalRegion" in info.region_kinds \
-            or "SharedRegion" in info.region_kinds:
-        raise CodegenUnsupported("regionKind shadows a built-in kind")
 
 
 def select_program(machine: Any, backend: str) -> PyProgram:

@@ -43,9 +43,8 @@ from ..lang import ast
 from ..rtsj.objects import ObjRef, make_array
 from ..rtsj.regions import LT, VT
 from ..rtsj.threads import SimThread, YIELD
-from .codegen_base import (CodegenUnsupported, IdentityCache,
-                           SourceWriter, bake, cost_key,
-                           mangle)
+from .codegen_base import (CodegenUnsupported, SourceWriter, bake,
+                           cost_key, mangle, memo)
 from .interpreter import (Frame, _MISSING, _Return, _java_div, _java_mod,
                           _ref_eq, _restore)
 from .lower import THIS, LoweredProgram, MethodUnit, lower
@@ -1030,27 +1029,18 @@ def faithful_source(lowered: LoweredProgram, active: bool,
     return _FaithfulEmitter(lowered, active, cost).emit_module()
 
 
-_FAITHFUL_CACHE = IdentityCache()
-
-
 def _faithful_bind(analyzed: Any, lowered: LoweredProgram, active: bool,
                    cost: Any) -> Any:
-    key = (bool(active), cost_key(cost))
-    per = _FAITHFUL_CACHE.get(analyzed)
-    if per is not None and key in per:
-        return per[key]
-    emitter = _FaithfulEmitter(lowered, active, cost)
-    src = emitter.emit_module()
-    ns: Dict[str, Any] = {}
-    exec(compile(src, "<repro-faithful>", "exec"), ns)
-    ctx = dict(_BASE_CTX)
-    ctx["SPANS"] = tuple(emitter.spans)
-    bind = ns["make"](ctx)
-    if per is None:
-        per = {}
-        _FAITHFUL_CACHE.set(analyzed, per)
-    per[key] = bind
-    return bind
+    def build() -> Any:
+        emitter = _FaithfulEmitter(lowered, active, cost)
+        src = emitter.emit_module()
+        ns: Dict[str, Any] = {}
+        exec(compile(src, "<repro-faithful>", "exec"), ns)
+        ctx = dict(_BASE_CTX)
+        ctx["SPANS"] = tuple(emitter.spans)
+        return ns.pop("make")(ctx)  # acyclic: see codegen_py._fused_bind
+    return memo(analyzed, ("py-faithful", bool(active), cost_key(cost)),
+                build)
 
 
 def compile_faithful(machine: Any) -> Any:

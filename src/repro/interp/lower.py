@@ -34,10 +34,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.api import AnalyzedProgram
-from ..core.program import ClassInfo, MethodInfo, convert_type, make_subst
+from ..core.program import (ClassInfo, MethodInfo, ProgramInfo,
+                            convert_type, make_subst)
 from ..core.types import BOOLEAN, ClassType, FLOAT, HandleType, INT, Type
 from ..lang import ast
-from .codegen_base import IdentityCache
+from .codegen_base import memo
 
 #: selector marker: the receiver object itself becomes the owner value
 THIS = "<this>"
@@ -118,7 +119,8 @@ class MethodUnit:
 
 @dataclass
 class LoweredProgram:
-    analyzed: AnalyzedProgram
+    program: ast.Program
+    info: ProgramInfo
     #: program classes, parents before subclasses
     classes: List[ast.ClassDecl]
     #: class -> ((field_name, literal_init_or_None), ...) inherited first
@@ -131,14 +133,6 @@ class LoweredProgram:
     extended: Set[str]
     #: program-wide hazards: union of unit hazards + global ones
     hazards: Set[str]
-
-    @property
-    def info(self):
-        return self.analyzed.info
-
-    @property
-    def program(self):
-        return self.analyzed.program
 
     @property
     def fused_ok(self) -> bool:
@@ -316,7 +310,7 @@ class _FactsPass:
     def param_slots(self) -> Tuple[str, ...]:
         return tuple(self.scope[p] for p in self.unit.param_names)  # type: ignore[misc]
 
-    # -- typing (adapted from compile_py.type_of) ------------------------
+    # -- typing: each expression's static type, once per node ------------
 
     def type_of(self, expr: ast.Expr) -> Optional[Type]:
         key = id(expr)
@@ -695,7 +689,8 @@ def _lower(analyzed: AnalyzedProgram) -> LoweredProgram:
             sup = parent.superclass if parent is not None else None
 
     lowered = LoweredProgram(
-        analyzed=analyzed, classes=classes, layouts=layouts,
+        program=analyzed.program, info=analyzed.info, classes=classes,
+        layouts=layouts,
         call_table=call_table, units={}, extended=extended, hazards=set())
 
     for cls in classes:
@@ -723,14 +718,6 @@ def _lower(analyzed: AnalyzedProgram) -> LoweredProgram:
     return lowered
 
 
-_CACHE = IdentityCache()
-
-
 def lower(analyzed: AnalyzedProgram) -> LoweredProgram:
-    """Lower ``analyzed`` (cached per analysis object)."""
-    hit = _CACHE.get(analyzed)
-    if hit is not None:
-        return hit
-    lowered = _lower(analyzed)
-    _CACHE.set(analyzed, lowered)
-    return lowered
+    """Lower ``analyzed`` (memoized on the program itself)."""
+    return memo(analyzed, "lowered", lambda: _lower(analyzed))

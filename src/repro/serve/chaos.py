@@ -48,7 +48,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults import (FaultInjector, FaultPlan, FaultRecord, fault_key,
-                      identity_diff, save_schedule)
+                      judge_replay, save_schedule)
 from .client import ClientPolicy, ResilientClient
 from .server import ServeConfig, ServeService
 
@@ -380,16 +380,10 @@ def run_serve_chaos(seed: int = 0, requests: int = 32,
     if verify:
         replayed = run_campaign(plan, replay=records, requests=requests,
                                 workers=workers, fast=fast)
-        mismatches = identity_diff(report["identity"],
-                                   replayed["identity"])
-        report["replay_ok"] = (not mismatches) and replayed["ok"]
-        report["mismatches"] = mismatches
+        judge_replay(report, report["identity"], replayed["identity"])
         report["replay_failures"] = replayed["failures"]
-        if mismatches:
-            report["status"] = "violation"
-            report["ok"] = False
-        elif not replayed["ok"]:
-            report["ok"] = False
+        if not replayed["ok"]:
+            report["replay_ok"] = report["ok"] = False
     return report
 
 

@@ -285,17 +285,7 @@ class ServeService:
         if self.traces is None:
             started = time.perf_counter()
             status, body, extra = self._admit(endpoint, payload, None)
-            if self._access_log is not None:
-                tenant = (payload.get("tenant", "default")
-                          if isinstance(payload, dict) else "")
-                self._access_log.write({
-                    "ts": round(time.time(), 6), "trace": "",
-                    "tenant": tenant, "endpoint": endpoint,
-                    "status": status, "rung": None,
-                    "queue_ms": 0.0, "compute_ms": 0.0,
-                    "duration_ms": round(
-                        (time.perf_counter() - started) * 1e3, 3),
-                    "flags": []})
+            self.log_untraced("", payload, endpoint, status, started)
             return status, body, extra
         trace_id, parent, _sampled = trace or admit_trace(None)
         rt = RequestTrace(trace_id, endpoint, parent=parent)
@@ -312,6 +302,22 @@ class ServeService:
         extra = dict(extra)
         extra[TRACE_ID_HEADER] = trace_id
         return status, body, extra
+
+    def log_untraced(self, trace_id: str, payload: Any, endpoint: str,
+                     status: int, started: float) -> None:
+        """The access-log line of a request without a span record: an
+        untraced request, or a POST refused before admission."""
+        if self._access_log is None:
+            return
+        self._access_log.write({
+            "ts": round(time.time(), 6), "trace": trace_id,
+            "tenant": (payload.get("tenant", "default")
+                       if isinstance(payload, dict) else ""),
+            "endpoint": endpoint, "status": status, "rung": None,
+            "queue_ms": 0.0, "compute_ms": 0.0,
+            "duration_ms": round(
+                (time.perf_counter() - started) * 1e3, 3),
+            "flags": []})
 
     def _log_access(self, record: Dict[str, Any]) -> None:
         if self._access_log is None:
@@ -639,9 +645,16 @@ def _make_handler(service: ServeService):
             path = self.path.split("?", 1)[0].rstrip("/")
             endpoint = path[len("/v1/"):] if path.startswith("/v1/") \
                 else None
+
+            def reject(status: int, message: str) -> None:
+                # refused before admission: still one access-log line
+                service.log_untraced(trace_hdr.get(TRACE_ID_HEADER, ""),
+                                     None, endpoint or path, status,
+                                     started)
+                self._send_json(status, error_body(message), trace_hdr)
+
             if endpoint not in ENDPOINTS:
-                self._send_json(404, error_body(f"no route {path!r}"),
-                                trace_hdr)
+                reject(404, f"no route {path!r}")
                 return
             # body hygiene: a declared, bounded length is the price of
             # admission — chunked or lengthless bodies are 411 (we
@@ -649,15 +662,13 @@ def _make_handler(service: ServeService):
             # before a single body byte is read
             if self.headers.get("Transfer-Encoding"):
                 self.close_connection = True
-                self._send_json(411, error_body(
-                    "chunked bodies not accepted; "
-                    "send Content-Length"), trace_hdr)
+                reject(411, "chunked bodies not accepted; "
+                            "send Content-Length")
                 return
             declared = self.headers.get("Content-Length")
             if declared is None:
                 self.close_connection = True
-                self._send_json(411, error_body(
-                    "Content-Length required"), trace_hdr)
+                reject(411, "Content-Length required")
                 return
             try:
                 length = int(declared)
@@ -665,8 +676,7 @@ def _make_handler(service: ServeService):
                 length = -1
             if length < 0 or length > MAX_PROGRAM_BYTES * 2:
                 self.close_connection = True
-                self._send_json(413, error_body("bad request length"),
-                                trace_hdr)
+                reject(413, "bad request length")
                 return
             try:
                 raw = self.rfile.read(length)
@@ -674,22 +684,18 @@ def _make_handler(service: ServeService):
                 # slow-loris body: drop the connection rather than
                 # wait out a client that trickles bytes forever
                 self.close_connection = True
-                self._send_json(408,
-                                error_body("body read timed out"),
-                                trace_hdr)
+                reject(408, "body read timed out")
                 return
             if len(raw) < length:
                 self.close_connection = True
-                self._send_json(400, error_body("truncated body"),
-                                trace_hdr)
+                reject(400, "truncated body")
                 return
             try:
                 payload = json.loads(raw.decode("utf-8"))
             except (ValueError, UnicodeDecodeError):
                 service._requests.labels(endpoint=endpoint,
                                          status="400").inc()
-                self._send_json(400, error_body("invalid JSON body"),
-                                trace_hdr)
+                reject(400, "invalid JSON body")
                 return
             try:
                 status, body, extra = service.handle_job(

@@ -46,7 +46,9 @@ from ..errors import ReproError
 from ..obs.trace import end_span, instant_span, start_span
 from .protocol import error_body
 
-#: LRU bounds — per worker, so memory stays flat under program churn
+#: LRU bounds — per worker, so memory stays flat under program churn:
+#: an AnalyzedProgram carries its lowered and bound compiled forms
+#: (``analyzed.compiled``), so evicting it frees them too
 MAX_PROGRAMS = 128
 MAX_RESULTS = 512
 

@@ -226,6 +226,25 @@ class TestReplayCli:
         assert code == 0, err
         assert "replayed 2 fault(s), status=recovered" in out
 
+    def test_tampered_serve_identity_is_a_violation(self, tmp_path):
+        # a serve schedule whose recorded first status no replay can
+        # produce: the verdict, not only the exit code, says violation
+        lines = (self.FIXTURE.parent / "schedule_v1_serve.jsonl"
+                 ).read_text().splitlines()
+        header = json.loads(lines[0])
+        header["meta"]["identity"]["statuses"][0] = 599
+        path = tmp_path / "tampered.schedule.jsonl"
+        path.write_text("\n".join([json.dumps(header)] + lines[1:])
+                        + "\n")
+        code, out, err = run_cli("chaos", "--replay", str(path), "--json")
+        assert code == 4
+        report = json.loads(out)
+        assert report["status"] == "violation"
+        assert report["ok"] is False and report["replay_ok"] is False
+        assert report["mismatches"] == [
+            "statuses[0]: recorded 599 != replayed 200"]
+        assert "replay mismatch: statuses[0]" in err
+
 
 class TestPlanValidationCli:
     @pytest.mark.parametrize("rate", ["nan", "inf", "-1", "1.5"])

@@ -132,16 +132,17 @@ class TestLint:
 
 class TestCompile:
     def test_compile_prints_erased_python(self, good_file):
+        # the fused module --backend py runs: owner types erased, and
+        # check code only in the --dynamic-checks build
         code, out, _err = run_cli("compile", good_file)
         assert code == 0
-        assert "def run(rt):" in out
-        assert "Owner" not in out
-
-    def test_compile_execute_matches_run(self, good_file):
-        code_c, out_c, _ = run_cli("compile", "--execute", good_file)
-        code_r, out_r, _ = run_cli("run", good_file)
-        assert code_c == code_r == 0
-        assert out_c == out_r
+        assert out.startswith("def make(ctx):")
+        for token in ("Owner", "outlives", "initialRegion", "CK."):
+            assert token not in out, token
+        code, checked, _err = run_cli("compile", "--dynamic-checks",
+                                      good_file)
+        assert code == 0
+        assert "CK.assignment_cost(" in checked
 
     def test_compile_threaded_program_fails_cleanly(self, tmp_path):
         path = tmp_path / "threaded.rtj"
@@ -149,9 +150,28 @@ class TestCompile:
             "regionKind S extends SharedRegion { }\n"
             "class W<S r> { void go(RHandle<r> h) accesses r { } }\n"
             "(RHandle<S r> h) { fork (new W<r>).go(h); }")
-        code, _out, err = run_cli("compile", str(path))
+        code, out, err = run_cli("compile", str(path))
         assert code == 2
-        assert "compile error" in err
+        assert out == ""
+        assert err.startswith("compile error: hazards: ")
+        assert "fork" in err
+
+    def test_compile_ill_typed_program_exits_1(self, bad_file):
+        code, out, err = run_cli("compile", bad_file)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+class TestUnreadableInput:
+    def test_missing_file_is_one_line(self, tmp_path):
+        missing = str(tmp_path / "absent.rtj")
+        for command in ("check", "run", "compile", "translate"):
+            code, out, err = run_cli(command, missing)
+            assert code == 1, command
+            assert out == ""
+            assert err == (f"error: cannot read {missing}: "
+                           f"No such file or directory\n")
 
 
 class TestAnalysisCache:

@@ -296,6 +296,23 @@ class TestAccessLog:
         assert lines[1]["tenant"] == "bob"
         assert lines[1]["status"] == 422
 
+    def test_requests_refused_before_admission_are_logged(self,
+                                                         tmp_path):
+        log_path = str(tmp_path / "access.jsonl")
+        config = ServeConfig(workers=1, access_log=log_path)
+        with ServeService(config).serve_background() as svc:
+            status, headers, _ = _post(svc, "nope", {"program": "{ }"})
+            assert status == 404
+            status, _headers, _ = _post(svc, "run", None, raw="{")
+            assert status == 400
+        lines = [json.loads(line)
+                 for line in open(log_path, encoding="utf-8")
+                 if line.strip()]
+        assert [(e["endpoint"], e["status"]) for e in lines] == [
+            ("nope", 404), ("run", 400)]
+        assert lines[0]["trace"] == headers["X-Repro-Trace-Id"]
+        assert all(len(e["trace"]) == 32 for e in lines)
+
     def test_logging_never_blocks_responses(self, tmp_path):
         # a directory path cannot be opened for append: the log is
         # disabled, the service still answers

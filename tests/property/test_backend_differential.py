@@ -19,7 +19,7 @@ rather than guessing at error state).
 
 import shutil
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import RunOptions, analyze
@@ -68,6 +68,82 @@ def assert_backends_agree(source: str) -> None:
             assert got == reference, (
                 f"backend {backend} (checks={enabled}) diverged:\n"
                 f"  interp: {reference}\n  {backend}: {got}")
+
+
+# hand-written corner programs, run as explicit inputs next to the
+# generated ones
+FLOAT_FORMATTING = ("{ print(1.0 / 3.0); print(sqrt(2.0));"
+                    "  print(0.1 + 0.2); }")
+JAVA_DIVISION = ("{ print(-9 / 4); print(-9 % 4); print(9 / -4);"
+                 "  print(ftoi(3.99)); }")
+SHORT_CIRCUIT = ("class C<Owner o> {"
+                 "  static int calls;"
+                 "  boolean bump() accesses immortal {"
+                 "    C.calls = C.calls + 1;"
+                 "    return true;"
+                 "  }"
+                 "}\n"
+                 "{ C<heap> c = new C<heap>;"
+                 "  boolean x = false && c.bump();"
+                 "  boolean y = true || c.bump();"
+                 "  print(C.calls); }")
+DEFAULT_RETURNS = ("class C<Owner o> {"
+                   "  int i() { }"
+                   "  float f() { }"
+                   "  boolean b() { }"
+                   "}\n"
+                   "{ C<heap> c = new C<heap>;"
+                   "  print(c.i()); print(c.f()); print(c.b()); }")
+STATIC_FIELDS = ("class C<Owner o> { static int n = 5; }\n"
+                 "{ C.n = C.n + 1; print(C.n); }")
+KEYWORD_FIELDS = ("class C<Owner o> { int pass; int lambda; }\n"
+                  "{ C<heap> c = new C<heap>;"
+                  "  c.pass = 3; c.lambda = 4;"
+                  "  print(c.pass + c.lambda); }")
+THIS_OWNED = ("class Inner<Owner o> { int v; }\n"
+              "class Outer<Owner o> {"
+              "  Inner<this> guts;"
+              "  void fill() { guts = new Inner<this>; }"
+              "  int probe() { if (guts == null) { return 0; }"
+              "                return 1; }"
+              "}\n"
+              "(RHandle<r> h) {"
+              "  Outer<r> o = new Outer<r>;"
+              "  o.fill();"
+              "  print(o.probe());"
+              "}")
+INITIAL_REGION = ("class Cell<Owner o> { int v; }\n"
+                  "class Maker<Owner o> {"
+                  "  Cell<initialRegion> make()"
+                  "      accesses heap, initialRegion {"
+                  "    (RHandle<scratch> hs) {"
+                  "      Cell<initialRegion> c = new Cell<initialRegion>;"
+                  "      return c;"
+                  "    }"
+                  "    return null;"
+                  "  }"
+                  "}\n"
+                  "(RHandle<r> h) {"
+                  "  Maker<r> m = new Maker<r>;"
+                  "  Cell<r> got = m.make();"
+                  "  print(got != null);"
+                  "}")
+OWNER_CHAIN = ("class Cell<Owner o> { int v; }\n"
+               "class M<Owner o> {"
+               "  Cell<p> make<Region r, Owner p>(RHandle<r> h)"
+               "      accesses r, p where r owns p {"
+               "    return new Cell<p>;"
+               "  }"
+               "}\n"
+               "(RHandle<r1> h1) {"
+               "  M<r1> m = new M<r1>;"
+               "  Cell<r1> c = m.make<r1, r1>(h1);"
+               "  print(c != null);"
+               "}")
+OUT_OF_ORDER_INHERITANCE = (
+    "class B<Owner o> extends A<o> { int tag() { return 2; } }\n"
+    "class A<Owner o> { int tag() { return 1; } }\n"
+    "{ A<heap> x = new B<heap>; print(x.tag()); }")
 
 
 @st.composite
@@ -204,11 +280,20 @@ def hierarchy_programs(draw):
 
 class TestBackendDifferential:
     @given(arithmetic_programs())
+    @example(FLOAT_FORMATTING)
+    @example(JAVA_DIVISION)
+    @example(SHORT_CIRCUIT)
+    @example(DEFAULT_RETURNS)
+    @example(STATIC_FIELDS)
     @settings(max_examples=20, deadline=None)
     def test_arithmetic(self, source):
         assert_backends_agree(source)
 
     @given(region_list_programs())
+    @example(KEYWORD_FIELDS)
+    @example(THIS_OWNED)
+    @example(INITIAL_REGION)
+    @example(OWNER_CHAIN)
     @settings(max_examples=15, deadline=None)
     def test_regions_and_methods(self, source):
         assert_backends_agree(source)
@@ -219,6 +304,7 @@ class TestBackendDifferential:
         assert_backends_agree(source)
 
     @given(hierarchy_programs())
+    @example(OUT_OF_ORDER_INHERITANCE)
     @settings(max_examples=10, deadline=None)
     def test_polymorphic_dispatch(self, source):
         assert_backends_agree(source)

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro import (IllegalAssignmentError, RunOptions, analyze,
                    run_source)
+from repro.interp.machine import execute
 
 HEADER = """
 class Cell<Owner o> { int v; Cell<o> next; }
@@ -188,26 +189,39 @@ class TestMutatedPrograms:
 
 
 class TestBackendParity:
-    """Differential testing of the two execution paths: for every
-    generated well-typed program, the erased Python compilation must
-    produce exactly the interpreter's output."""
+    """Differential testing of the erased Python form: for every
+    generated well-typed program, ``execute(..., backend="py")`` runs
+    the fused form and reproduces the interpreter's cycles, output and
+    ``Stats.summary()``."""
+
+    @staticmethod
+    def _observe(analyzed, backend, checks, validate=False):
+        result, machine = execute(analyzed, RunOptions(
+            checks_enabled=checks, validate=validate, instrument=False,
+            backend=backend))
+        ran = machine.program.backend if machine.program else "interp"
+        return ran, (result.stats.cycles, result.output,
+                     result.stats.summary())
 
     @given(program_sketches())
     @settings(max_examples=25, deadline=None)
     def test_compiled_matches_interpreted(self, sketch):
-        from repro.interp.compile_py import compile_to_python
         analyzed = analyze(sketch.emit())
         assert not analyzed.errors
-        interpreted = run_source(analyzed, RunOptions()).output
-        compiled = compile_to_python(analyzed).run()
-        assert compiled == interpreted
+        for checks in (False, True):
+            ran, compiled = self._observe(analyzed, "py", checks)
+            assert ran == "py-fused"
+            _ran, interpreted = self._observe(analyzed, "interp", checks)
+            assert compiled == interpreted
 
     @given(program_sketches())
     @settings(max_examples=15, deadline=None)
     def test_compiled_rtsj_build_never_trips_on_well_typed(self, sketch):
-        from repro.interp.compile_py import compile_to_python
         analyzed = analyze(sketch.emit())
         assert not analyzed.errors
-        typed = compile_to_python(analyzed, checks=False).run()
-        checked = compile_to_python(analyzed, checks=True).run()
-        assert typed == checked
+        # a failing check would make the fused form bail to a backend
+        # that raises; validation also checks every access is live
+        _ran, typed = self._observe(analyzed, "py", False)
+        ran, checked = self._observe(analyzed, "py", True, validate=True)
+        assert ran == "py-fused"
+        assert typed[1] == checked[1]

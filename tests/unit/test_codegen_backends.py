@@ -1,16 +1,14 @@
-"""Unit tests for the codegen stack: shared lowering, the backend
-selection ladder, the C source generator, and the structured
-``CompileError`` diagnostics of the Python erasure backend."""
+"""Unit tests for the codegen stack: shared lowering, the per-program
+memo of compiled forms, the backend selection ladder, and the C source
+generator."""
 
 import pytest
 
 from repro import RunOptions, analyze
 from repro.interp import codegen_c
-from repro.interp.codegen_base import (CodegenUnsupported, IdentityCache,
-                                       SourceWriter, bake, cost_key,
-                                       mangle)
+from repro.interp.codegen_base import (CodegenUnsupported, SourceWriter,
+                                       bake, cost_key, mangle)
 from repro.interp.codegen_py import select_program
-from repro.interp.compile_py import CompileError, compile_to_python
 from repro.interp.lower import lower
 from repro.interp.machine import Machine
 from repro.rtsj.stats import CostModel
@@ -65,11 +63,11 @@ class TestBase:
         assert cost_key(bumped) != cost_key(base)
 
     def test_identity_cache_is_per_object(self):
-        cache = IdentityCache()
+        # compiled forms live on the analysis they were built from: two
+        # analyses of one source lower separately
         a1, a2 = analyze(SIMPLE), analyze(SIMPLE)
-        cache.set(a1, "one")
-        assert cache.get(a1) == "one"
-        assert cache.get(a2) is None
+        assert lower(a1) is not lower(a2)
+        assert a1.compiled["lowered"] is lower(a1)
 
     def test_source_writer_indents(self):
         w = SourceWriter()
@@ -188,35 +186,3 @@ class TestCSource:
             checks_enabled=False, validate=False))  # instrument=True
         with pytest.raises(CodegenUnsupported, match="instrumented run"):
             select_program(machine, "c")
-
-
-# ---------------------------------------------------------------------------
-# CompileError diagnostics (erasure backend)
-# ---------------------------------------------------------------------------
-
-class TestCompileErrorDiagnostics:
-    def test_carries_span_and_renders_location(self):
-        analyzed = analyze(FORKED).require_well_typed()
-        with pytest.raises(CompileError) as exc:
-            compile_to_python(analyzed)
-        err = exc.value
-        assert err.span is not None
-        assert str(err).startswith(f"{err.span}: ")
-        assert err.span.start.line == 3  # the fork statement
-
-    def test_diagnostic_is_structured(self):
-        analyzed = analyze(FORKED).require_well_typed()
-        with pytest.raises(CompileError) as exc:
-            compile_to_python(analyzed)
-        diag = exc.value.diagnostic()
-        assert diag["type"] == "CompileError"
-        assert diag["line"] == 3
-        assert diag["span"] and ":" in diag["span"]
-        assert "fork" in diag["message"]
-
-    def test_spanless_error_degrades_gracefully(self):
-        err = CompileError("nope")
-        assert err.span is None
-        assert str(err) == "nope"
-        diag = err.diagnostic()
-        assert diag["span"] is None and diag["line"] is None

@@ -1,48 +1,71 @@
-"""Unit tests for the Python erasure backend."""
+"""Unit tests for compiling a program to Python: the Section 2.6
+erasure ``repro compile`` prints (``codegen_py.erased_source``) and the
+compiled module ``--backend py`` runs."""
 
 import pytest
 
 from repro import RunOptions, analyze, run_source
-from repro.interp.compile_py import (CompileError, _Compiler,
-                                     compile_to_python)
-from repro.interp.translate import AllocStrategy, translate
+from repro.interp.codegen_base import CodegenUnsupported
+from repro.interp.codegen_py import erased_source
+from repro.interp.machine import execute
 
 
-def compiled_outputs(source: str, **kwargs):
+def run_compiled(analyzed):
+    """The output of ``analyzed`` on ``--backend py`` and the name of
+    the Python form that produced it (a run that fell back to the
+    interpreter fails the test)."""
+    result, machine = execute(analyzed, RunOptions(backend="py",
+                                                   instrument=False))
+    assert machine.program is not None, machine.codegen_fallback
+    return result.output, machine.program.backend
+
+
+def compiled_outputs(source: str):
+    """The erased module of ``source`` and its output when that module
+    runs."""
     analyzed = analyze(source).require_well_typed()
-    compiled = compile_to_python(analyzed, **kwargs)
-    return compiled, compiled.run()
+    output, form = run_compiled(analyzed)
+    assert form == "py-fused"
+    return erased_source(analyzed, checks=False), output
+
+
+def assert_runtime_parity(source: str):
+    """Run ``source`` compiled and interpreted; the outputs must match."""
+    analyzed = analyze(source).require_well_typed()
+    output, _form = run_compiled(analyzed)
+    assert output == run_source(analyzed, RunOptions()).output
+    return output
 
 
 class TestEmission:
     def test_out_of_order_inheritance(self):
         # B extends A but appears first in the source
-        compiled, out = compiled_outputs(
+        source, out = compiled_outputs(
             "class B<Owner o> extends A<o> { int tag() { return 2; } }\n"
             "class A<Owner o> { int tag() { return 1; } }\n"
             "{ A<heap> x = new B<heap>; print(x.tag()); }")
         assert out == ["2"]
-        assert compiled.source.index("class A") \
-            < compiled.source.index("class B")
+        assert "CALLS[('B', 'tag')] = d_B__tag" in source
+        assert "CALLS[('A', 'tag')] = d_A__tag" in source
 
     def test_python_keyword_field_names_mangled(self):
-        compiled, out = compiled_outputs(
-            "class C<Owner o> { int pass; int lambda; }\n"
+        source, out = compiled_outputs(
+            "class C<Owner o> { int pass; int lambda;"
+            "  int yield(int def) { return pass + def; } }\n"
             "{ C<heap> c = new C<heap>;"
             "  c.pass = 3; c.lambda = 4;"
-            "  print(c.pass + c.lambda); }")
+            "  int from = c.yield(c.lambda);"
+            "  print(from); }")
         assert out == ["7"]
-        assert "self.pass_" in compiled.source
-
-    def test_statics_compile_to_class_attributes(self):
-        compiled, out = compiled_outputs(
-            "class C<Owner o> { static int n = 5; }\n"
-            "{ C.n = C.n + 1; print(C.n); }")
-        assert out == ["6"]
-        assert "n = 5" in compiled.source
+        # fields are string keys; methods, parameters and locals get a
+        # prefix, so no source name reaches the module bare
+        assert "fields['pass'] = 3" in source
+        assert "def f_C__yield(" in source
+        assert "u1_def" in source
+        assert "u2_from = " in source
 
     def test_this_owned_allocation_via_area_attribute(self):
-        compiled, out = compiled_outputs(
+        source, out = compiled_outputs(
             "class Inner<Owner o> { int v; }\n"
             "class Outer<Owner o> {"
             "  Inner<this> guts;"
@@ -56,10 +79,11 @@ class TestEmission:
             "  print(o.probe());"
             "}")
         assert out == ["1"]
-        assert "self._area.alloc" in compiled.source
+        # S is the receiver: an object owned by `this` lives in its area
+        assert "_alloc(S.area, " in source
 
     def test_initial_region_allocation_uses_method_entry_area(self):
-        compiled, out = compiled_outputs(
+        source, out = compiled_outputs(
             "class Cell<Owner o> { int v; }\n"
             "class Maker<Owner o> {"
             "  Cell<initialRegion> make() accesses heap, initialRegion {"
@@ -76,14 +100,15 @@ class TestEmission:
             "  print(got != null);"
             "}")
         assert out == ["true"]
-        # the allocation targets _cur (the method's entry area), not the
-        # scratch region created inside
-        assert "_cur.alloc(Cell()" in compiled.source
+        # the allocation targets R (the method's entry area), not R1
+        # (the scratch region created inside)
+        assert "R1 = RMC('scratch'" in source
+        assert "cy += _alloc(R, " in source
 
     def test_owner_chain_strategy(self):
-        # p is owned by region r whose handle is a parameter: the
-        # translator must find the handle through [AV TRANS1/2]
-        source = (
+        # p is owned by region r whose handle is a parameter; the
+        # compiled method finds p's region from the owner it was passed
+        source, out = compiled_outputs(
             "class Cell<Owner o> { int v; }\n"
             "class M<Owner o> {"
             "  Cell<p> make<Region r, Owner p>(RHandle<r> h)"
@@ -96,26 +121,19 @@ class TestEmission:
             "  Cell<r1> c = m.make<r1, r1>(h1);"
             "  print(c != null);"
             "}")
-        analyzed = analyze(source).require_well_typed()
-        translation = translate(analyzed)
-        strategies = {s.strategy for s in translation.sites}
-        assert AllocStrategy.VIA_OWNER_CHAIN in strategies
-        assert compile_to_python(analyzed).run() == ["true"]
+        assert out == ["true"]
+        assert "_roo(OV[1])" in source
 
 
 class TestRuntimeParityCorners:
     def test_float_formatting_matches(self):
-        source = "{ print(1.0 / 3.0); print(sqrt(2.0)); print(0.1 + 0.2); }"
-        analyzed = analyze(source).require_well_typed()
-        assert compile_to_python(analyzed).run() \
-            == run_source(analyzed, RunOptions()).output
+        assert_runtime_parity(
+            "{ print(1.0 / 3.0); print(sqrt(2.0)); print(0.1 + 0.2); }")
 
     def test_division_semantics_match(self):
-        source = ("{ print(-9 / 4); print(-9 % 4); print(9 / -4);"
-                  "  print(ftoi(3.99)); }")
-        analyzed = analyze(source).require_well_typed()
-        assert compile_to_python(analyzed).run() \
-            == run_source(analyzed, RunOptions()).output
+        assert_runtime_parity(
+            "{ print(-9 / 4); print(-9 % 4); print(9 / -4);"
+            "  print(ftoi(3.99)); }")
 
     def test_short_circuit_matches(self):
         source = ("class C<Owner o> {"
@@ -129,21 +147,17 @@ class TestRuntimeParityCorners:
                   "  boolean x = false && c.bump();"
                   "  boolean y = true || c.bump();"
                   "  print(C.calls); }")
-        analyzed = analyze(source).require_well_typed()
-        assert compile_to_python(analyzed).run() \
-            == run_source(analyzed, RunOptions()).output == ["0"]
+        assert assert_runtime_parity(source) == ["0"]
 
     def test_default_returns_match(self):
-        source = ("class C<Owner o> {"
-                  "  int i() { }"
-                  "  float f() { }"
-                  "  boolean b() { }"
-                  "}\n"
-                  "{ C<heap> c = new C<heap>;"
-                  "  print(c.i()); print(c.f()); print(c.b()); }")
-        analyzed = analyze(source).require_well_typed()
-        assert compile_to_python(analyzed).run() \
-            == run_source(analyzed, RunOptions()).output
+        assert_runtime_parity(
+            "class C<Owner o> {"
+            "  int i() { }"
+            "  float f() { }"
+            "  boolean b() { }"
+            "}\n"
+            "{ C<heap> c = new C<heap>;"
+            "  print(c.i()); print(c.f()); print(c.b()); }")
 
 
 class TestErrors:
@@ -151,11 +165,12 @@ class TestErrors:
         source = ("regionKind S extends SharedRegion { }\n"
                   "class W<S r> { void go(RHandle<r> h) accesses r { } }\n"
                   "(RHandle<S r> h) { fork (new W<r>).go(h); }")
-        with pytest.raises(CompileError):
-            compile_to_python(analyze(source).require_well_typed())
+        with pytest.raises(CodegenUnsupported, match="fork"):
+            erased_source(analyze(source).require_well_typed(),
+                          checks=False)
 
     def test_ill_typed_rejected_by_default(self):
-        from repro.errors import OwnershipTypeError
         analyzed = analyze("class C<Owner o> { }\n{ C<zap> c = null; }")
-        with pytest.raises(OwnershipTypeError):
-            compile_to_python(analyzed)
+        assert analyzed.errors
+        with pytest.raises(CodegenUnsupported, match="static errors"):
+            erased_source(analyzed, checks=False)

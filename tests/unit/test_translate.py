@@ -96,6 +96,19 @@ class TestAllocationStrategies:
             "}")
         assert by_site[("Cell", "r")] is AllocStrategy.HANDLE_VAR
 
+    def test_owner_chain_strategy(self):
+        # p is owned by region r whose handle is a parameter: the
+        # translator must find the handle through [AV TRANS1/2]
+        _, by_site = strategies(
+            "class Cell<Owner o> { int v; }\n"
+            "class M<Owner o> {"
+            "  Cell<p> make<Region r, Owner p>(RHandle<r> h)"
+            "      accesses r, p where r owns p {"
+            "    return new Cell<p>;"
+            "  }"
+            "}")
+        assert by_site[("Cell", "p")] is AllocStrategy.VIA_OWNER_CHAIN
+
     def test_histogram(self):
         translation, _ = strategies(
             "class Cell<Owner o> { int v; }\n"
