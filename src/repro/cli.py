@@ -54,7 +54,7 @@ from typing import List, Optional
 import dataclasses
 
 from .core.api import analyze
-from .errors import ReproError
+from .errors import LexError, ParseError, ReproError
 from .interp.machine import Machine, RunOptions, execute
 from .interp.translate import translate as run_translate
 from .lang import pretty_program
@@ -129,15 +129,9 @@ def _record_envelope(args, kind: str, **sections) -> None:
           f"in {store.root}", file=sys.stderr)
 
 
-def _observability_overhead(stats, recorder) -> dict:
+def _observability_overhead(recorder) -> dict:
     """The self-measured observability cost section of an envelope."""
     overhead = {}
-    tracer = stats.tracer
-    if not tracer.null:
-        overhead["tracer_s"] = round(tracer.overhead_s, 6)
-        if tracer.sampled_out:
-            overhead["trace_sampled_out"] = tracer.sampled_out
-            overhead["trace_sample"] = tracer.sample
     if recorder is not None:
         overhead["flightrec_s"] = round(recorder.overhead_s, 6)
         overhead["flight_events_seen"] = recorder.events_seen
@@ -147,9 +141,9 @@ def _observability_overhead(stats, recorder) -> dict:
     return overhead
 
 
-def _analyze_or_report(source: str, path: str, tracer=None, cache=None,
+def _analyze_or_report(source: str, path: str, cache=None,
                        metrics=None):
-    analyzed = analyze(source, filename=path, tracer=tracer, cache=cache,
+    analyzed = analyze(source, filename=path, cache=cache,
                        metrics=metrics)
     if cache is not None:
         cache.save()
@@ -170,13 +164,38 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _write_exports(args, machine, mode: str) -> bool:
+    """Write every export file ``run`` was asked for, each attempted
+    even when an earlier one failed.  Each failed write is reported in
+    one line; returns False when any failed."""
+    from .obs import dump_flight, write_metrics, write_trace
+    recorder, stats = machine.recorder, machine.stats
+    exports = (
+        (args.trace_out, lambda path: write_trace(recorder, path)),
+        (args.metrics_out, lambda path: write_metrics(stats.metrics,
+                                                      path)),
+        (args.record_out, lambda path: dump_flight(recorder, path, meta={
+            "mode": mode, "program": args.file,
+            "summary": stats.summary()})),
+    )
+    written = True
+    for path, write in exports:
+        if not path:
+            continue
+        try:
+            write(path)
+        except OSError as err:
+            reason = err.strerror or err
+            print(f"error: cannot write {path}: {reason}",
+                  file=sys.stderr)
+            written = False
+    return written
+
+
 def cmd_run(args) -> int:
-    from .obs import MetricsRegistry, Tracer, write_metrics, write_trace
-    tracing = bool(args.trace_out)
-    tracer = Tracer(detailed=tracing)
+    from .obs import MetricsRegistry
     metrics = MetricsRegistry()
     analyzed = _analyze_or_report(_read(args.file), args.file,
-                                  tracer=tracer if tracing else None,
                                   cache=_open_cache(args),
                                   metrics=metrics)
     if analyzed.errors:
@@ -192,11 +211,9 @@ def cmd_run(args) -> int:
                       and not wants_obs)
     options = RunOptions(checks_enabled=args.dynamic_checks,
                          validate=not args.no_validate,
-                         tracer=tracer if instrument else None,
                          metrics=metrics if instrument else None,
-                         record=bool(args.record_out),
+                         record=bool(args.record_out or args.trace_out),
                          record_capacity=args.record_capacity,
-                         trace_sample=args.trace_sample,
                          record_sample=args.record_sample,
                          instrument=instrument,
                          backend=args.backend or "interp")
@@ -235,32 +252,21 @@ def cmd_run(args) -> int:
     finally:
         # a crashed run is when the trace is most valuable: export
         # whatever was recorded up to the failure
-        if args.trace_out:
-            write_trace(machine.stats.tracer, args.trace_out)
-        if args.metrics_out:
-            write_metrics(machine.stats.metrics, args.metrics_out)
-        if args.record_out and machine.recorder is not None:
-            from .obs import dump_flight
-            dump_flight(machine.recorder, args.record_out, meta={
-                "mode": mode,
-                "program": args.file,
-                "summary": machine.stats.summary(),
-            })
+        exported = _write_exports(args, machine, mode)
         _record_envelope(
             args, "run", label=args.file,
             summary=machine.stats.summary(),
             metrics=metrics.to_dict(),
             flight=(machine.recorder.header()
                     if machine.recorder is not None else None),
-            overhead=_observability_overhead(machine.stats,
-                                             machine.recorder),
+            overhead=_observability_overhead(machine.recorder),
             meta={"mode": mode,
                   "crashed": failure is not None})
         if server is not None:
             server.close()
     if failure is not None:
         print(f"runtime error: {failure}", file=sys.stderr)
-        return 2
+        return 2 if exported else 1
     for line in result.output:
         print(line)
     if args.stats:
@@ -278,7 +284,7 @@ def cmd_run(args) -> int:
         payload = {"mode": mode}
         payload.update(result.stats.summary())
         print(json.dumps(payload, sort_keys=True))
-    return 0
+    return 0 if exported else 1
 
 
 def cmd_profile(args) -> int:
@@ -991,6 +997,20 @@ def _shared_parents():
     return backend, cache, telemetry
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (anything else is a usage
+    error)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -1015,8 +1035,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the machine-readable run summary as "
                             "one JSON object on stdout")
     p_run.add_argument("--trace-out", metavar="FILE",
-                       help="write a JSON Lines trace of all events "
-                            "(enables detailed tracing: region "
+                       help="arm the flight recorder and write its "
+                            "window as a JSON Lines span trace (region "
                             "enter/exit spans, allocations, checks)")
     p_run.add_argument("--metrics-out", metavar="FILE",
                        help="write end-of-run metrics in Prometheus "
@@ -1025,15 +1045,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arm the flight recorder and dump the "
                             "post-mortem event ring as JSONL (cycle-"
                             "neutral; feed the file to `repro inspect`)")
-    p_run.add_argument("--record-capacity", type=int, default=1 << 16,
-                       help="flight-recorder ring size in records "
-                            "(default 65536)")
-    p_run.add_argument("--trace-sample", type=int, default=1,
-                       metavar="N",
-                       help="store only every N-th instant detail "
-                            "trace event per kind (always-on tier; "
-                            "default 1 = everything)")
-    p_run.add_argument("--record-sample", type=int, default=1,
+    p_run.add_argument("--record-capacity", type=_positive_int,
+                       default=1 << 16, metavar="N",
+                       help="flight-recorder ring size in records; the "
+                            "ring keeps the newest (default 65536)")
+    p_run.add_argument("--record-sample", type=_positive_int, default=1,
                        metavar="N",
                        help="store only every N-th high-volume flight "
                             "record per kind; exact aggregates are "
@@ -1408,7 +1424,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _Unreadable as err:
+    except (_Unreadable, LexError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -83,18 +83,17 @@ def analyze(source: Union[str, ast.Program],
             filename: str = "<input>",
             infer: bool = True,
             defaults: Optional[DefaultPolicy] = None,
-            tracer=None,
             cache: Optional[AnalysisCache] = None,
             metrics=None) -> AnalyzedProgram:
     """Parse (if needed), apply Section 2.5 defaults/inference, and
     typecheck.  Never raises for *type* errors — inspect ``.errors`` or
     call :meth:`AnalyzedProgram.require_well_typed`; lex/parse errors do
-    raise.  ``tracer`` (a :class:`repro.obs.Tracer`) records per-phase
-    wall times as ``checker-phase`` events; ``metrics`` (a
-    :class:`repro.obs.MetricsRegistry`) receives the ``repro_frontend_*``
-    series; ``cache`` (an :class:`repro.core.cache.AnalysisCache`) makes
-    repeated analyses incremental."""
-    clock = PhaseClock(tracer)
+    raise.  Per-phase wall times land in the result's
+    ``phase_seconds``; ``metrics`` (a :class:`repro.obs.MetricsRegistry`)
+    receives the ``repro_frontend_*`` series; ``cache`` (an
+    :class:`repro.core.cache.AnalysisCache`) makes repeated analyses
+    incremental."""
+    clock = PhaseClock()
     policy = defaults if defaults is not None else PAPER_DEFAULTS
     result = None
     if cache is not None and infer and isinstance(source, str):

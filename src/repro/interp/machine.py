@@ -23,7 +23,7 @@ from ..core.api import AnalyzedProgram, analyze
 from ..core.relations import RelationGraph
 from ..errors import OwnershipTypeError, ReproError
 from ..faults import FaultInjector
-from ..obs import MetricsRegistry, ProfileCollector, Tracer
+from ..obs import FlightRecorder, MetricsRegistry, ProfileCollector
 from ..rtsj.checks import CheckEngine
 from ..rtsj.faults import RecoveryPolicy
 from ..rtsj.gc import GarbageCollector
@@ -49,20 +49,16 @@ class RunOptions:
     quantum: int = 2000
     #: runaway-guard on the global clock
     max_cycles: int = 2_000_000_000
-    #: observability: pass a pre-built tracer/registry to share them
-    #: with the caller (the CLI does, to export after the run); None
-    #: means the machine builds its own
-    tracer: Optional[Tracer] = None
+    #: observability: pass a pre-built registry to share it with the
+    #: caller (the CLI does, to export after the run); None means the
+    #: machine builds its own
     metrics: Optional[MetricsRegistry] = None
-    #: record high-volume trace events (region enter/exit spans,
-    #: allocations, individual checks); implied by ``--trace-out``
-    trace_detail: bool = False
-    #: False wires *null* observability sinks (tracer, metrics, profile)
-    #: into the run: no events recorded, no histogram samples, no
-    #: per-site attribution — the interpreter's instrumentation code
-    #: paths are compiled out.  Used by ``repro bench`` so wall-clock
-    #: measurements exclude observability overhead.  Explicitly passed
-    #: ``tracer``/``metrics`` objects take precedence.
+    #: False wires *null* aggregate sinks (metrics, profile) into the
+    #: run: no histogram samples, no per-site attribution — the
+    #: interpreter's instrumentation code paths are compiled out.  Used
+    #: by ``repro bench`` so wall-clock measurements exclude
+    #: observability overhead.  An explicitly passed ``metrics`` object
+    #: takes precedence.
     instrument: bool = True
     # -- robustness plane (all off by default: a plain run compiles in
     #    none of the fault/sanitizer code paths) --
@@ -78,22 +74,17 @@ class RunOptions:
     #: graceful degradation: a failing thread is finished with a
     #: structured diagnostic instead of aborting the whole run
     degrade: bool = False
-    # -- flight recorder (post-mortem ring buffer, off by default: a
+    # -- flight recorder (the run's one event sink, off by default: a
     #    plain run carries ``recorder is None`` through every compiled
     #    closure and cycle counts stay byte-identical) --
-    #: record causally-linked events into a bounded ring buffer
+    #: record causally-linked events into a bounded ring buffer (the
+    #: source of both ``--record-out`` and ``--trace-out``)
     record: bool = False
-    #: ring capacity when ``record`` builds the recorder
+    #: ring capacity; the ring keeps the newest records
     record_capacity: int = 1 << 16
-    #: pre-built recorder (wins over ``record``); a
-    #: ``NullFlightRecorder`` counts as recording-off
-    recorder: Optional[Any] = None
-    # -- sampling tier (always-on observability at bounded cost) --
-    #: store only every N-th instant detail trace event per kind
-    #: (checks, allocs); 1 = store everything
-    trace_sample: int = 1
-    #: store only every N-th high-volume flight record per kind; exact
-    #: aggregates (kind_counts, check_totals) are kept regardless
+    #: store only every N-th high-volume record per kind (checks,
+    #: allocs); exact aggregates (kind_counts, check_totals) are kept
+    #: regardless
     record_sample: int = 1
     # -- execution backend --
     #: "interp" = the coroutine interpreter; "py" = compiled Python
@@ -130,31 +121,21 @@ class Machine:
         self.options = options or RunOptions()
         self.cost_model = self.options.cost_model
         if self.options.instrument:
-            tracer = self.options.tracer or Tracer()
             metrics = self.options.metrics or MetricsRegistry()
             profile = ProfileCollector()
         else:
-            from ..obs import (NullMetricsRegistry, NullProfile,
-                               NullTracer)
-            tracer = self.options.tracer or NullTracer()
+            from ..obs import NullMetricsRegistry, NullProfile
             metrics = self.options.metrics or NullMetricsRegistry()
             profile = NullProfile()
-        if self.options.trace_detail:
-            tracer.detailed = True
-        if self.options.trace_sample > 1:
-            tracer.sample = self.options.trace_sample
         # flight recorder: None unless asked for, so every subsystem's
         # ``recorder is not None`` test compiles the hooks out
-        recorder = self.options.recorder
-        if recorder is None and self.options.record:
-            from ..obs import FlightRecorder
+        recorder = None
+        if self.options.record:
             recorder = FlightRecorder(self.options.record_capacity,
                                       sample=self.options.record_sample)
-        if recorder is not None and not recorder.enabled:
-            recorder = None
         self.recorder = recorder
-        self.stats = Stats(tracer=tracer, metrics=metrics,
-                           profile=profile, recorder=recorder)
+        self.stats = Stats(metrics=metrics, profile=profile,
+                           recorder=recorder)
         self.regions = RegionManager()
         if recorder is not None:
             recorder.bind_clock(self.stats)
@@ -348,25 +329,16 @@ class Machine:
                 thread=thread.name,
                 realtime="true" if thread.realtime else "false",
             ).set(thread.max_dispatch_latency)
-        # self-measured observability cost (host seconds, never charged
-        # to the simulated clock) — the "how much does watching cost"
-        # gauge the sampling tier exists to bound
-        overhead = registry.gauge(
-            "repro_observability_overhead_seconds",
-            "host seconds spent inside observability recording paths")
-        tracer = stats.tracer
-        if not tracer.null:
-            overhead.labels(component="tracer").set(
-                round(tracer.overhead_s, 6))
-            if tracer.sampled_out:
-                registry.gauge(
-                    "repro_trace_events_sampled_out",
-                    "detail trace events skipped by the sampling "
-                    "stride").set(tracer.sampled_out)
         recorder = self.recorder
         if recorder is not None:
-            overhead.labels(component="flightrec").set(
-                round(recorder.overhead_s, 6))
+            # self-measured recording cost (host seconds, never charged
+            # to the simulated clock) — the "how much does watching
+            # cost" gauge the sampling stride exists to bound
+            registry.gauge(
+                "repro_observability_overhead_seconds",
+                "host seconds spent inside observability recording "
+                "paths").labels(component="flightrec").set(
+                    round(recorder.overhead_s, 6))
             seen = registry.gauge(
                 "repro_flight_events",
                 "flight-recorder events by disposition")

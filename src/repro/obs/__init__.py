@@ -1,17 +1,17 @@
 """Observability for the simulated RTSJ platform.
 
-Four pieces, all independent of the runtime packages (``repro.rtsj``
+Nine modules, all independent of the runtime packages (``repro.rtsj``
 imports *us*, never the reverse):
 
-* :mod:`repro.obs.events` — the structured event bus (:class:`Tracer`,
-  :class:`TraceEvent`) that replaced the flat ``Stats.events`` tuples;
+* :mod:`repro.obs.flightrec` — the bounded, causal flight recorder:
+  the one sink the runtime writes events to, dumped post-mortem
+  (``repro run --record-out``, chaos auto-dumps);
+* :mod:`repro.obs.exporters` — the ``repro run --trace-out`` JSON
+  Lines view of the flight recorder, and Prometheus text;
 * :mod:`repro.obs.metrics` — counters / gauges / histograms in a
   :class:`MetricsRegistry`;
-* :mod:`repro.obs.exporters` — JSON Lines traces and Prometheus text;
 * :mod:`repro.obs.profile` — per-region / per-call-site / per-category
   cycle attribution behind ``repro profile``;
-* :mod:`repro.obs.flightrec` — the bounded, causal flight recorder
-  dumped post-mortem (``repro run --record-out``, chaos auto-dumps);
 * :mod:`repro.obs.analyze` — the ``repro inspect`` analysis engine
   over flight-recorder dumps;
 * :mod:`repro.obs.telemetry` — the content-addressed cross-run
@@ -27,13 +27,12 @@ imports *us*, never the reverse):
 See ``docs/OBSERVABILITY.md`` for the event schema and metric names.
 """
 
-from .events import BEGIN, END, INSTANT, NullTracer, TraceEvent, Tracer
 from .exporters import (parse_prometheus, snapshot_to_prometheus,
                         to_prometheus, trace_lines, write_metrics,
                         write_trace)
 from .flightrec import (FLIGHT_SCHEMA, FlightRecord, FlightRecorder,
-                        NullFlightRecorder, dump_flight, flight_lines,
-                        load_flight, validate_flight)
+                        dump_flight, flight_lines, load_flight,
+                        validate_flight)
 from .metrics import (Counter, DEFAULT_CYCLE_BUCKETS, Gauge, Histogram,
                       MetricsRegistry, NullMetricsRegistry)
 from .profile import (CATEGORIES, NullProfile, ProfileCollector,
@@ -45,14 +44,13 @@ from .trace import (TRACE_SCHEMA, RequestTrace, TraceBuffer,
                     new_span_id, new_trace_id, validate_trace)
 
 __all__ = [
-    "Tracer", "TraceEvent", "NullTracer", "INSTANT", "BEGIN", "END",
     "MetricsRegistry", "NullMetricsRegistry", "Counter", "Gauge",
     "Histogram", "DEFAULT_CYCLE_BUCKETS",
     "trace_lines", "write_trace", "to_prometheus", "write_metrics",
     "snapshot_to_prometheus", "parse_prometheus",
     "ProfileCollector", "NullProfile", "ProfileReport", "build_report",
     "CATEGORIES",
-    "FlightRecorder", "NullFlightRecorder", "FlightRecord",
+    "FlightRecorder", "FlightRecord",
     "FLIGHT_SCHEMA", "flight_lines", "dump_flight", "load_flight",
     "validate_flight",
     "TelemetryStore", "TELEMETRY_SCHEMA", "make_envelope",

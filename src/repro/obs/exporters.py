@@ -2,8 +2,9 @@
 
 Two on-disk formats, both line-oriented and tool-friendly:
 
-* **JSON Lines trace** — one JSON object per :class:`TraceEvent`, in
-  emission order (which is simulated-time order).  Consumers rebuild
+* **JSON Lines trace** — a view of the flight recorder's window: one
+  JSON object per stored :class:`~repro.obs.flightrec.FlightRecord`,
+  in record order (which is simulated-time order).  Consumers rebuild
   span nesting with a per-thread stack over the ``ph`` field
   (``"B"``/``"E"``; ``"i"`` is an instant).  See
   ``docs/OBSERVABILITY.md`` for the schema.
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import json
 import re
-from typing import IO, Any, Dict, Iterator, Tuple, Union
+from typing import IO, Any, Dict, Iterator, List, Tuple, Union
 
-from .events import Tracer
+from .flightrec import FlightRecord, FlightRecorder
 from .metrics import (MetricsRegistry, QUANTILES, _HistogramChild,
                       quantile_from_counts)
 
@@ -28,35 +29,90 @@ from .metrics import (MetricsRegistry, QUANTILES, _HistogramChild,
 # JSON Lines traces
 # ---------------------------------------------------------------------------
 
-def trace_lines(tracer: Tracer) -> Iterator[str]:
-    """The trace as JSON Lines (no trailing newlines)."""
-    for event in tracer.records:
-        yield json.dumps(event.to_dict(), sort_keys=True)
-    if getattr(tracer, "sampled_out", 0):
-        yield json.dumps({"kind": "trace-sampled", "ph": "i",
-                          "cycle": -1, "thread": "<tracer>",
-                          "subject": f"{tracer.sampled_out} detail "
-                                     f"events sampled out (1-in-"
-                                     f"{tracer.sample})",
-                          "attrs": {"sampled_out": tracer.sampled_out,
-                                    "sample": tracer.sample}},
-                         sort_keys=True)
-    if tracer.dropped:
-        yield json.dumps({"kind": "trace-truncated", "ph": "i",
-                          "cycle": -1, "thread": "<tracer>",
-                          "subject": f"{tracer.dropped} events dropped",
-                          "attrs": {"dropped": tracer.dropped}},
-                         sort_keys=True)
+#: record kinds that open and close a span; every other kind exports
+#: as an instant (``"i"``)
+_SPAN_PHASES = {"region-enter": "B", "region-exit": "E"}
 
 
-def write_trace(tracer: Tracer, dest: Union[str, IO[str]]) -> int:
+def _trace_line(record: FlightRecord, phase: str) -> str:
+    out: Dict[str, Any] = {"id": record.id, "parent": record.parent,
+                           "cycle": record.cycle, "kind": record.kind,
+                           "ph": phase, "subject": record.subject,
+                           "thread": record.thread}
+    if record.attrs:
+        out["attrs"] = record.attrs
+    return json.dumps(out, sort_keys=True)
+
+
+def _close_spans(stack: List[FlightRecord], cycle: int
+                 ) -> Iterator[str]:
+    """End lines for the spans a thread left open, innermost first.
+    Synthesized, not recorded: ``id`` 0, parented to the span's
+    ``region-enter``, ``aborted`` set."""
+    while stack:
+        begin = stack.pop()
+        yield _trace_line(
+            FlightRecord(0, begin.id, cycle, begin.thread, "region-exit",
+                         begin.subject, {"aborted": True}), "E")
+
+
+def _marker(kind: str, subject: str, attrs: Dict[str, int]) -> str:
+    return json.dumps({"kind": kind, "ph": "i", "cycle": -1,
+                       "thread": "<recorder>", "subject": subject,
+                       "attrs": attrs}, sort_keys=True)
+
+
+def trace_lines(recorder: FlightRecorder) -> Iterator[str]:
+    """The recorder's window as a JSON Lines span trace (no trailing
+    newlines).
+
+    ``ph`` is derived here, at export time, and so is span repair,
+    which keeps each thread's spans nested: a ``region-exit`` whose
+    ``region-enter`` the ring evicted exports as an instant, and the
+    spans a thread still has open when it finishes (or when the window
+    ends) are closed by synthesized ends.  ``trace-sampled`` and
+    ``trace-truncated`` marker lines close the trace when the sampling
+    stride skipped records or the ring evicted some."""
+    open_spans: Dict[str, List[FlightRecord]] = {}
+    cycle = 0
+    for record in recorder.records():
+        cycle = record.cycle
+        phase = _SPAN_PHASES.get(record.kind, "i")
+        if phase == "B":
+            open_spans.setdefault(record.thread, []).append(record)
+        elif phase == "E":
+            stack = open_spans.get(record.thread)
+            if stack:
+                stack.pop()
+            else:
+                phase = "i"
+        elif record.kind == "thread-finished":
+            yield from _close_spans(open_spans.pop(record.thread, []),
+                                    cycle)
+        yield _trace_line(record, phase)
+    for stack in open_spans.values():
+        yield from _close_spans(stack, cycle)
+    if recorder.sampled_out:
+        yield _marker("trace-sampled",
+                      f"{recorder.sampled_out} high-volume records "
+                      f"sampled out (1-in-{recorder.sample})",
+                      {"sampled_out": recorder.sampled_out,
+                       "sample": recorder.sample})
+    if recorder.dropped:
+        yield _marker("trace-truncated",
+                      f"{recorder.dropped} oldest records evicted",
+                      {"dropped": recorder.dropped})
+
+
+def write_trace(recorder: FlightRecorder,
+                dest: Union[str, IO[str]]) -> int:
     """Write the JSONL trace to a path or open file; returns the number
     of lines written."""
     if isinstance(dest, str):
         with open(dest, "w", encoding="utf-8") as handle:
-            return write_trace(tracer, handle)
+            return write_trace(recorder, handle)
     n = 0
-    for line in trace_lines(tracer):
+    for line in trace_lines(recorder):
         dest.write(line + "\n")
         n += 1
     return n

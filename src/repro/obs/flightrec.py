@@ -1,8 +1,9 @@
 """The flight recorder: a bounded ring buffer of causally-linked events.
 
-Tracing (:mod:`repro.obs.events`) answers "what happened, in order" for
-runs where someone asked for a trace up front.  The flight recorder
-answers the production question: *when a run crashes, what were the last
+The flight recorder is the one event sink of a simulated run.  It
+answers "what happened, in order" (``repro run --trace-out`` exports
+its window as a span trace, :func:`repro.obs.exporters.trace_lines`)
+and the production question: *when a run crashes, what were the last
 N things the machine did, and why?*  It keeps a fixed-capacity ring of
 :class:`FlightRecord` entries — region lifecycle, allocations with
 owner and site, LT/VT policy decisions, portal traffic, thread
@@ -68,7 +69,7 @@ KNOWN_KINDS = (
     "alloc", "policy", "vt-spill",
     "portal-read", "portal-write",
     "thread-spawned", "thread-finished", "thread-aborted",
-    "gc", "fault-injected", "recovery",
+    "gc", "fault-injected", "recovery", "sanitizer-violation",
 ) + CHECK_KINDS
 
 
@@ -108,12 +109,8 @@ class FlightRecorder:
 
     Hot paths test ``recorder is None`` (the machine hands subsystems
     ``None`` when recording is off), so a :class:`FlightRecorder`
-    instance only ever exists on runs that asked for it.  The ``enabled``
-    class flag lets callers hand in a :class:`NullFlightRecorder` and
-    have the machine treat it as "off".
+    instance only ever exists on runs that asked for it.
     """
-
-    enabled = True
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  sample: int = 1) -> None:
@@ -270,35 +267,6 @@ class FlightRecorder:
         if meta:
             out["meta"] = meta
         return out
-
-
-class NullFlightRecorder(FlightRecorder):
-    """A recorder that records nothing; ``enabled = False`` makes the
-    machine treat it as recording-off (no hooks compiled in)."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(capacity=1)
-
-    def record(self, kind: str, subject: str,
-               cycle: Optional[int] = None, thread: str = "main",
-               attrs: Optional[Dict[str, Any]] = None,
-               parent: Optional[int] = None) -> int:
-        return 0
-
-    def push(self, kind: str, subject: str,
-             cycle: Optional[int] = None, thread: str = "main",
-             attrs: Optional[Dict[str, Any]] = None) -> int:
-        return 0
-
-    def pop(self, kind: str, subject: str,
-            cycle: Optional[int] = None, thread: str = "main",
-            attrs: Optional[Dict[str, Any]] = None) -> int:
-        return 0
-
-    def seed(self, thread: str, parent_id: int) -> None:
-        pass
 
 
 # ---------------------------------------------------------------------------

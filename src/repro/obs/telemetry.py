@@ -1,8 +1,8 @@
 """The run-telemetry store: content-addressed envelopes of run evidence.
 
 The observability layer so far answers questions about *one* run: the
-tracer orders its events, the metrics registry snapshots its counters,
-the flight recorder keeps its last-N window.  This module adds the
+flight recorder orders its events and keeps its last-N window, the
+metrics registry snapshots its counters.  This module adds the
 *cross-run* memory: every instrumented ``repro run`` / ``profile`` /
 ``bench`` / ``chaos`` invocation can append one **telemetry envelope**
 — a versioned JSON document bundling the run's stats summary, metrics

@@ -1,6 +1,6 @@
 """Request tracing: span trees, tail-based sampling, critical paths.
 
-The single-run observability stack (tracer, flight recorder) explains
+The single-run observability stack (the flight recorder) explains
 *one* execution.  This module explains *requests*: a ``repro serve``
 request crosses three processes — the client, the HTTP frontend (and
 its pool dispatcher threads), and a forked warm worker — and every

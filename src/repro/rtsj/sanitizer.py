@@ -150,11 +150,6 @@ class RegionSanitizer:
         :class:`SanitizerViolation` on the first broken invariant."""
         self.stats.sanitizer_checks += 1
         self._c_checks.labels(checkpoint=checkpoint).inc()
-        tracer = self.stats.tracer
-        if tracer.detailed:
-            tracer.emit_detail("sanitizer-check", checkpoint,
-                               cycle=self.stats.cycles,
-                               attrs={"checkpoint": checkpoint})
         live = self.regions.live_areas()
         live_ids = {area.area_id for area in live}
         for area in live:
@@ -307,8 +302,11 @@ class RegionSanitizer:
         err = SanitizerViolation(invariant, path, message,
                                  checkpoint=checkpoint)
         err.cycle = self.stats.cycles
-        self.stats.tracer.emit(
-            "sanitizer-violation", path, cycle=self.stats.cycles,
-            attrs={"invariant": invariant, "checkpoint": checkpoint,
-                   "message": message})
+        rec = self.stats.recorder
+        if rec is not None:
+            rec.record("sanitizer-violation", path,
+                       cycle=self.stats.cycles, thread="<sanitizer>",
+                       attrs={"invariant": invariant,
+                              "checkpoint": checkpoint,
+                              "message": message})
         raise err

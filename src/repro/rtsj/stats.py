@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..obs import Histogram, MetricsRegistry, ProfileCollector, Tracer
+from ..obs import Histogram, MetricsRegistry, ProfileCollector
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,11 @@ class Stats:
     """Counters accumulated during one simulated run.
 
     Structured observability (the :mod:`repro.obs` subsystem) hangs off
-    this object: ``tracer`` is the event bus, ``metrics`` the registry
-    of counters/gauges/histograms, ``profile`` the per-site/per-region
-    attribution, and ``recorder`` the post-mortem flight recorder
-    (``None`` on runs that did not ask for recording, so hot paths can
-    test ``recorder is not None`` at closure-compile time).  The
-    historic ``Stats.events`` tuple-list shim has been removed; the
-    tracer is the single event source.
+    this object: ``metrics`` is the registry of counters/gauges/
+    histograms, ``profile`` the per-site/per-region attribution, and
+    ``recorder`` the flight recorder, the run's single event sink
+    (``None`` on runs that asked for no event export, so hot paths can
+    test ``recorder is not None`` at closure-compile time).
     """
 
     cycles: int = 0                       # global simulated clock
@@ -124,7 +122,6 @@ class Stats:
     thread_cycles: int = 0
     io_cycles: int = 0
 
-    tracer: Tracer = field(default_factory=Tracer, repr=False)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry,
                                      repr=False)
     profile: ProfileCollector = field(default_factory=ProfileCollector,

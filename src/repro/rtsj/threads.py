@@ -103,11 +103,6 @@ class Scheduler:
     def _finish(self, thread: SimThread) -> None:
         from .regions import release_shared
         thread.done = True
-        self.stats.tracer.emit(
-            "thread-finished", thread.name, cycle=self.stats.cycles,
-            thread=thread.name,
-            attrs={"cycles": thread.cycles,
-                   "max_dispatch_latency": thread.max_dispatch_latency})
         rec = self._rec
         if rec is not None:
             rec.record("thread-finished", thread.name,
@@ -115,10 +110,7 @@ class Scheduler:
                        attrs={"cycles": thread.cycles})
         # a terminating thread exits all its shared regions (Section 2.2)
         for area in reversed(thread.shared_stack):
-            if release_shared(area, thread.name) or not area.live:
-                self.stats.tracer.emit(
-                    "region-destroyed", area.name,
-                    cycle=self.stats.cycles, thread=thread.name)
+            release_shared(area, thread.name)
         thread.shared_stack.clear()
 
     def _fail(self, thread: SimThread, err: BaseException) -> None:
@@ -129,15 +121,6 @@ class Scheduler:
                 err.thread = thread.name
             if err.cycle is None:
                 err.cycle = self.stats.cycles
-        self.stats.tracer.emit(
-            "thread-failed", thread.name, cycle=self.stats.cycles,
-            thread=thread.name,
-            attrs={"error": type(err).__name__, "message": str(err)})
-        # an aborted thread may die inside open trace spans (LT watchdog
-        # abort, ThreadCrashError mid-region): close them so exported
-        # traces stay well-nested
-        self.stats.tracer.close_abandoned(thread.name,
-                                          cycle=self.stats.cycles)
         rec = self._rec
         if rec is not None:
             rec.record("thread-aborted", thread.name,
@@ -237,10 +220,6 @@ class Scheduler:
                 thread.coroutine.close()
             except Exception:
                 pass  # teardown is best-effort; the diagnostic is set
-            # close() runs region finallys, but a finally that raised
-            # (swallowed above) can still leave spans open
-            self.stats.tracer.close_abandoned(thread.name,
-                                              cycle=self.stats.cycles)
             self._finish(thread)
 
     def run(self) -> None:

@@ -1,19 +1,12 @@
 """Execution timeline: render the machine's event log as text.
 
-The simulator records structured events in two places: the tracer
-(:class:`repro.obs.TraceEvent`, when tracing was requested) and the
-flight recorder (:class:`repro.obs.FlightRecord`, when post-mortem
-recording was requested).  This module renders either as an aligned
-text timeline — the quickest way to *see* the paper's memory model
-working: subregions flushing every iteration, scratch regions dying
-with their phase, the collector firing while the real-time thread's
-events continue undisturbed.
-
-When a run carried a flight recorder, it is the preferred source — it
-captures every event kind (policy decisions, faults, check elisions)
-regardless of trace detail level.  Otherwise the tracer's records are
-used.  Both record shapes expose ``cycle``/``kind``/``subject``, so
-the rendering is source-agnostic.
+The simulator records structured events in the flight recorder
+(:class:`repro.obs.FlightRecord`, on runs made with ``record=True``).
+This module renders its window as an aligned text timeline — the
+quickest way to *see* the paper's memory model working: subregions
+flushing every iteration, scratch regions dying with their phase, the
+collector firing while the real-time thread's events continue
+undisturbed.  A run without a recorder has no events to render.
 
 Marks and the legend both derive from the single :data:`MARKS` table,
 so adding an event kind in the obs layer means adding exactly one row
@@ -42,7 +35,6 @@ MARKS = {
     "thread-spawned": (">", "thread spawned"),
     "thread-finished": ("<", "thread finished"),
     "thread-aborted": ("x", "thread aborted"),
-    "thread-failed": ("x", "thread failed"),
     "gc": ("#", "gc run"),
     "fault-injected": ("F", "fault injected"),
     "recovery": ("R", "recovery retry"),
@@ -50,7 +42,7 @@ MARKS = {
     "portal-read": ("p", "portal read"),
     "portal-write": ("P", "portal write"),
     "policy": ("%", "policy decision"),
-    "checker-phase": ("@", "checker phase"),
+    "sanitizer-violation": ("V", "sanitizer violation"),
 }
 
 #: mark used for kinds missing from :data:`MARKS`
@@ -58,12 +50,10 @@ UNKNOWN_MARK = "*"
 
 
 def timeline_events(stats: Stats) -> Sequence:
-    """The run's event records, preferring the flight recorder (full
-    kind coverage) over the tracer."""
+    """The run's flight records, oldest first (empty without a
+    recorder)."""
     recorder = stats.recorder
-    if recorder is not None and recorder.total:
-        return recorder.records()
-    return stats.tracer.records
+    return recorder.records() if recorder is not None else []
 
 
 def _legend(kinds_present) -> str:
@@ -112,9 +102,7 @@ def render_timeline(stats: Stats, width: int = 60,
 
 def event_counts(stats: Stats) -> dict:
     recorder = stats.recorder
-    if recorder is not None and recorder.total:
-        return recorder.kinds()
-    return stats.tracer.kinds()
+    return recorder.kinds() if recorder is not None else {}
 
 
 def events_between(stats: Stats, start: int,

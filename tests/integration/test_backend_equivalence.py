@@ -212,7 +212,7 @@ class TestRouting:
         result = machine.run()
         assert machine.program is None or \
             machine.program.backend == "py-faithful"
-        assert not result.stats.tracer.null
+        assert not result.stats.metrics.null
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,50 @@ class TestUnreadableInput:
                            f"No such file or directory\n")
 
 
+class TestMalformedProgram:
+    @pytest.mark.parametrize("body, where", [
+        ("int x = 3 @ 4;", "2:28: unexpected character '@'"),
+        ("Cell<r> c = new Cell<r;", "2:40: expected RANGLE, found ';'"),
+    ])
+    def test_lex_and_parse_errors_are_one_line(self, tmp_path, body,
+                                               where):
+        path = tmp_path / "malformed.rtj"
+        path.write_text("class Cell<Owner o> { int v; }\n"
+                        f"(RHandle<r> h) {{ {body} }}\n")
+        for command in ("check", "run"):
+            code, out, err = run_cli(command, str(path))
+            assert code == 1, command
+            assert out == ""
+            assert err == f"error: {path}:{where}\n"
+
+
+class TestExportFiles:
+    def test_each_unwritable_export_is_one_line(self, good_file,
+                                                tmp_path):
+        absent = tmp_path / "absent"
+        trace, record = str(absent / "t.jsonl"), str(absent / "r.jsonl")
+        metrics = tmp_path / "m.prom"
+        code, out, err = run_cli("run", good_file, "--trace-out", trace,
+                                 "--metrics-out", str(metrics),
+                                 "--record-out", record)
+        assert code == 1
+        assert out.strip() == "42"
+        assert err.splitlines() == [
+            f"error: cannot write {trace}: No such file or directory",
+            f"error: cannot write {record}: No such file or directory"]
+        # every export is attempted: the writable one still lands
+        assert "repro_run_cycles" in metrics.read_text()
+
+    @pytest.mark.parametrize("flag", ["--record-capacity",
+                                      "--record-sample"])
+    @pytest.mark.parametrize("value", ["0", "-4", "many"])
+    def test_recorder_sizes_are_positive_integers(self, good_file, flag,
+                                                  value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", good_file, flag, value)
+        assert exc.value.code == 2
+
+
 class TestAnalysisCache:
     def test_run_with_cache_matches_plain_run(self, good_file, tmp_path):
         cache_dir = str(tmp_path / "cache")

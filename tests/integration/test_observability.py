@@ -5,13 +5,14 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.core.api import analyze
 from repro.interp.machine import Machine, RunOptions
-from repro.obs import (Tracer, build_report, to_prometheus, trace_lines)
+from repro.obs import build_report, to_prometheus, trace_lines
 
 #: a producer/consumer-style program (Figure 8 shape): two threads
 #: hand frames through an LT subregion with a typed portal field
@@ -72,40 +73,50 @@ class Consumer<BufRegion r> {
 
 @pytest.fixture(scope="module")
 def traced_machine():
-    tracer = Tracer(detailed=True)
-    analyzed = analyze(PROGRAM, tracer=tracer).require_well_typed()
+    analyzed = analyze(PROGRAM).require_well_typed()
     machine = Machine(analyzed, RunOptions(checks_enabled=True,
-                                           tracer=tracer, quantum=300))
+                                           record=True, quantum=300))
     machine.run()
     return machine
 
 
+def assert_spans_nest(events):
+    """Every thread's ``B``/``E`` trace events nest like a stack."""
+    stacks = {}
+    for event in events:
+        stack = stacks.setdefault(event["thread"], [])
+        if event["ph"] == "B":
+            stack.append(event["subject"])
+        elif event["ph"] == "E":
+            assert stack.pop() == event["subject"]
+    assert all(not stack for stack in stacks.values())
+
+
 class TestTraceIntegration:
     def test_jsonl_trace_parses(self, traced_machine):
-        lines = list(trace_lines(traced_machine.stats.tracer))
+        lines = list(trace_lines(traced_machine.recorder))
         assert len(lines) > 20
         for line in lines:
             record = json.loads(line)
-            assert {"cycle", "kind", "ph", "subject",
+            assert {"id", "parent", "cycle", "kind", "ph", "subject",
                     "thread"} <= set(record)
 
     def test_region_spans_nest(self, traced_machine):
-        tracer = traced_machine.stats.tracer
-        assert tracer.spans_balanced()
-        kinds = tracer.kinds()
+        recorder = traced_machine.recorder
+        assert_spans_nest(json.loads(line)
+                          for line in trace_lines(recorder))
+        kinds = recorder.kinds()
         assert kinds["region-enter"] == kinds["region-exit"]
         assert kinds["region-enter"] >= 6  # >= one per handoff attempt
 
     def test_detailed_kinds_recorded(self, traced_machine):
-        kinds = traced_machine.stats.tracer.kinds()
+        kinds = traced_machine.recorder.kinds()
         for kind in ("alloc", "check-assign", "region-created",
-                     "thread-spawned", "thread-finished",
-                     "checker-phase"):
+                     "thread-spawned", "thread-finished"):
             assert kinds.get(kind), f"missing '{kind}' events"
 
     def test_events_carry_thread_attribution(self, traced_machine):
-        threads = {e.thread
-                   for e in traced_machine.stats.tracer.records
+        threads = {e.thread for e in traced_machine.recorder.records()
                    if e.kind == "region-enter"}
         assert "thread-1" in threads and "thread-2" in threads
 
@@ -118,12 +129,15 @@ class TestTraceIntegration:
         assert cycles == sorted(cycles)
 
     def test_detail_off_by_default(self):
+        # no export asked for: no recorder, so nothing is recorded at
+        # all, while the run's counters still see every flush
+        from repro.tools.timeline import event_counts
         machine = Machine(analyze(PROGRAM).require_well_typed(),
                           RunOptions(quantum=300))
         machine.run()
-        kinds = machine.stats.tracer.kinds()
-        assert "alloc" not in kinds and "region-enter" not in kinds
-        assert kinds["region-flushed"] >= 1  # lifecycle still traced
+        assert machine.recorder is None
+        assert event_counts(machine.stats) == {}
+        assert machine.stats.region_flushes >= 1
 
 
 class TestMetricsIntegration:
@@ -206,17 +220,12 @@ class TestCli:
                    for line in trace.read_text().splitlines()]
         kinds = {r["kind"] for r in records}
         assert {"region-enter", "region-exit", "alloc",
-                "check-assign", "checker-phase"} <= kinds
+                "check-assign"} <= kinds
         # balanced spans, checked per thread straight off the file
-        stacks = {}
-        for r in records:
-            stack = stacks.setdefault(r["thread"], [])
-            if r["ph"] == "B":
-                stack.append(r["subject"])
-            elif r["ph"] == "E":
-                assert stack.pop() == r["subject"]
-        assert all(not s for s in stacks.values())
+        assert_spans_nest(records)
         text = prom.read_text()
+        # frontend phase timings live in the metrics, not the trace
+        assert "repro_frontend_phase_seconds" in text
         assert "repro_check_assign_cycles_count" in text
         assert "repro_gc_pause_cycles" in text
         assert "repro_region_peak_bytes" in text
@@ -267,6 +276,68 @@ class TestCli:
         assert summary["region_enters"] == result.stats.region_enters
 
 
+class TestOneEventStream:
+    """``--trace-out`` is a view of the flight recorder, the run's only
+    event sink."""
+
+    ROOT = Path(__file__).resolve().parents[2]
+
+    def test_trace_keeps_every_event_of_the_retired_tracer(self,
+                                                            tmp_path):
+        # (cycle, kind, thread) of every event the old detailed tracer
+        # emitted for this example, per check mode
+        fixture = self.ROOT / "tests" / "data" \
+            / "trace_v1_producer_consumer.jsonl"
+        expected = {"dynamic": [], "static": []}
+        for line in fixture.read_text().splitlines():
+            event = json.loads(line)
+            expected[event["mode"]].append(
+                (event["cycle"], event["kind"], event["thread"]))
+        assert [len(v) for v in expected.values()] == [68, 60]
+        example = str(self.ROOT / "examples" / "producer_consumer.py")
+        for mode, flags in (("dynamic", ["--dynamic-checks"]),
+                            ("static", [])):
+            trace = tmp_path / f"{mode}.jsonl"
+            code, _out, _err = run_cli("run", example, *flags,
+                                       "--trace-out", str(trace))
+            assert code == 0
+            exported = iter(
+                (e["cycle"], e["kind"], e["thread"])
+                for e in map(json.loads, trace.read_text().splitlines()))
+            assert all(event in exported for event in expected[mode]), \
+                f"{mode}: old trace is not a subsequence of the export"
+
+    def test_trace_and_dump_read_one_ring(self, tmp_path):
+        program = tmp_path / "pc.rtj"
+        program.write_text(PROGRAM)
+        trace, dump = tmp_path / "t.jsonl", tmp_path / "f.jsonl"
+        code, _out, _err = run_cli(
+            "run", str(program), "--dynamic-checks",
+            "--trace-out", str(trace), "--record-out", str(dump))
+        assert code == 0
+        header = json.loads(dump.read_text().splitlines()[0])
+        events = [json.loads(line)
+                  for line in trace.read_text().splitlines()]
+        assert len(events) == header["stored"]
+        assert [e["id"] for e in events] == list(
+            range(1, header["stored"] + 1))
+
+    def test_small_ring_exports_nested_truncated_trace(self, tmp_path):
+        program = tmp_path / "pc.rtj"
+        program.write_text(PROGRAM)
+        trace = tmp_path / "t.jsonl"
+        code, _out, _err = run_cli(
+            "run", str(program), "--dynamic-checks",
+            "--record-capacity", "16", "--trace-out", str(trace))
+        assert code == 0
+        events = [json.loads(line)
+                  for line in trace.read_text().splitlines()]
+        assert len(events) == 17  # the ring's 16 newest + the marker
+        assert_spans_nest(events)
+        assert events[-1]["kind"] == "trace-truncated"
+        assert events[-1]["attrs"]["dropped"] > 0
+
+
 class TestTimelineCoverage:
     def test_new_kinds_render_with_marks(self, traced_machine):
         from repro.tools.timeline import MARKS, render_timeline
@@ -282,19 +353,20 @@ class TestTimelineCoverage:
         # every mark in the legend comes from the table — patch in a
         # kind and it shows up without touching the renderer
         stats_machine = Machine(analyze(PROGRAM).require_well_typed(),
-                                RunOptions(quantum=300))
+                                RunOptions(quantum=300, record=True))
         stats_machine.run()
         text = timeline.render_timeline(stats_machine.stats)
-        for kind in stats_machine.stats.tracer.kinds():
+        for kind in stats_machine.recorder.kinds():
             mark, desc = timeline.MARKS[kind]
             assert desc in text
 
     def test_unknown_kind_gets_fallback_mark_and_legend(self):
+        from repro.obs import FlightRecorder
         from repro.rtsj.stats import Stats
         from repro.tools.timeline import UNKNOWN_MARK, render_timeline
-        stats = Stats()
+        stats = Stats(recorder=FlightRecorder())
         stats.cycles = 10
-        stats.tracer.emit("mystery-kind", "x", cycle=10)
+        stats.recorder.record("mystery-kind", "x", cycle=10)
         text = render_timeline(stats)
         assert UNKNOWN_MARK in text
         assert "other" in text

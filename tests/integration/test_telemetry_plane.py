@@ -72,9 +72,9 @@ class TestSamplingCycleNeutrality:
     def test_sampled_recording_is_cycle_neutral(self):
         plain = self._cycles()
         recorded = self._cycles(record=True, record_sample=8)
-        traced = self._cycles(trace_detail=True, trace_sample=8)
+        evicting = self._cycles(record=True, record_capacity=16)
         assert recorded == plain
-        assert traced == plain
+        assert evicting == plain
 
     def test_sampled_recorder_keeps_exact_check_totals(self):
         analyzed = analyze(PROGRAM)
@@ -99,8 +99,7 @@ class TestSamplingCycleNeutrality:
         from repro.obs import to_prometheus
         text = to_prometheus(machine.stats.metrics)
         assert 'repro_observability_overhead_seconds{' \
-               'component="tracer"}' in text
-        assert 'component="flightrec"' in text
+               'component="flightrec"}' in text
         assert 'repro_flight_events{disposition="seen"}' in text
 
 
@@ -110,7 +109,7 @@ class TestTelemetryCli:
         code, _out, err = run_cli(
             "run", program_file, "--dynamic-checks",
             "--record-out", str(tmp_path / "f.jsonl"),
-            "--record-sample", "4", "--trace-sample", "4",
+            "--record-sample", "4",
             "--telemetry-store", store_dir)
         assert code == 0
         assert "telemetry: recorded run envelope" in err

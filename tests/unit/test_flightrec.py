@@ -6,8 +6,7 @@ import io
 import pytest
 
 from repro.obs import (FLIGHT_SCHEMA, FlightRecord, FlightRecorder,
-                       NullFlightRecorder, dump_flight, load_flight,
-                       validate_flight)
+                       dump_flight, load_flight, validate_flight)
 
 
 class TestRing:
@@ -106,18 +105,6 @@ class TestAggregates:
         assert rec.records()[0].cycle == 1234
         rec.record("region-flushed", "r", cycle=9)  # explicit wins
         assert rec.records()[1].cycle == 9
-
-
-class TestNullRecorder:
-    def test_null_recorder_records_nothing(self):
-        rec = NullFlightRecorder()
-        assert rec.enabled is False
-        assert rec.record("alloc", "x") == 0
-        assert rec.push("region-enter", "r") == 0
-        assert rec.pop("region-exit", "r") == 0
-        rec.seed("t", 1)
-        assert rec.total == 0
-        assert rec.records() == []
 
 
 class TestDumpFormat:

@@ -1,93 +1,134 @@
-"""Unit tests for the observability layer: tracer semantics, metric
-instrument math, and exporter formats."""
+"""Unit tests for the observability layer: the ``--trace-out`` view of
+the flight recorder, metric instrument math, and exporter formats."""
 
 import json
 
 import pytest
 
-from repro.obs import (BEGIN, END, INSTANT, MetricsRegistry,
-                       ProfileCollector, Tracer, to_prometheus,
-                       trace_lines)
+from repro.obs import (FlightRecorder, MetricsRegistry, ProfileCollector,
+                       to_prometheus, trace_lines)
 from repro.obs.profile import build_report
 
 
+def _trace(recorder):
+    return [json.loads(line) for line in trace_lines(recorder)]
+
+
+def _spans_nest(events):
+    """True when every thread's ``B``/``E`` events nest like a stack."""
+    stacks = {}
+    for event in events:
+        stack = stacks.setdefault(event["thread"], [])
+        if event["ph"] == "B":
+            stack.append(event["subject"])
+        elif event["ph"] == "E":
+            if not stack or stack.pop() != event["subject"]:
+                return False
+    return all(not stack for stack in stacks.values())
+
+
 class TestTracer:
+    """``trace_lines``: the flight recorder's window as a span trace."""
+
     def test_emit_records_in_order(self):
-        tracer = Tracer()
-        tracer.emit("a", "x", cycle=1)
-        tracer.emit("b", "y", cycle=5, thread="t1")
-        assert [(e.cycle, e.kind, e.subject) for e in tracer.records] \
+        rec = FlightRecorder()
+        rec.record("a", "x", cycle=1)
+        rec.record("b", "y", cycle=5, thread="t1")
+        events = _trace(rec)
+        assert [(e["cycle"], e["kind"], e["subject"]) for e in events] \
             == [(1, "a", "x"), (5, "b", "y")]
-        assert tracer.records[1].thread == "t1"
+        assert events[1]["thread"] == "t1"
+        assert [e["id"] for e in events] == [1, 2]
 
     def test_detail_gated_by_flag(self):
-        tracer = Tracer()
-        tracer.emit_detail("alloc", "x", cycle=1)
-        assert tracer.records == []
-        tracer.detailed = True
-        tracer.emit_detail("alloc", "x", cycle=1)
-        assert len(tracer.records) == 1
+        # a run that asked for no export carries no recorder at all; a
+        # recording run keeps the high-volume kinds too
+        from repro.core.api import analyze
+        from repro.interp.machine import Machine, RunOptions
+        analyzed = analyze("""
+            class Box { int v; }
+            (RHandle<r> h) { Box<r> b = new Box<r>; b.v = 1; }
+        """).require_well_typed()
+        plain = Machine(analyzed, RunOptions())
+        plain.run()
+        assert plain.recorder is None and plain.stats.recorder is None
+        recorded = Machine(analyzed, RunOptions(record=True))
+        recorded.run()
+        kinds = {e["kind"] for e in _trace(recorded.recorder)}
+        assert {"alloc", "region-enter", "region-exit"} <= kinds
 
     def test_close_abandoned_ends_open_spans(self):
-        tracer = Tracer(detailed=True)
-        tracer.begin("region-enter", "r1", cycle=1, thread="t1")
-        tracer.begin("region-enter", "r1.sub", cycle=2, thread="t1")
-        closed = tracer.close_abandoned("t1", cycle=9)
-        assert closed == 2
-        ends = [e for e in tracer.records if e.phase == "E"]
-        assert [e.subject for e in ends] == ["r1.sub", "r1"]
-        assert all(e.kind == "region-exit" for e in ends)
-        assert all((e.attrs or {}).get("aborted") for e in ends)
-        # idempotent: nothing left open
-        assert tracer.close_abandoned("t1", cycle=9) == 0
+        rec = FlightRecorder()
+        rec.push("region-enter", "r1", cycle=1, thread="t1")
+        rec.push("region-enter", "r1.sub", cycle=2, thread="t1")
+        rec.record("thread-finished", "t1", cycle=9, thread="t1")
+        events = _trace(rec)
+        ends = [e for e in events if e["ph"] == "E"]
+        assert [e["subject"] for e in ends] == ["r1.sub", "r1"]
+        assert all(e["kind"] == "region-exit" for e in ends)
+        assert all(e["attrs"] == {"aborted": True} for e in ends)
+        # synthesized, not recorded: no id, parented to the span start
+        assert [(e["id"], e["parent"]) for e in ends] == [(0, 2), (0, 1)]
+        assert [e["cycle"] for e in ends] == [9, 9]
+        # closed before the thread's finish, which stays the last line
+        assert events[-1]["kind"] == "thread-finished"
+        assert _spans_nest(events)
 
     def test_max_records_drops_and_counts(self):
-        tracer = Tracer(max_records=2)
+        rec = FlightRecorder(capacity=2)
         for i in range(5):
-            tracer.emit("k", str(i), cycle=i)
-        assert len(tracer.records) == 2
-        assert tracer.dropped == 3
+            rec.record("k", str(i), cycle=i)
+        events = _trace(rec)
+        assert [e["subject"] for e in events[:-1]] == ["3", "4"]
+        assert events[-1]["attrs"] == {"dropped": 3}
 
     def test_spans_balanced(self):
-        tracer = Tracer(detailed=True)
-        tracer.begin("region-enter", "r", cycle=1)
-        tracer.begin("region-enter", "r.b", cycle=2)
-        tracer.end("region-exit", "r.b", cycle=3)
-        tracer.end("region-exit", "r", cycle=4)
-        assert tracer.spans_balanced()
-
-    def test_spans_unbalanced_on_crossed_ends(self):
-        tracer = Tracer(detailed=True)
-        tracer.begin("region-enter", "a", cycle=1)
-        tracer.begin("region-enter", "b", cycle=2)
-        tracer.end("region-exit", "a", cycle=3)
-        assert not tracer.spans_balanced()
+        rec = FlightRecorder()
+        rec.push("region-enter", "r", cycle=1)
+        rec.push("region-enter", "r.b", cycle=2)
+        rec.pop("region-exit", "r.b", cycle=3)
+        rec.pop("region-exit", "r", cycle=4)
+        events = _trace(rec)
+        assert [e["ph"] for e in events] == ["B", "B", "E", "E"]
+        assert _spans_nest(events)
 
     def test_spans_per_thread(self):
-        tracer = Tracer(detailed=True)
-        tracer.begin("region-enter", "a", cycle=1, thread="t1")
-        tracer.begin("region-enter", "b", cycle=2, thread="t2")
-        tracer.end("region-exit", "a", cycle=3, thread="t1")
-        tracer.end("region-exit", "b", cycle=4, thread="t2")
-        assert tracer.spans_balanced()
+        rec = FlightRecorder()
+        rec.push("region-enter", "a", cycle=1, thread="t1")
+        rec.push("region-enter", "b", cycle=2, thread="t2")
+        rec.pop("region-exit", "a", cycle=3, thread="t1")
+        rec.pop("region-exit", "b", cycle=4, thread="t2")
+        assert _spans_nest(_trace(rec))
 
     def test_trace_lines_are_json(self):
-        tracer = Tracer()
-        tracer.emit("gc", "run", cycle=7, attrs={"pause": 2000})
-        lines = list(trace_lines(tracer))
+        rec = FlightRecorder()
+        rec.record("gc", "run", cycle=7, thread="<gc>",
+                   attrs={"pause": 2000})
+        lines = list(trace_lines(rec))
         assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record == {"cycle": 7, "kind": "gc", "ph": INSTANT,
-                          "subject": "run", "thread": "main",
-                          "attrs": {"pause": 2000}}
+        assert json.loads(lines[0]) == {
+            "id": 1, "parent": 0, "cycle": 7, "kind": "gc", "ph": "i",
+            "subject": "run", "thread": "<gc>", "attrs": {"pause": 2000}}
 
     def test_truncation_marker_line(self):
-        tracer = Tracer(max_records=1)
-        tracer.emit("a", "x")
-        tracer.emit("b", "y")
-        lines = [json.loads(l) for l in trace_lines(tracer)]
-        assert lines[-1]["kind"] == "trace-truncated"
-        assert lines[-1]["attrs"]["dropped"] == 1
+        rec = FlightRecorder(capacity=1)
+        rec.record("a", "x")
+        rec.record("b", "y")
+        events = _trace(rec)
+        assert events[-1]["kind"] == "trace-truncated"
+        assert events[-1]["attrs"]["dropped"] == 1
+
+    def test_evicted_span_start_exports_end_as_instant(self):
+        rec = FlightRecorder(capacity=3)
+        rec.push("region-enter", "r", cycle=1)
+        rec.push("region-enter", "r.b", cycle=2)
+        rec.pop("region-exit", "r.b", cycle=3)
+        rec.pop("region-exit", "r", cycle=4)
+        events = _trace(rec)
+        # the ring kept r.b's whole span and r's exit only
+        assert [(e["subject"], e["ph"]) for e in events[:-1]] \
+            == [("r.b", "B"), ("r.b", "E"), ("r", "i")]
+        assert _spans_nest(events)
 
 
 class TestCountersAndGauges:
@@ -434,50 +475,41 @@ class TestLabelCardinalityGuard:
 
 
 class TestTracerSampling:
-    """The tracer's always-on tier: instant detail events thin 1-in-N,
-    spans never sampled, overhead self-measured."""
+    """The recorder's one 1-in-N stride, seen through the trace export:
+    high-volume instants thin, spans and lifecycle records never do."""
 
     def test_instant_detail_events_sampled(self):
-        tracer = Tracer(detailed=True, sample=4)
+        rec = FlightRecorder(sample=4)
         for i in range(10):
-            tracer.emit_detail("check", f"s{i}", cycle=i)
-        stored = [e for e in tracer.records if e.kind == "check"]
-        assert len(stored) == 3  # events 1, 5, 9
-        assert tracer.sampled_out == 7
+            rec.record("check-assign", f"s{i}", cycle=i,
+                       attrs={"cycles": 1})
+        stored = [e for e in _trace(rec) if e["kind"] == "check-assign"]
+        assert [e["subject"] for e in stored] == ["s0", "s4", "s8"]
+        assert rec.sampled_out == 7
 
     def test_spans_never_sampled(self):
-        tracer = Tracer(detailed=True, sample=100)
+        rec = FlightRecorder(sample=100)
         for i in range(5):
-            tracer.begin("region-enter", f"r{i}", cycle=i)
-            tracer.end("region-enter", f"r{i}", cycle=i + 1)
-        assert len(tracer.records) == 10
-        assert tracer.spans_balanced()
-        assert tracer.sampled_out == 0
+            rec.push("region-enter", f"r{i}", cycle=i)
+            rec.pop("region-exit", f"r{i}", cycle=i + 1)
+        events = _trace(rec)
+        assert len(events) == 10
+        assert _spans_nest(events)
+        assert rec.sampled_out == 0
 
     def test_lifecycle_emit_never_sampled(self):
-        tracer = Tracer(detailed=True, sample=100)
+        rec = FlightRecorder(sample=100)
         for i in range(5):
-            tracer.emit("gc", f"run{i}", cycle=i)
-        assert len(tracer.records) == 5
-
-    def test_sample_stride_validated(self):
-        with pytest.raises(ValueError):
-            Tracer(sample=0)
+            rec.record("gc", f"run{i}", cycle=i)
+        assert len(_trace(rec)) == 5
 
     def test_trace_lines_appends_sampled_marker(self):
-        tracer = Tracer(detailed=True, sample=2)
+        rec = FlightRecorder(sample=2)
         for i in range(4):
-            tracer.emit_detail("check", f"s{i}", cycle=i)
-        lines = [json.loads(line) for line in trace_lines(tracer)]
-        marker = [l for l in lines if l["kind"] == "trace-sampled"]
+            rec.record("alloc", f"s{i}", cycle=i)
+        marker = [e for e in _trace(rec) if e["kind"] == "trace-sampled"]
         assert len(marker) == 1
         assert marker[0]["attrs"] == {"sampled_out": 2, "sample": 2}
-
-    def test_overhead_accumulates(self):
-        tracer = Tracer()
-        for i in range(200):
-            tracer.emit("a", f"x{i}", cycle=i)
-        assert tracer.overhead_s > 0.0
 
 
 class TestParsePrometheus:

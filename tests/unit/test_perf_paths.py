@@ -12,7 +12,7 @@ import pytest
 
 from repro import RunOptions, analyze, run_source
 from repro.interp.machine import Machine
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry
 from repro.rtsj.regions import LT, VT, RegionManager
 from repro.rtsj.stats import Stats
 
@@ -145,14 +145,14 @@ def test_export_metrics_aggregates_dead_regions():
 
 
 # ---------------------------------------------------------------------------
-# single event source: the Stats.events shim is gone
+# single event source: the flight recorder is the only event sink
 # ---------------------------------------------------------------------------
 
 def test_stats_has_single_event_source():
     stats = Stats()
-    # the deprecated Stats.event()/Stats.events shim was removed: the
-    # tracer (and, when armed, the flight recorder) are the only event
-    # sinks, so nothing double-records
+    # the flight recorder, when armed, is the only event sink, so
+    # nothing double-records
     assert not hasattr(stats, "event")
     assert not hasattr(stats, "events")
+    assert not hasattr(stats, "tracer")
     assert stats.recorder is None  # recording is strictly opt-in

@@ -10,6 +10,7 @@ import pytest
 
 from repro import RunOptions, run_source
 from repro.errors import SanitizerViolation
+from repro.obs import FlightRecorder
 from repro.rtsj.objects import ObjRef
 from repro.rtsj.regions import LT, VT, RegionManager
 from repro.rtsj.sanitizer import (CHECKPOINTS, RegionSanitizer,
@@ -273,3 +274,15 @@ class TestConfig:
         assert stats.metrics.counter(
             "repro_sanitizer_violations_total", "").labels(
                 invariant="thread-count").value == 1
+
+    def test_violation_is_recorded_before_the_raise(self):
+        manager, stats = RegionManager(), Stats(recorder=FlightRecorder())
+        sanitizer = RegionSanitizer(manager, stats)
+        area = make_area(manager)
+        area.thread_count = -2
+        violation(sanitizer, "thread-count")
+        (record,) = stats.recorder.records()
+        assert (record.kind, record.thread) \
+            == ("sanitizer-violation", "<sanitizer>")
+        assert record.attrs["invariant"] == "thread-count"
+        assert record.attrs["checkpoint"] == "test"
