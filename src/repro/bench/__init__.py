@@ -15,18 +15,21 @@ structures live in regions, not in the garbage-collected heap.
   lines.
 * :mod:`repro.bench.timing`   — Figure 12: execution with dynamic checks
   vs with static checks only.
+* :mod:`repro.bench.compare`  — the ``repro-bench/2`` row format every
+  ``repro bench`` suite writes, and the one judge ``repro bench`` and
+  ``repro report`` apply to it.
 """
 
 from .suite import BENCHMARKS, Benchmark, get_benchmark
 from .overhead import AnnotationReport, count_annotations, figure11
 from .timing import CheckOverheadRow, figure12, measure_check_overhead
-from .wallclock import (compare, format_table, load_payload, measure,
-                        measure_benchmark, save_payload)
+from .compare import judge, load_payload, render_table, save_payload
+from .wallclock import measure, measure_benchmark
 
 __all__ = [
     "BENCHMARKS", "Benchmark", "get_benchmark",
     "AnnotationReport", "count_annotations", "figure11",
     "CheckOverheadRow", "figure12", "measure_check_overhead",
-    "measure", "measure_benchmark", "compare", "format_table",
+    "measure", "measure_benchmark", "judge", "render_table",
     "load_payload", "save_payload",
 ]

@@ -13,7 +13,8 @@ Two jobs in one suite:
   interpreter baseline* (the ``BENCH_interp.json`` numbers from
   before any codegen work, embedded below so the comparison is stable
   across machines re-measuring the interpreter).  ``--min-speedup``
-  turns the aggregate into a gate.
+  turns the aggregate into a gate: a ``min`` bound on the
+  ``aggregate/static/<backend>/speedup_vs_seed`` row.
 
 Backend rows record what actually executed: a program the requested
 backend cannot compile falls down the capability ladder
@@ -24,6 +25,12 @@ equivalence coverage for C lives on hosts that have one.
 
 The C backend is checks-erased by design, so it is only measured in
 static mode; dynamic-mode rows are measured for the py backend.
+
+The payload is ``repro-bench/2`` (:mod:`repro.bench.compare`): one row
+per benchmark, mode, backend and quantity.  Cycles and output hashes
+are judged exactly on every backend; wall time is judged on every
+backend except C, whose timings follow the host's toolchain.  The seed
+numbers are unjudged ``seed`` rows.
 """
 
 from __future__ import annotations
@@ -36,15 +43,11 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.api import analyze
 from ..interp.machine import RunOptions, execute
-from .compare import (check_exact, check_missing, check_wall, collect,
-                      load_payload, save_payload)
+from .compare import cell_rows, make_payload, row
 from .suite import BENCHMARKS
 
-__all__ = ["SCHEMA", "MODES", "DEFAULT_BACKENDS", "SEED_STATIC_WALL_S",
-           "measure", "compare", "format_table", "load_payload",
-           "save_payload"]
-
-SCHEMA = "repro-bench-codegen/1"
+__all__ = ["MODES", "DEFAULT_BACKENDS", "SEED_STATIC_WALL_S", "JUDGES",
+           "measure", "measure_benchmark"]
 
 #: mode name -> checks_enabled
 MODES = {"dynamic": True, "static": False}
@@ -65,6 +68,11 @@ SEED_STATIC_WALL_S = {
     "http": 0.001832,
     "phone": 0.003186,
 }
+
+#: how each measured quantity is judged (see repro.bench.compare); C
+#: wall time is left unjudged because it follows the host's toolchain
+C_JUDGES = {"cycles": "exact", "output_sha256": "exact"}
+JUDGES = dict(C_JUDGES, wall_s="wall")
 
 
 def _options(enabled: bool, backend: str) -> RunOptions:
@@ -163,134 +171,37 @@ def measure(names: Optional[Iterable[str]] = None,
                                        repeats=repeats,
                                        divergences=divergences)
                for name in selected}
-    aggregate: Dict[str, Any] = {}
+    rows = [r for name, measured in results.items()
+            for mode, cells in measured.items()
+            for backend, cell in cells.items()
+            for r in cell_rows(name, mode, backend, cell,
+                               C_JUDGES if backend == "c" else JUDGES)]
     seed_total = sum(SEED_STATIC_WALL_S[n] for n in selected
                      if n in SEED_STATIC_WALL_S)
     interp_total = sum(results[n]["static"]["interp"]["wall_s"]
                        for n in selected)
     for backend in chosen:
-        rows = [results[n]["static"].get(backend) for n in selected]
-        live = [r for r in rows if r and "wall_s" in r]
-        if not live or len(live) != len(rows):
-            # a skipped row would understate the aggregate: only report
+        cells = [results[n]["static"].get(backend) for n in selected]
+        live = [c for c in cells if c and "wall_s" in c]
+        if not live or len(live) != len(cells):
+            # a skipped cell would understate the aggregate: only report
             # aggregates over full coverage
-            aggregate[backend] = {"skipped": "incomplete coverage"}
-            continue
-        total = sum(r["wall_s"] for r in live)
-        aggregate[backend] = {
-            "static_wall_s": round(total, 6),
-            "speedup_vs_seed": (round(seed_total / total, 2)
-                                if total and seed_total else 0.0),
-            "speedup_vs_interp": (round(interp_total / total, 2)
-                                  if total else 0.0),
-        }
-    return {
-        "schema": SCHEMA,
-        "fast": fast,
-        "repeats": repeats,
-        "python": platform.python_version(),
-        "backends": list(chosen),
-        "benchmarks": results,
-        "seed": {"static_wall_s": dict(SEED_STATIC_WALL_S),
-                 "total_static_wall_s": round(seed_total, 6)},
-        "aggregate": aggregate,
-        "divergences": divergences,
-    }
-
-
-def compare(current: Dict[str, Any], baseline: Dict[str, Any],
-            threshold: float = 0.30) -> List[str]:
-    """Regression check against a committed payload.
-
-    * any recorded divergence in the *current* payload → hard failure;
-    * simulated-cycle drift on any benchmark/mode/backend vs the
-      baseline → hard failure (determinism break);
-    * wall-clock beyond ``threshold`` slower on the interp and py rows
-      → regression.  C rows are compared only when neither side
-      skipped (toolchain availability is environmental).
-    """
-    failures: List[str] = list(current.get("divergences") or [])
-    base_rows = baseline.get("benchmarks", {})
-    cur_rows = current.get("benchmarks", {})
-    for name, base_row in base_rows.items():
-        cur_row = cur_rows.get(name)
-        if cur_row is None:
-            failures.append(check_missing(name))
-            continue
-        for mode in MODES:
-            for backend, base_cell in (base_row.get(mode) or {}).items():
-                cur_cell = (cur_row.get(mode) or {}).get(backend)
-                if (not isinstance(base_cell, dict)
-                        or "wall_s" not in base_cell):
-                    continue
-                if cur_cell is None or "wall_s" not in cur_cell:
-                    if backend == "c":
-                        continue
-                    failures.append(check_missing(
-                        f"{name}/{mode}/{backend}"))
-                    continue
-                collect(failures, check_exact(
-                    f"{name}/{mode}/{backend}", "simulated cycles",
-                    base_cell.get("cycles"), cur_cell.get("cycles")))
-                if backend != "c":
-                    collect(failures, check_wall(
-                        f"{name}/{mode}/{backend}",
-                        base_cell.get("wall_s") or 0.0,
-                        cur_cell.get("wall_s") or 0.0, threshold))
-    return failures
-
-
-def check_min_speedup(payload: Dict[str, Any], backend: str,
-                      minimum: float) -> List[str]:
-    """The acceptance gate: aggregate static speedup vs the seed."""
-    agg = (payload.get("aggregate") or {}).get(backend) or {}
-    speedup = agg.get("speedup_vs_seed")
-    if speedup is None:
-        return [f"aggregate/{backend}: no speedup recorded "
-                f"({agg.get('skipped', 'missing')})"]
-    if speedup < minimum:
-        return [f"aggregate/{backend}: {speedup}x vs seed baseline "
-                f"is below the {minimum}x floor"]
-    return []
-
-
-def format_table(payload: Dict[str, Any],
-                 baseline: Optional[Dict[str, Any]] = None) -> str:
-    """Aligned text rendering (baseline accepted for CLI symmetry with
-    the other suites; speedups here are intra-payload)."""
-    del baseline
-    lines = [f"{'benchmark':<10} {'mode':<8} {'backend':<8} "
-             f"{'wall s':>10} {'cycles':>10} {'vs interp':>9}  note"]
-    for name, row in payload.get("benchmarks", {}).items():
-        for mode in MODES:
-            cells = row.get(mode) or {}
-            for backend in ["interp"] + list(payload.get("backends", [])):
-                cell = cells.get(backend)
-                if cell is None:
-                    continue
-                if "skipped" in cell:
-                    lines.append(f"{name:<10} {mode:<8} {backend:<8} "
-                                 f"{'-':>10} {'-':>10} {'-':>9}  "
-                                 f"skipped: {cell['skipped']}")
-                    continue
-                speed = cell.get("speedup_vs_interp")
-                note = cell.get("backend_used", "")
-                if note == backend:
-                    note = ""
-                if cell.get("equivalent") is False:
-                    note = (note + " DIVERGED").strip()
-                lines.append(
-                    f"{name:<10} {mode:<8} {backend:<8} "
-                    f"{cell['wall_s']:>10.6f} {cell['cycles']:>10} "
-                    f"{(f'{speed:.2f}x' if speed else '-'):>9}  {note}")
-    for backend, agg in (payload.get("aggregate") or {}).items():
-        if "skipped" in agg:
-            lines.append(f"aggregate  static   {backend:<8} "
-                         f"skipped: {agg['skipped']}")
+            aggregate: Dict[str, Any] = {"skipped": "incomplete coverage"}
         else:
-            lines.append(
-                f"aggregate  static   {backend:<8} "
-                f"{agg['static_wall_s']:>10.6f} {'':>10} "
-                f"{agg['speedup_vs_interp']:>8.2f}x  "
-                f"{agg['speedup_vs_seed']:.2f}x vs seed")
-    return "\n".join(lines)
+            total = sum(c["wall_s"] for c in live)
+            aggregate = {
+                "static_wall_s": round(total, 6),
+                "speedup_vs_seed": (round(seed_total / total, 2)
+                                    if total and seed_total else 0.0),
+                "speedup_vs_interp": (round(interp_total / total, 2)
+                                      if total else 0.0),
+            }
+        rows += cell_rows("aggregate", "static", backend, aggregate)
+    rows += [row(name, "static", "seed", "wall_s", wall)
+             for name, wall in SEED_STATIC_WALL_S.items()]
+    rows.append(row("aggregate", "static", "seed", "static_wall_s",
+                    round(seed_total, 6)))
+    return make_payload("codegen", {
+        "fast": fast, "repeats": repeats,
+        "python": platform.python_version(),
+        "backends": list(chosen)}, rows, divergences)

@@ -14,13 +14,17 @@ Two quantities per program size:
   cost).  Only the edited class is re-parsed, re-inferred, and
   re-checked; everything else replays.
 
-Results go into ``BENCH_frontend.json`` at the repo root; ``compare()``
-fails CI when cold analysis regresses beyond a threshold or when the
-warm/cold speedup collapses (the cache silently degrading to
-recompute-everything is a correctness-of-purpose bug even though the
-output stays right).  The committed payload's ``baseline`` section
-preserves the numbers from before the frontend work for context; it is
-informational and never compared against.
+``measure()`` returns a ``repro-bench/2`` payload
+(:mod:`repro.bench.compare`; ``BENCH_frontend.json`` at the repo root)
+with one row per size and quantity, program ``size N``.  The rows
+carry their judgments: ``cold_s`` is a wall row (CI fails on a cold
+regression beyond the threshold), ``n_errors`` is exact (the synthetic
+corpus or checker changed), and the largest size's ``warm_speedup``
+has a floor of :data:`MIN_WARM_SPEEDUP`, checked on every run — the
+cache silently degrading to recompute-everything is a
+correctness-of-purpose bug even though the output stays right.  The
+committed payload's ``baseline`` preserves the numbers from before the
+frontend work for the table's ratio column; it is never judged.
 """
 
 from __future__ import annotations
@@ -32,22 +36,20 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.api import analyze
 from ..core.cache import AnalysisCache
-from .compare import (check_exact, check_missing, check_wall, collect,
-                      load_payload, save_payload)
+from .compare import cell_rows, make_payload, set_bound
 
-__all__ = ["SCHEMA", "SIZES", "MIN_WARM_SPEEDUP", "synth_program",
-           "edit_one_class", "measure", "measure_size", "compare",
-           "format_table", "load_payload", "save_payload"]
-
-#: payload schema identifier (bump when the JSON layout changes)
-SCHEMA = "repro-bench-frontend/1"
+__all__ = ["SIZES", "MIN_WARM_SPEEDUP", "JUDGES", "synth_program",
+           "edit_one_class", "measure", "measure_size"]
 
 #: program sizes (class count) measured by default
 SIZES = (5, 20, 40)
 
-#: warm/cold speedup floor checked by compare(); the incremental cache
+#: warm/cold speedup floor on the largest size; the incremental cache
 #: on a one-class edit of a 40-class program must stay well above 1x
 MIN_WARM_SPEEDUP = 3.0
+
+#: how each measured quantity is judged (see repro.bench.compare)
+JUDGES = {"n_errors": "exact", "cold_s": "wall"}
 
 
 def synth_program(n_classes: int, methods_per_class: int = 3) -> str:
@@ -162,88 +164,16 @@ def measure(sizes: Optional[Iterable[int]] = None, repeats: int = 3,
     --analysis-cache DIR`` path, which also exercises the disk tier.
     """
     selected = [int(s) for s in (sizes if sizes is not None else SIZES)]
-    results = {}
+    rows: List[Dict[str, Any]] = []
     for size in selected:
         path = (os.path.join(cache_dir, f"analysis-cache-{size}.json")
                 if cache_dir else None)
-        results[str(size)] = measure_size(size, repeats=repeats,
-                                          cache_path=path)
-    return {
-        "schema": SCHEMA,
-        "repeats": repeats,
-        "python": platform.python_version(),
-        "sizes": results,
-    }
-
-
-def compare(current: Dict[str, Any], baseline: Dict[str, Any],
-            threshold: float = 0.30) -> List[str]:
-    """Regression check: returns human-readable failure messages.
-
-    * cold analysis more than ``threshold`` (fractional) slower than the
-      baseline at any size → regression;
-    * warm speedup below :data:`MIN_WARM_SPEEDUP` at the largest size →
-      the incremental cache stopped being incremental;
-    * a different error count → the synthetic corpus or checker changed
-      (always an error, no threshold);
-    * missing size in the current payload → error.
-
-    Sizes present only in the baseline are compared; extra current-side
-    sizes are ignored, so a baseline can be a subset.
-    """
-    failures: List[str] = []
-    base_rows = baseline.get("sizes", {})
-    cur_rows = current.get("sizes", {})
-    for size, base_row in base_rows.items():
-        cur_row = cur_rows.get(size)
-        if cur_row is None:
-            failures.append(check_missing(f"size {size}"))
-            continue
-        collect(failures, check_exact(
-            f"size {size}", "error count",
-            base_row.get("n_errors"), cur_row.get("n_errors")))
-        collect(failures, check_wall(
-            f"size {size}", base_row.get("cold_s") or 0.0,
-            cur_row.get("cold_s") or 0.0, threshold,
-            quantity="cold analysis"))
-    if base_rows:
-        largest = max(base_rows, key=int)
-        cur_row = cur_rows.get(largest)
-        if cur_row is not None:
-            speedup = cur_row.get("warm_speedup") or 0.0
-            if speedup < MIN_WARM_SPEEDUP:
-                failures.append(
-                    f"size {largest}: warm speedup {speedup:.2f}x below "
-                    f"the {MIN_WARM_SPEEDUP:.1f}x floor (analysis cache "
-                    f"not incremental)")
-    return failures
-
-
-def format_table(payload: Dict[str, Any],
-                 baseline: Optional[Dict[str, Any]] = None) -> str:
-    """Aligned text rendering of a payload (optionally with speedup
-    columns against a baseline payload)."""
-    lines = []
-    header = (f"{'classes':>7} {'cold s':>10} {'warm s':>10} "
-              f"{'warm x':>7} {'lines':>6}")
-    if baseline is not None:
-        header += f" {'vs base':>8}"
-    lines.append(header)
-    base_rows = (baseline or {}).get("sizes", {})
-    for size in sorted(payload.get("sizes", {}), key=int):
-        row = payload["sizes"][size]
-        line = (f"{size:>7} {row['cold_s']:>10.6f} "
-                f"{row['warm_s']:>10.6f} "
-                f"{row['warm_speedup']:>6.2f}x {row['lines']:>6}")
-        if baseline is not None:
-            base = base_rows.get(size)
-            if base and base.get("cold_s") and row["cold_s"]:
-                line += f" {base['cold_s'] / row['cold_s']:>7.2f}x"
-            else:
-                line += f" {'-':>8}"
-        lines.append(line)
-    return "\n".join(lines)
-
-
-# load_payload / save_payload re-exported from .compare (shared JSON
-# conventions across both suites and the regression observatory)
+        rows += cell_rows(f"size {size}", None, None,
+                          measure_size(size, repeats=repeats,
+                                       cache_path=path), JUDGES)
+    payload = make_payload("frontend", {
+        "repeats": repeats, "python": platform.python_version()}, rows)
+    if selected:
+        set_bound(payload, f"size {max(selected)}", None, None,
+                  "warm_speedup", floor=MIN_WARM_SPEEDUP)
+    return payload

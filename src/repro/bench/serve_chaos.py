@@ -18,29 +18,35 @@ payload records what a resilient service must prove:
   (site, seq) points reproduces the same fault key, statuses, and
   response digests.
 
-``compare()`` against the committed ``BENCH_serve_chaos.json`` pins
-the *deterministic* quantities exactly — per-site fault counts and the
-schedule size are pure functions of (traffic, seed), so any drift
-means the dispatch path changed semantically.  Wall-clock and
-transition counts are reported but never judged: both depend on how
-long brownouts lasted on this host.
+The payload is ``repro-bench/2`` (:mod:`repro.bench.compare`).  The
+*deterministic* quantities are judged exactly against a baseline — the
+seed, requested traffic, per-site fault counts and their total are
+pure functions of (traffic, seed), so any drift means the dispatch
+path changed semantically; lost requests, parity failures and the
+replay verdict must keep their recorded values.  The resilience
+contract is a set of bounds checked on every run (see
+:func:`chaos_payload`).  Wall-clock and transition counts are reported
+but never judged against a baseline: both depend on how long
+brownouts lasted on this host.
 """
 
 from __future__ import annotations
 
 import platform
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from .compare import (check_exact, collect, load_payload,
-                      save_payload)
+from .compare import cell_rows, make_payload, row, set_bound
 
-__all__ = ["SCHEMA", "measure", "compare", "format_table",
-           "check_gate", "load_payload", "save_payload"]
-
-SCHEMA = "repro-bench-serve-chaos/1"
+__all__ = ["JUDGES", "measure", "chaos_payload"]
 
 DEFAULT_REQUESTS = 32
 DEFAULT_SEED = 3
+
+#: how each campaign and contract quantity is judged (per-site fault
+#: counts are all exact; see repro.bench.compare)
+JUDGES = {"seed": "exact", "requested": "exact", "fault_total": "exact",
+          "replay_ok": "exact", "lost_requests": "exact",
+          "parity_failures": "exact"}
 
 
 def measure(requests: int = DEFAULT_REQUESTS, workers: int = 2,
@@ -52,118 +58,54 @@ def measure(requests: int = DEFAULT_REQUESTS, workers: int = 2,
                              workers=workers, verify=verify,
                              fast=fast)
     statuses: Dict[str, int] = {}
-    for row in report["results"]:
-        key = str(row["status"])
-        statuses[key] = statuses.get(key, 0) + 1
+    for result in report["results"]:
+        code = str(result["status"])
+        statuses[code] = statuses.get(code, 0) + 1
     divergences: List[str] = list(report["failures"])
     divergences += [f"replay: {m}"
                     for m in report.get("mismatches") or []]
     divergences += [f"replay-run: {m}"
                     for m in report.get("replay_failures") or []]
-    payload: Dict[str, Any] = {
-        "schema": SCHEMA,
-        "python": platform.python_version(),
-        "seed": seed,
-        "requested": requests,
-        "requests": report["requests"],
-        "workers": workers,
-        "wall_s": report["wall_s"],
-        "faults": report["faults"],
-        "fault_total": report["fault_total"],
-        "statuses": statuses,
-        "contract": report["contract"],
-        "campaign_status": report["status"],
-        "replay_ok": report.get("replay_ok"),
-        "divergences": divergences,
-    }
+    campaign = {"seed": seed, "requested": requests,
+                "requests": report["requests"],
+                "wall_s": report["wall_s"],
+                "fault_total": report["fault_total"],
+                "campaign_status": report["status"],
+                "replay_ok": report.get("replay_ok")}
+    return chaos_payload(
+        {"python": platform.python_version(), "workers": workers},
+        campaign, report["faults"], report["contract"], statuses,
+        divergences)
+
+
+def chaos_payload(meta: Dict[str, Any], campaign: Dict[str, Any],
+                  faults: Dict[str, int], contract: Dict[str, Any],
+                  statuses: Dict[str, int],
+                  divergences: List[str]) -> Dict[str, Any]:
+    """The campaign as rows, with the resilience contract as bounds:
+    no lost request, no parity break, every killed worker respawned,
+    back on the healthy rung, and — when their condition holds — torn
+    shards quarantined, the healthy -> brownout -> healthy arc on
+    ``/metrics``, and a bit-for-bit replay."""
+    rows = cell_rows("campaign", None, None, campaign, JUDGES)
+    rows += [row("faults", None, None, site, count, "exact")
+             for site, count in faults.items()]
+    rows += cell_rows("contract", None, None, contract, JUDGES)
+    rows += cell_rows("statuses", None, None, statuses)
+    payload = make_payload("serve-chaos", meta, rows, divergences)
+
+    def bound(program: str, metric: str, **limit: Any) -> None:
+        set_bound(payload, program, None, None, metric, **limit)
+
+    bound("contract", "lost_requests", ceiling=0)
+    bound("contract", "parity_failures", ceiling=0)
+    bound("contract", "workers_alive", floor=meta["workers"])
+    bound("contract", "recovered_healthy", floor=True)
+    if faults.get("cache_corrupt", 0) > 0:
+        bound("contract", "quarantined_shards", floor=1)
+    if campaign["fault_total"] > 0:
+        bound("contract", "transitions_down", floor=1)
+        bound("contract", "transitions_up", floor=1)
+    if campaign["replay_ok"] is not None:
+        bound("campaign", "replay_ok", floor=True)
     return payload
-
-
-def check_gate(payload: Dict[str, Any]) -> List[str]:
-    """The structural resilience contract, judged from the payload
-    alone (defense in depth on top of the recorded divergences)."""
-    contract = payload.get("contract") or {}
-    failures: List[str] = []
-    lost = contract.get("lost_requests")
-    if lost:
-        failures.append(f"{lost} admitted request(s) lost "
-                        f"(non-200 final status)")
-    parity = contract.get("parity_failures")
-    if parity:
-        failures.append(f"{parity} served response(s) diverged from "
-                        f"CLI execution (determinism break)")
-    if contract.get("workers_alive", 0) < payload.get("workers", 0):
-        failures.append("not every killed worker respawned")
-    if not contract.get("recovered_healthy"):
-        failures.append("service did not return to the healthy rung")
-    faults = payload.get("faults") or {}
-    if faults.get("cache_corrupt", 0) > 0 \
-            and contract.get("quarantined_shards", 0) < 1:
-        failures.append("torn shard was not quarantined")
-    if payload.get("fault_total", 0) > 0 \
-            and (contract.get("transitions_down", 0) < 1
-                 or contract.get("transitions_up", 0) < 1):
-        failures.append("healthy->brownout->healthy arc missing "
-                        "from /metrics")
-    if payload.get("replay_ok") is False:
-        failures.append("campaign did not replay bit-for-bit")
-    return failures
-
-
-def compare(current: Dict[str, Any], baseline: Dict[str, Any],
-            threshold: float = 0.30) -> List[str]:
-    """Regression check against the committed payload.  The fault
-    schedule is a pure function of (seed, traffic), so per-site counts
-    compare exactly; timing and transition counts are host-dependent
-    and stay unjudged."""
-    del threshold  # no wall-clock judgments in this suite
-    failures: List[str] = list(current.get("divergences") or [])
-    failures += check_gate(current)
-    for name, quantity in (("seed", "campaign seed"),
-                           ("requested", "requested traffic"),
-                           ("fault_total", "total injected faults")):
-        collect(failures, check_exact(
-            "campaign", quantity,
-            baseline.get(name), current.get(name)))
-    base_faults = baseline.get("faults") or {}
-    cur_faults = current.get("faults") or {}
-    for site in sorted(set(base_faults) | set(cur_faults)):
-        collect(failures, check_exact(
-            site, "injected fault count",
-            base_faults.get(site, 0), cur_faults.get(site, 0)))
-    collect(failures, check_exact(
-        "campaign", "lost requests",
-        (baseline.get("contract") or {}).get("lost_requests"),
-        (current.get("contract") or {}).get("lost_requests")))
-    return failures
-
-
-def format_table(payload: Dict[str, Any],
-                 baseline: Optional[Dict[str, Any]] = None) -> str:
-    del baseline  # judgments live in compare(); the table is absolute
-    contract = payload.get("contract") or {}
-    faults = payload.get("faults") or {}
-    lines = [f"{'fault site':<16} {'injected':>9}"]
-    for site in sorted(faults):
-        lines.append(f"{site:<16} {faults[site]:>9}")
-    lines.append(
-        f"campaign   {payload.get('requests', 0)} requests "
-        f"({payload.get('fault_total', 0)} faults) in "
-        f"{payload.get('wall_s', 0)}s -> "
-        f"{payload.get('campaign_status')}")
-    lines.append(
-        f"contract   lost={contract.get('lost_requests')} "
-        f"parity_breaks={contract.get('parity_failures')} "
-        f"respawns={contract.get('worker_restarts')} "
-        f"quarantined={contract.get('quarantined_shards')}")
-    lines.append(
-        f"ladder     down={contract.get('transitions_down')} "
-        f"up={contract.get('transitions_up')} "
-        f"final={contract.get('final_rung')} "
-        f"recovered={contract.get('recovered_healthy')}")
-    replay = payload.get("replay_ok")
-    lines.append(f"replay     "
-                 f"{'bit-for-bit' if replay else 'NOT VERIFIED' if replay is None else 'MISMATCH'}")
-    for failure in payload.get("divergences") or []:
-        lines.append(f"DIVERGENCE {failure}")
-    return "\n".join(lines)

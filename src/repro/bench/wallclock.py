@@ -11,16 +11,16 @@ regression in CI.
 ``measure()`` runs each registry benchmark in both check modes with
 ``RunOptions(instrument=False, validate=False)`` — null observability
 sinks, no soundness re-validation — so the wall time reflects the
-interpreter hot loop alone.  Results go into a JSON payload
-(``BENCH_interp.json`` at the repo root); ``compare()`` diffs two
-payloads and reports wall-clock regressions beyond a threshold, which is
-how the ``bench-smoke`` CI job fails a PR that slows the interpreter
-down.
+interpreter hot loop alone.  It returns a ``repro-bench/2`` payload
+(:mod:`repro.bench.compare`; ``BENCH_interp.json`` at the repo root),
+one row per benchmark, mode and quantity.  The ``bench-smoke`` CI job
+judges a fresh payload against the committed one, which is how it fails
+a PR that slows the interpreter down.
 
-Determinism note: wall seconds vary with the host; simulated cycles must
-not.  ``compare()`` therefore treats a *cycle* difference as a hard
-error (the program or cost model changed), while *wall* differences are
-judged against the regression threshold.
+Determinism note: wall seconds vary with the host; simulated cycles and
+output hashes must not.  So ``cycles`` and ``output_sha256`` rows are
+judged exactly (a difference means the program or cost model changed),
+while ``wall_s`` rows are judged against the regression threshold.
 """
 
 from __future__ import annotations
@@ -32,18 +32,16 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.api import analyze
 from ..interp.machine import RunOptions, run_source
-from .compare import (check_exact, check_missing, check_wall, collect,
-                      load_payload, save_payload)
+from .compare import cell_rows, make_payload
 from .suite import BENCHMARKS
 
-__all__ = ["SCHEMA", "MODES", "measure", "measure_benchmark", "compare",
-           "format_table", "load_payload", "save_payload"]
-
-#: payload schema identifier (bump when the JSON layout changes)
-SCHEMA = "repro-bench-interp/1"
+__all__ = ["MODES", "JUDGES", "measure", "measure_benchmark"]
 
 #: mode name -> checks_enabled
 MODES = {"dynamic": True, "static": False}
+
+#: how each measured quantity is judged (see repro.bench.compare)
+JUDGES = {"cycles": "exact", "output_sha256": "exact", "wall_s": "wall"}
 
 
 def _run_once(analyzed, enabled: bool):
@@ -96,93 +94,23 @@ def measure(names: Optional[Iterable[str]] = None, fast: bool = True,
     selected = list(names) if names is not None else list(BENCHMARKS)
     results = {name: measure_benchmark(name, fast=fast, repeats=repeats)
                for name in selected}
-    total_wall = sum(row[mode]["wall_s"]
-                     for row in results.values() for mode in MODES)
-    total_cycles = sum(row[mode]["cycles"]
-                       for row in results.values() for mode in MODES)
-    return {
-        "schema": SCHEMA,
-        "fast": fast,
-        "repeats": repeats,
-        "python": platform.python_version(),
-        "benchmarks": results,
-        "totals": {
-            "wall_s": round(total_wall, 6),
-            "cycles": total_cycles,
-            "mcycles_per_s": round(total_cycles / total_wall / 1e6, 3)
-            if total_wall else 0.0,
-        },
-    }
-
-
-def compare(current: Dict[str, Any], baseline: Dict[str, Any],
-            threshold: float = 0.30) -> List[str]:
-    """Regression check: returns human-readable failure messages.
-
-    * wall-clock more than ``threshold`` (fractional) slower than the
-      baseline on any benchmark/mode → regression;
-    * different simulated cycle count → determinism break (always an
-      error, no threshold);
-    * missing benchmark in the current payload → error.
-
-    Benchmarks present only in the baseline's ``benchmarks`` section are
-    compared; extra current-side benchmarks are ignored, so a baseline
-    can be a subset.
-    """
-    failures: List[str] = []
-    base_rows = baseline.get("benchmarks", {})
-    cur_rows = current.get("benchmarks", {})
-    for name, base_row in base_rows.items():
-        cur_row = cur_rows.get(name)
-        if cur_row is None:
-            failures.append(check_missing(name))
-            continue
+    total_wall = sum(measured[mode]["wall_s"]
+                     for measured in results.values() for mode in MODES)
+    total_cycles = sum(measured[mode]["cycles"]
+                       for measured in results.values() for mode in MODES)
+    rows: List[Dict[str, Any]] = []
+    for name, measured in results.items():
         for mode in MODES:
-            base_mode = base_row.get(mode)
-            cur_mode = cur_row.get(mode)
-            if not base_mode or not cur_mode:
-                continue
-            collect(failures, check_exact(
-                f"{name}/{mode}", "simulated cycles",
-                base_mode.get("cycles"), cur_mode.get("cycles")))
-            collect(failures, check_wall(
-                f"{name}/{mode}", base_mode.get("wall_s") or 0.0,
-                cur_mode.get("wall_s") or 0.0, threshold))
-    return failures
-
-
-def format_table(payload: Dict[str, Any],
-                 baseline: Optional[Dict[str, Any]] = None) -> str:
-    """Aligned text rendering of a payload (optionally with speedup
-    columns against a baseline payload)."""
-    lines = []
-    header = (f"{'benchmark':<10} {'mode':<8} {'wall s':>10} "
-              f"{'Mcyc/s':>8} {'cycles':>10}")
-    if baseline is not None:
-        header += f" {'vs base':>8}"
-    lines.append(header)
-    base_rows = (baseline or {}).get("benchmarks", {})
-    for name, row in payload.get("benchmarks", {}).items():
-        for mode in MODES:
-            data = row[mode]
-            line = (f"{name:<10} {mode:<8} {data['wall_s']:>10.6f} "
-                    f"{data['mcycles_per_s']:>8.1f} "
-                    f"{data['cycles']:>10}")
-            base = base_rows.get(name, {}).get(mode)
-            if baseline is not None:
-                if base and base.get("wall_s") and data["wall_s"]:
-                    line += f" {base['wall_s'] / data['wall_s']:>7.2f}x"
-                else:
-                    line += f" {'-':>8}"
-            lines.append(line)
-    totals = payload.get("totals", {})
-    if totals:
-        lines.append(f"{'total':<10} {'':<8} "
-                     f"{totals['wall_s']:>10.6f} "
-                     f"{totals['mcycles_per_s']:>8.1f} "
-                     f"{totals['cycles']:>10}")
-    return "\n".join(lines)
-
-
-# load_payload / save_payload re-exported from .compare (shared JSON
-# conventions across both suites and the regression observatory)
+            rows += cell_rows(name, mode, "interp", measured[mode], JUDGES)
+        rows += cell_rows(name, None, "interp", {
+            ratio: measured[ratio]
+            for ratio in ("cycle_overhead", "wall_overhead")})
+    rows += cell_rows("total", None, "interp", {
+        "wall_s": round(total_wall, 6),
+        "cycles": total_cycles,
+        "mcycles_per_s": round(total_cycles / total_wall / 1e6, 3)
+        if total_wall else 0.0,
+    })
+    return make_payload("interp", {
+        "fast": fast, "repeats": repeats,
+        "python": platform.python_version()}, rows)

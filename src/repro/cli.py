@@ -9,7 +9,8 @@ Commands
 ``translate``  emit the Section 2.6 pseudo-RTSJ-Java erasure
 ``infer``      print the program after Section 2.5 defaults + inference
 ``graph``      run and emit the Figure 6 ownership graph as Graphviz dot
-``bench``      wall-clock benchmarks: interpreter and static frontend
+``bench``      benchmark suites (interpreter, static frontend, codegen
+               backends, serve load, serve chaos) with one judge
                (CI regression gates)
 ``chaos``      seeded fault-injection campaign over the example corpus
                with sanitizer + deterministic replay verification
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from typing import List, Optional
@@ -374,134 +376,114 @@ def cmd_advise(args) -> int:
     return 0
 
 
-def _bench_names(args):
-    """Validated ``--only`` selection, or None for the full registry.
-    Returns (names, error_exit)."""
-    names = args.only or None
-    if names:
+def _measure(args):
+    """Run ``--suite``; returns (payload, None) or (None, exit code)."""
+    suite = args.suite
+    if args.only and suite in ("frontend", "serve-chaos"):
+        print("error: --only applies to the interp, codegen and serve "
+              "suites", file=sys.stderr)
+        return None, 1
+    if args.only:
         from .bench.suite import BENCHMARKS
-        unknown = [n for n in names if n not in BENCHMARKS]
+        unknown = [n for n in args.only if n not in BENCHMARKS]
         if unknown:
             print(f"error: unknown benchmark(s) {unknown}; known: "
                   f"{sorted(BENCHMARKS)}", file=sys.stderr)
             return None, 1
-    return names, None
-
-
-def cmd_bench(args) -> int:
-    if args.suite == "frontend":
-        from .bench import frontend as suite_mod
-        if args.only:
-            print("error: --only applies to the interp/codegen suites",
-                  file=sys.stderr)
-            return 1
-        payload = suite_mod.measure(repeats=args.repeats,
-                                    cache_dir=args.analysis_cache)
-    elif args.suite == "codegen":
-        from .bench import codegen as suite_mod
-        names, err = _bench_names(args)
-        if err is not None:
-            return err
-        # --backend narrows the measured backends; default is every
-        # codegen backend (C auto-skips without a toolchain)
-        backends = [args.backend] if args.backend else None
-        if backends == ["interp"]:
+    if suite == "frontend":
+        from .bench import frontend
+        return frontend.measure(repeats=args.repeats,
+                                cache_dir=args.analysis_cache), None
+    if suite == "codegen":
+        from .bench import codegen
+        from .bench.compare import set_bound
+        if args.backend == "interp":
             print("error: the codegen suite measures codegen backends "
                   "against the interpreter; pick py or c",
                   file=sys.stderr)
-            return 1
-        payload = suite_mod.measure(names, backends=backends,
-                                    fast=not args.full,
-                                    repeats=args.repeats)
-    elif args.suite == "serve":
-        from .bench import serve as suite_mod
-        names, err = _bench_names(args)
-        if err is not None:
-            return err
-        payload = suite_mod.measure(names, fast=not args.full,
-                                    workers=args.serve_workers,
-                                    clients=args.serve_clients)
-    elif args.suite == "serve-chaos":
-        from .bench import serve_chaos as suite_mod
-        if args.only:
-            print("error: --only applies to the interp/codegen suites",
+            return None, 1
+        # --backend narrows the measured backends; default is every
+        # codegen backend (C auto-skips without a toolchain)
+        payload = codegen.measure(
+            args.only, backends=[args.backend] if args.backend else None,
+            fast=not args.full, repeats=args.repeats)
+        if args.min_speedup:
+            set_bound(payload, "aggregate", "static",
+                      args.backend or "py", "speedup_vs_seed",
+                      floor=args.min_speedup)
+        return payload, None
+    if suite == "serve":
+        from .bench import serve
+        return serve.measure(args.only, fast=not args.full,
+                             workers=args.serve_workers,
+                             clients=args.serve_clients), None
+    if suite == "serve-chaos":
+        from .bench import serve_chaos
+        return serve_chaos.measure(workers=args.serve_workers,
+                                   fast=not args.full), None
+    from .bench import wallclock
+    return wallclock.measure(args.only, fast=not args.full,
+                             repeats=args.repeats), None
+
+
+def _load_payloads(paths, what: str):
+    """``repro-bench/2`` payloads from ``paths``; None (after one
+    ``error:`` line) when one cannot be read."""
+    from .bench.compare import load_payload
+    payloads = []
+    for path in paths:
+        try:
+            payloads.append(load_payload(path))
+        except (OSError, ValueError) as err:
+            print(f"error: cannot load {what} {path}: {err}",
                   file=sys.stderr)
-            return 1
-        payload = suite_mod.measure(workers=args.serve_workers,
-                                    fast=not args.full)
-    else:
-        from .bench import wallclock as suite_mod
-        names, err = _bench_names(args)
-        if err is not None:
-            return err
-        payload = suite_mod.measure(names, fast=not args.full,
-                                    repeats=args.repeats)
-    baseline = None
-    if args.compare:
-        baseline = suite_mod.load_payload(args.compare)
-        # the committed payload may carry its own historical baseline
-        # section; regressions are judged against the payload itself
-    if args.merge_baseline:
-        # embed a prior payload as the "baseline" section so the
-        # committed artifact itself records the before/after story
-        payload["baseline"] = suite_mod.load_payload(args.merge_baseline)
-        payload["baseline"].pop("baseline", None)
+            return None
+    return payloads
+
+
+def _print_failures(suite: str, messages) -> None:
+    for message in messages:
+        print(f"{suite} gate: {message}", file=sys.stderr)
+
+
+def cmd_bench(args) -> int:
+    from .bench.compare import (failures, judge, render_table,
+                                save_payload)
+
+    loaded = _load_payloads(filter(None, (args.compare,
+                                          args.merge_baseline)),
+                            "payload")
+    if loaded is None:
+        return 1
+    baseline = loaded.pop(0) if args.compare else None
+    merged = loaded.pop(0) if args.merge_baseline else None
+    if baseline is not None and baseline["suite"] != args.suite:
+        print(f"error: {args.compare} holds the {baseline['suite']} "
+              f"suite, not {args.suite}", file=sys.stderr)
+        return 1
+    payload, err = _measure(args)
+    if err is not None:
+        return err
+    if merged is not None:
+        # embed a prior payload as the "baseline" so the committed
+        # artifact itself records the before/after story
+        payload["baseline"] = dict(merged, baseline=None)
     elif baseline is not None:
-        inherited = baseline.get("baseline")
-        if inherited:
-            payload["baseline"] = inherited
+        payload["baseline"] = baseline.get("baseline")
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(suite_mod.format_table(
-            payload, payload.get("baseline") or baseline))
+        print(render_table(payload, payload["baseline"] or baseline))
     if args.out:
-        suite_mod.save_payload(payload, args.out)
+        save_payload(payload, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
     _record_envelope(args, "bench", label=args.suite,
-                     bench={"suite": args.suite.replace("-", "_"),
-                            "payload": payload})
-    if args.suite == "codegen":
-        # the equivalence gate: backends promised byte-identical
-        # observable behaviour; a divergence is a correctness bug
-        gate_failures = list(payload.get("divergences") or [])
-        if args.min_speedup:
-            gate_backend = args.backend or "py"
-            gate_failures += suite_mod.check_min_speedup(
-                payload, gate_backend, args.min_speedup)
-        if gate_failures:
-            for failure in gate_failures:
-                print(f"codegen gate: {failure}", file=sys.stderr)
-            return 3
-    if args.suite == "serve":
-        # the load gate: divergences (served != CLI, coalescing
-        # miscount, request errors) are correctness bugs; the
-        # throughput floor / p99 ceiling come from the payload's own
-        # gate block so even a plain --out run must sustain the load
-        gate_failures = list(payload.get("divergences") or [])
-        gate_failures += suite_mod.check_gate(payload)
-        if gate_failures:
-            for failure in gate_failures:
-                print(f"serve gate: {failure}", file=sys.stderr)
-            return 3
-    if args.suite == "serve-chaos":
-        # the resilience gate: every admitted request answered, byte
-        # parity with CLI execution, killed workers respawned, torn
-        # shards quarantined, and the whole campaign replays
-        # bit-for-bit from its recorded schedule
-        gate_failures = list(payload.get("divergences") or [])
-        gate_failures += suite_mod.check_gate(payload)
-        if gate_failures:
-            for failure in gate_failures:
-                print(f"serve-chaos gate: {failure}", file=sys.stderr)
-            return 3
+                     bench={"suite": args.suite, "payload": payload})
+    failed = failures(judge(payload, baseline, threshold=args.threshold))
+    if failed:
+        _print_failures(args.suite, failed)
+        return 3
     if baseline is not None:
-        failures = suite_mod.compare(payload, baseline,
-                                     threshold=args.threshold)
-        if failures:
-            for failure in failures:
-                print(f"regression: {failure}", file=sys.stderr)
-            return 3
         print(f"no regression vs {args.compare} "
               f"(threshold +{args.threshold * 100:.0f}%)",
               file=sys.stderr)
@@ -895,36 +877,28 @@ def cmd_trace(args) -> int:
 def cmd_report(args) -> int:
     import os
 
-    from .bench.compare import load_payload
-    from .obs.report import (BASELINE_FILES, RENDERERS, build_report)
+    from .bench.compare import SCHEMA
+    from .obs.report import BASELINE_FILES, RENDERERS, build_report
     from .obs.telemetry import TelemetryStore
 
-    store = TelemetryStore(args.store)
-    baselines = {}
-    for suite, default_path in BASELINE_FILES.items():
-        path = getattr(args, f"baseline_{suite}") or (
-            default_path if os.path.exists(default_path) else None)
-        if path:
-            try:
-                baselines[suite] = load_payload(path)
-            except (OSError, ValueError) as err:
-                print(f"error: cannot load baseline {path}: {err}",
-                      file=sys.stderr)
-                return 1
-    current = {}
-    for suite in BASELINE_FILES:
-        path = getattr(args, f"current_{suite}")
-        if path:
-            try:
-                current[suite] = load_payload(path)
-            except (OSError, ValueError) as err:
-                print(f"error: cannot load current payload {path}: "
-                      f"{err}", file=sys.stderr)
-                return 1
-    report = build_report(store, baselines=baselines,
-                          current=current or None,
+    defaults = [path for path in BASELINE_FILES.values()
+                if os.path.exists(path)]
+    given = _load_payloads(args.baseline, "baseline")
+    current = _load_payloads(args.current, "current payload")
+    committed = _load_payloads(defaults, "baseline")
+    if given is None or current is None or committed is None:
+        return 1
+    # an explicit --baseline replaces the committed file of its suite
+    baselines = {p["suite"]: p for p in committed + given}
+    report = build_report(TelemetryStore(args.store),
+                          baselines=baselines,
+                          current={p["suite"]: p for p in current},
                           history=args.history,
                           threshold=args.threshold)
+    if report["skipped_envelopes"]:
+        print(f"repro report: skipped {report['skipped_envelopes']} "
+              f"recorded bench envelope(s) whose payload is not "
+              f"{SCHEMA}", file=sys.stderr)
     if not report["suites"]:
         print("repro report: nothing to judge (no committed baselines "
               "and no recorded bench envelopes)", file=sys.stderr)
@@ -938,11 +912,11 @@ def cmd_report(args) -> int:
         print(rendered, end="" if rendered.endswith("\n") else "\n")
     if not report["ok"]:
         for suite, data in report["suites"].items():
-            for failure in data["failures"]:
-                print(f"regression: {failure}", file=sys.stderr)
+            _print_failures(suite, data["failures"])
         return 3
-    judged = sum(len(s["rows"]) for s in report["suites"].values())
-    print(f"no regression across {judged} benchmark(s)",
+    judged = sum(v["verdict"] == "ok" for s in report["suites"].values()
+                 for v in s["rows"])
+    print(f"no regression across {judged} judged row(s)",
           file=sys.stderr)
     return 0
 
@@ -997,18 +971,26 @@ def _shared_parents():
     return backend, cache, telemetry
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (anything else is a usage
-    error)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value}")
-    return value
+def _number(convert, noun: str, low, strict: bool = False):
+    """An argparse type: a finite number >= ``low`` (> ``low`` when
+    ``strict``); anything else is a usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value) or value < low \
+                or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"expected {noun}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _number(int, "a positive integer", 1)
+_count = _number(int, "a non-negative integer", 0)
+_threshold = _number(float, "a finite fraction >= 0", 0.0)
+_positive_float = _number(float, "a finite number > 0", 0.0, strict=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1131,7 +1113,8 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="serve suite: closed-loop client threads "
                               "in the warm phase (default 4)")
-    p_bench.add_argument("--min-speedup", type=float, default=None,
+    p_bench.add_argument("--min-speedup", type=_positive_float,
+                         default=None,
                          metavar="X",
                          help="codegen suite: fail (exit 3) unless the "
                               "aggregate static-mode speedup vs the "
@@ -1149,10 +1132,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the JSON payload (e.g. "
                               "BENCH_interp.json)")
     p_bench.add_argument("--compare", metavar="FILE",
-                         help="compare against a prior payload; exit 3 "
-                              "on wall-clock regression or simulated-"
-                              "cycle drift")
-    p_bench.add_argument("--threshold", type=float, default=0.30,
+                         help="judge against a prior payload; exit 3 "
+                              "on wall-clock regression, determinism "
+                              "break or missing row")
+    p_bench.add_argument("--threshold", type=_threshold, default=0.30,
                          help="fractional wall-clock regression allowed "
                               "by --compare (default 0.30)")
     p_bench.add_argument("--merge-baseline", metavar="FILE",
@@ -1367,41 +1350,20 @@ def build_parser() -> argparse.ArgumentParser:
                        default=".repro/telemetry",
                        help="telemetry store root "
                             "(default .repro/telemetry)")
-    p_rep.add_argument("--baseline-interp", metavar="FILE",
-                       help="interp baseline payload (default "
-                            "BENCH_interp.json when present)")
-    p_rep.add_argument("--baseline-frontend", metavar="FILE",
-                       help="frontend baseline payload (default "
-                            "BENCH_frontend.json when present)")
-    p_rep.add_argument("--current-interp", metavar="FILE",
-                       help="judge this interp payload instead of the "
-                            "newest recorded bench envelope")
-    p_rep.add_argument("--current-frontend", metavar="FILE",
-                       help="judge this frontend payload instead of "
-                            "the newest recorded bench envelope")
-    p_rep.add_argument("--baseline-codegen", metavar="FILE",
-                       help="codegen baseline payload (default "
-                            "BENCH_codegen.json when present)")
-    p_rep.add_argument("--current-codegen", metavar="FILE",
-                       help="judge this codegen payload instead of "
-                            "the newest recorded bench envelope")
-    p_rep.add_argument("--baseline-serve", metavar="FILE",
-                       help="serve baseline payload (default "
-                            "BENCH_serve.json when present)")
-    p_rep.add_argument("--current-serve", metavar="FILE",
-                       help="judge this serve payload instead of "
-                            "the newest recorded bench envelope")
-    p_rep.add_argument("--baseline-serve-chaos", metavar="FILE",
-                       help="serve resilience baseline payload "
-                            "(default BENCH_serve_chaos.json when "
-                            "present)")
-    p_rep.add_argument("--current-serve-chaos", metavar="FILE",
-                       help="judge this serve-chaos payload instead "
-                            "of the newest recorded bench envelope")
-    p_rep.add_argument("--history", type=int, default=50,
-                       help="recorded bench runs consulted per suite "
+    p_rep.add_argument("--baseline", metavar="FILE", action="append",
+                       default=[],
+                       help="baseline payload; replaces the committed "
+                            "BENCH_*.json of the suite it names "
+                            "(repeatable)")
+    p_rep.add_argument("--current", metavar="FILE", action="append",
+                       default=[],
+                       help="judge this payload instead of the newest "
+                            "recorded bench envelope of the suite it "
+                            "names (repeatable)")
+    p_rep.add_argument("--history", type=_count, default=50,
+                       help="recorded bench runs consulted "
                             "(default 50)")
-    p_rep.add_argument("--threshold", type=float, default=0.30,
+    p_rep.add_argument("--threshold", type=_threshold, default=0.30,
                        help="base fractional wall-clock threshold, "
                             "widened by history spread (default 0.30)")
     p_rep.add_argument("--format", choices=("text", "json", "html"),

@@ -2,202 +2,78 @@
 
 One run's bench payload answers "is this commit slower than the
 committed baseline?".  The observatory answers the longitudinal
-question: *how has each benchmark moved across the recorded runs, and
-is the latest measurement a statistically defensible regression?*  It
-joins three sources:
+question: *how has each row moved across the recorded runs, and is the
+latest measurement a statistically defensible regression?*  It joins
+three sources:
 
-* the committed baselines (``BENCH_interp.json``,
-  ``BENCH_frontend.json``, ``BENCH_codegen.json`` at the repo root) —
-  the reference the bench-smoke and codegen-equiv CI jobs already
-  guard;
+* the committed baselines (the five ``BENCH_*.json`` files at the repo
+  root, each replaced by a ``--baseline FILE`` that names the same
+  suite) — the references the bench CI jobs already guard;
 * the telemetry store (:mod:`repro.obs.telemetry`) — every recorded
-  ``repro bench`` envelope contributes one point of history per
-  benchmark;
-* optionally an explicit *current* payload (``repro report
-  --current FILE``) — the measurement under judgment; without one the
-  newest bench envelope in the store is judged.
+  ``repro bench`` envelope contributes one point of history per row;
+* optionally explicit *current* payloads (``--current FILE``,
+  repeatable; each file names its suite) — the measurements under
+  judgment; without one, the newest recorded payload of each suite is
+  judged.
 
-Verdicts reuse the bench suites' shared judgments
-(:mod:`repro.bench.compare`) with one upgrade: the fractional
-regression threshold is **widened by the history's spread** (median
-absolute deviation), so a benchmark whose recorded history is noisy
-needs a proportionally larger slowdown to page, while a rock-stable
-one keeps the tight base threshold.  Determinism breaks (simulated
-cycles, checker error counts) stay binary — no amount of history
-excuses those.
+Verdicts come from the one bench judge,
+:func:`repro.bench.compare.judge` — the same call ``repro bench`` makes,
+so the two commands cannot disagree on a payload.  The report passes
+the recorded history, which **widens each wall row's threshold by the
+history's spread** (median absolute deviation): a row whose history is
+noisy needs a proportionally larger slowdown to page, while a
+rock-stable one keeps the base threshold.  Exact rows, bounds and
+divergences stay binary.  A current payload taken from the store may be
+a deliberate ``--only`` subset, so its missing rows do not fail; a
+recorded envelope whose payload is not ``repro-bench/2`` is skipped and
+counted.
 
 Renderings: aligned text (``--format text``), the raw report JSON
 (``--format json``), and a self-contained HTML page with inline
-sparklines (``--format html``).  ``repro report`` exits non-zero when
+sparklines (``--format html``).  ``repro report`` exits 3 when
 ``report["ok"]`` is false, which is how the report-gate CI job fails a
 PR that slowed a benchmark down.
 """
 
 from __future__ import annotations
 
+import html
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..bench.compare import (DEFAULT_THRESHOLD, check_exact, mad,
-                             median, robust_threshold)
+from ..bench.compare import (DEFAULT_THRESHOLD, align, failures, judge,
+                             payload_problem, show)
 from .telemetry import TelemetryStore
 
 #: report schema tag (the ``--format json`` output)
-REPORT_SCHEMA = "repro-report/1"
+REPORT_SCHEMA = "repro-report/2"
 
-#: default committed-baseline paths per suite, relative to the repo root
+#: the committed baseline of each suite, relative to the repo root
 BASELINE_FILES = {"interp": "BENCH_interp.json",
                   "frontend": "BENCH_frontend.json",
                   "codegen": "BENCH_codegen.json",
                   "serve": "BENCH_serve.json",
-                  "serve_chaos": "BENCH_serve_chaos.json"}
+                  "serve-chaos": "BENCH_serve_chaos.json"}
 
-#: history points consulted per benchmark (newest last)
+#: recorded bench envelopes consulted (newest last)
 DEFAULT_HISTORY = 50
 
-_OK, _REGRESSION, _BREAK, _MISSING = ("ok", "regression",
-                                      "determinism-break", "missing")
-_NO_CURRENT, _NO_BASELINE = "no-current", "no-baseline"
 
-#: verdicts that fail the report (and the CI gate)
-FAILING_VERDICTS = frozenset((_REGRESSION, _BREAK, _MISSING))
-
-
-# ---------------------------------------------------------------------------
-# flattening payloads into comparable (label -> sample) series
-# ---------------------------------------------------------------------------
-
-def _interp_points(payload: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """``benchmark/mode`` -> {wall_s, exact} for an interp payload."""
-    points: Dict[str, Dict[str, Any]] = {}
-    for name, row in (payload.get("benchmarks") or {}).items():
-        for mode in ("dynamic", "static"):
-            data = row.get(mode)
-            if not data:
-                continue
-            points[f"{name}/{mode}"] = {
-                "wall_s": data.get("wall_s") or 0.0,
-                "exact": ("simulated cycles", data.get("cycles")),
-            }
-    return points
-
-
-def _frontend_points(payload: Dict[str, Any]
-                     ) -> Dict[str, Dict[str, Any]]:
-    """``size N`` -> {wall_s, exact} for a frontend payload (cold
-    analysis is the guarded quantity, matching ``frontend.compare``)."""
-    points: Dict[str, Dict[str, Any]] = {}
-    for size, row in (payload.get("sizes") or {}).items():
-        points[f"size {size}"] = {
-            "wall_s": row.get("cold_s") or 0.0,
-            "exact": ("error count", row.get("n_errors")),
-        }
-    return points
-
-
-def _codegen_points(payload: Dict[str, Any]
-                    ) -> Dict[str, Dict[str, Any]]:
-    """``benchmark/mode/backend`` -> {wall_s, exact} for a codegen
-    payload.  The interpreter reference row is the interp suite's
-    territory; here the backend rows are guarded.  Skipped cells (no
-    toolchain, checks-erased) contribute no point."""
-    points: Dict[str, Dict[str, Any]] = {}
-    for name, row in (payload.get("benchmarks") or {}).items():
-        for mode in ("dynamic", "static"):
-            for backend, cell in (row.get(mode) or {}).items():
-                if backend == "interp" or not isinstance(cell, dict) \
-                        or "wall_s" not in cell:
-                    continue
-                points[f"{name}/{mode}/{backend}"] = {
-                    "wall_s": cell.get("wall_s") or 0.0,
-                    "exact": ("simulated cycles", cell.get("cycles")),
-                }
-    return points
-
-
-def _serve_points(payload: Dict[str, Any]
-                  ) -> Dict[str, Dict[str, Any]]:
-    """``program/served`` + traffic rows for a serve payload.  The
-    per-program rows guard wire-level determinism (served cycles and
-    output sha joined into one digest — any drift is a break, never a
-    "regression").  Warm throughput is inverted to seconds-per-request
-    so the report's higher-wall-is-worse judgment applies; the p99
-    tail is the serve suite's own gate's territory."""
-    points: Dict[str, Dict[str, Any]] = {}
-    for name, row in (payload.get("programs") or {}).items():
-        points[f"{name}/served"] = {
-            "wall_s": 0.0,
-            "exact": ("served cycles/output digest",
-                      f"{row.get('cycles')}/{row.get('output_sha256')}"),
-        }
-    coalesce = payload.get("coalesce") or {}
-    if coalesce:
-        points["coalesce"] = {
-            "wall_s": 0.0,
-            "exact": ("analyses per identical burst",
-                      coalesce.get("analyses")),
-        }
-    warm = payload.get("warm") or {}
-    req_s = warm.get("req_s") or 0.0
-    if req_s:
-        points["warm/s-per-req"] = {
-            "wall_s": 1.0 / req_s,
-            "exact": ("warm request errors", warm.get("errors")),
-        }
-    return points
-
-
-def _serve_chaos_points(payload: Dict[str, Any]
-                        ) -> Dict[str, Dict[str, Any]]:
-    """Resilience-contract rows for a serve-chaos payload.  Every row
-    is exact-only: the fault schedule is a pure function of (seed,
-    traffic), so per-site counts must match the committed baseline bit
-    for bit, and the contract quantities (lost requests, parity
-    breaks, replay verdict) must stay at their recorded values.
-    Wall-clock and transition counts are host-dependent and never
-    judged here."""
-    points: Dict[str, Dict[str, Any]] = {}
-    for site, count in sorted((payload.get("faults") or {}).items()):
-        points[f"faults/{site}"] = {
-            "wall_s": 0.0,
-            "exact": ("injected fault count", count),
-        }
-    contract = payload.get("contract") or {}
-    points["contract/lost"] = {
-        "wall_s": 0.0,
-        "exact": ("lost requests", contract.get("lost_requests")),
-    }
-    points["contract/parity"] = {
-        "wall_s": 0.0,
-        "exact": ("parity failures", contract.get("parity_failures")),
-    }
-    points["contract/replay"] = {
-        "wall_s": 0.0,
-        "exact": ("bit-for-bit replay", payload.get("replay_ok")),
-    }
-    return points
-
-
-_FLATTEN = {"interp": _interp_points, "frontend": _frontend_points,
-            "codegen": _codegen_points, "serve": _serve_points,
-            "serve_chaos": _serve_chaos_points}
-
-#: labels whose absence from the current payload is environmental, not
-#: a regression (C rows vanish on hosts without a toolchain)
-_TOLERATED_MISSING = {"codegen": lambda label: label.endswith("/c")}
-
-
-def _bench_envelopes(store: TelemetryStore, suite: str,
-                     limit: int) -> List[Dict[str, Any]]:
-    """The newest ``limit`` bench payloads for one suite, oldest
-    first (so history series read left-to-right in time)."""
-    payloads: List[Dict[str, Any]] = []
-    for envelope in store.load_recent(limit, kind="bench"):
-        bench = envelope.get("bench") or {}
-        if bench.get("suite") == suite and bench.get("payload"):
-            payloads.append(bench["payload"])
-    payloads.reverse()
-    return payloads
+def _recorded(store: TelemetryStore, limit: int
+              ) -> Tuple[Dict[str, List[Dict[str, Any]]], int]:
+    """The newest ``limit`` recorded bench payloads by suite, oldest
+    first (so history series read left-to-right in time), and how many
+    envelopes were skipped because their payload is not a usable
+    ``repro-bench/2`` payload."""
+    by_suite: Dict[str, List[Dict[str, Any]]] = {}
+    skipped = 0
+    for envelope in reversed(store.load_recent(limit, kind="bench")):
+        payload = (envelope.get("bench") or {}).get("payload")
+        if payload_problem(payload):
+            skipped += 1
+            continue
+        by_suite.setdefault(payload["suite"], []).append(payload)
+    return by_suite, skipped
 
 
 def _trace_section(store: TelemetryStore) -> Optional[Dict[str, Any]]:
@@ -231,92 +107,6 @@ def _trace_section(store: TelemetryStore) -> Optional[Dict[str, Any]]:
 # report construction
 # ---------------------------------------------------------------------------
 
-def _suite_report(suite: str, baseline: Optional[Dict[str, Any]],
-                  current: Optional[Dict[str, Any]],
-                  history_payloads: List[Dict[str, Any]],
-                  threshold: float,
-                  strict_missing: bool = True) -> Dict[str, Any]:
-    flatten = _FLATTEN[suite]
-    base_points = flatten(baseline) if baseline else {}
-    cur_points = flatten(current) if current else {}
-    history_points = [flatten(p) for p in history_payloads]
-
-    rows: List[Dict[str, Any]] = []
-    labels = sorted(set(base_points) | set(cur_points))
-    for label in labels:
-        base = base_points.get(label)
-        cur = cur_points.get(label)
-        history = [p[label]["wall_s"] for p in history_points
-                   if label in p and p[label]["wall_s"]]
-        row: Dict[str, Any] = {
-            "label": label,
-            "baseline_wall_s": base["wall_s"] if base else None,
-            "current_wall_s": cur["wall_s"] if cur else None,
-            "history": [round(v, 6) for v in history],
-            "history_median": round(median(history), 6),
-            "history_mad": round(mad(history), 6),
-        }
-        effective = robust_threshold(threshold, history)
-        row["threshold"] = round(threshold, 4)
-        row["effective_threshold"] = round(effective, 4)
-        verdict, message = _judge(label, base, cur, effective)
-        tolerated = _TOLERATED_MISSING.get(suite)
-        if verdict == _MISSING and tolerated is not None \
-                and tolerated(label):
-            verdict, message = _NO_CURRENT, None
-        if verdict == _MISSING and not strict_missing:
-            # the judged payload came from the store and may be a
-            # deliberate subset run (`bench --only X --telemetry`);
-            # only an explicit --current payload must be complete
-            verdict, message = _NO_CURRENT, None
-        if (base and cur and base["wall_s"] and cur["wall_s"]):
-            row["delta_pct"] = round(
-                (cur["wall_s"] / base["wall_s"] - 1.0) * 100.0, 1)
-        row["verdict"] = verdict
-        if message:
-            row["message"] = message
-        rows.append(row)
-
-    failures = [row["message"] for row in rows
-                if row["verdict"] in FAILING_VERDICTS]
-    return {
-        "baseline": bool(baseline),
-        "current": bool(current),
-        "history_runs": len(history_payloads),
-        "rows": rows,
-        "failures": failures,
-    }
-
-
-def _judge(label: str, base: Optional[Dict[str, Any]],
-           cur: Optional[Dict[str, Any]],
-           effective_threshold: float):
-    """One benchmark's verdict: determinism first, then the widened
-    wall threshold, mirroring the bench suites' ``compare()`` order."""
-    if base is None:
-        return _NO_BASELINE, None
-    if cur is None:
-        return _MISSING, f"{label}: missing from current results"
-    quantity, base_exact = base["exact"]
-    broke = check_exact(label, quantity, base_exact, cur["exact"][1])
-    if broke is not None:
-        return _BREAK, broke
-    base_wall, cur_wall = base["wall_s"], cur["wall_s"]
-    if base_wall and cur_wall \
-            and cur_wall > base_wall * (1.0 + effective_threshold):
-        slow = (cur_wall / base_wall - 1.0) * 100.0
-        return _REGRESSION, (
-            f"{label}: wall-clock regression {base_wall:.6f}s -> "
-            f"{cur_wall:.6f}s (+{slow:.0f}%, effective threshold "
-            f"+{effective_threshold * 100:.0f}%)")
-    if not cur_wall:
-        # exact-only rows (serve parity digests) carry no timing at
-        # all: their exact check passed above, so they are ok, not
-        # missing-a-measurement
-        return (_OK if not base_wall else _NO_CURRENT), None
-    return _OK, None
-
-
 def build_report(store: Optional[TelemetryStore] = None,
                  baselines: Optional[Dict[str, Dict[str, Any]]] = None,
                  current: Optional[Dict[str, Dict[str, Any]]] = None,
@@ -325,33 +115,34 @@ def build_report(store: Optional[TelemetryStore] = None,
                  ) -> Dict[str, Any]:
     """Assemble the full observatory report.
 
-    ``baselines`` / ``current`` map suite name (``interp`` /
-    ``frontend``) to a bench payload; suites absent from ``current``
-    fall back to the newest matching bench envelope in the store.
+    ``baselines`` / ``current`` map suite name to a ``repro-bench/2``
+    payload; a suite absent from ``current`` is judged on its newest
+    recorded payload.
     """
     store = store if store is not None else TelemetryStore()
     baselines = baselines or {}
     current = current or {}
+    recorded, skipped = _recorded(store, history)
     suites: Dict[str, Any] = {}
-    for suite in sorted(_FLATTEN):
-        baseline = baselines.get(suite)
-        history_payloads = _bench_envelopes(store, suite, history)
+    for suite in sorted(set(baselines) | set(current) | set(recorded)):
+        past = recorded.get(suite, [])
         cur = current.get(suite)
-        strict_missing = cur is not None
-        if cur is None and history_payloads:
-            cur = history_payloads[-1]
-            history_payloads = history_payloads[:-1]
-        if baseline is None and cur is None:
-            continue  # nothing recorded and nothing committed: skip
-        suites[suite] = _suite_report(suite, baseline, cur,
-                                      history_payloads, threshold,
-                                      strict_missing=strict_missing)
+        if cur is None and past:
+            cur, past = past[-1], past[:-1]
+        verdicts = judge(cur or {}, baselines.get(suite), threshold,
+                         history=past, strict=suite in current)
+        suites[suite] = {"baseline": suite in baselines,
+                         "current": cur is not None,
+                         "history_runs": len(past),
+                         "rows": verdicts,
+                         "failures": failures(verdicts)}
     regressions = sum(len(s["failures"]) for s in suites.values())
     report: Dict[str, Any] = {
         "schema": REPORT_SCHEMA,
         "store": store.root,
         "threshold": threshold,
         "suites": suites,
+        "skipped_envelopes": skipped,
         "regressions": regressions,
         "ok": regressions == 0,
     }
@@ -365,30 +156,31 @@ def build_report(store: Optional[TelemetryStore] = None,
 # renderings
 # ---------------------------------------------------------------------------
 
+_COLUMNS = ("row", "judge", "baseline", "current", "delta", "thresh",
+            "n", "verdict")
+
+
+def _cells(verdict: Dict[str, Any]) -> List[str]:
+    """One verdict as the cells of :data:`_COLUMNS`."""
+    metric = verdict.get("metric")
+    base, cur = verdict.get("baseline"), verdict.get("current")
+    wall = "threshold" in verdict
+    return [verdict["label"], verdict.get("judge") or "-",
+            show(metric, base), show(metric, cur),
+            f"{(cur / base - 1.0) * 100.0:+.1f}%"
+            if wall and base and cur else "-",
+            f"+{verdict['threshold'] * 100:.1f}%" if wall else "-",
+            str(len(verdict["history"])) if wall else "-",
+            verdict["verdict"]]
+
+
 def render_text(report: Dict[str, Any]) -> str:
     lines: List[str] = []
     for suite, data in report["suites"].items():
         lines.append(f"== {suite} "
                      f"(history: {data['history_runs']} runs) ==")
-        lines.append(f"{'benchmark':<16} {'base s':>10} {'cur s':>10} "
-                     f"{'delta':>7} {'thresh':>7} {'n':>3} verdict")
-        for row in data["rows"]:
-            base = row["baseline_wall_s"]
-            cur = row["current_wall_s"]
-            delta = row.get("delta_pct")
-            lines.append(
-                f"{row['label']:<16} "
-                + (f"{base:>10.6f}" if base is not None else f"{'-':>10}")
-                + " "
-                + (f"{cur:>10.6f}" if cur is not None else f"{'-':>10}")
-                + " "
-                + (f"{delta:>+6.1f}%" if delta is not None
-                   else f"{'-':>7}")
-                + f" {row['effective_threshold'] * 100:>+6.1f}%"
-                + f" {len(row['history']):>3}"
-                + f" {row['verdict']}")
-        for failure in data["failures"]:
-            lines.append(f"  FAIL {failure}")
+        lines += align(_COLUMNS, [_cells(v) for v in data["rows"]])
+        lines += [f"  FAIL {failure}" for failure in data["failures"]]
         lines.append("")
     traces = report.get("traces")
     if traces:
@@ -438,10 +230,11 @@ table { border-collapse: collapse; margin: 1em 0; }
 th, td { padding: 4px 10px; border-bottom: 1px solid #ddd;
          text-align: right; }
 th { border-bottom: 2px solid #999; }
-td.label, th.label { text-align: left; font-family: monospace; }
+td:first-child, th:first-child { text-align: left;
+                                 font-family: monospace; }
 td.v-ok { color: #2a7; }
-td.v-regression, td.v-determinism-break, td.v-missing {
-    color: #c33; font-weight: bold; }
+td.v-regression, td.v-determinism-break, td.v-out-of-bounds,
+td.v-missing, td.v-divergence { color: #c33; font-weight: bold; }
 td.v-no-baseline, td.v-no-current { color: #888; }
 .fail { color: #c33; font-family: monospace; }
 """
@@ -452,37 +245,27 @@ def render_html(report: Dict[str, Any]) -> str:
              "<title>repro report</title>",
              f"<style>{_HTML_STYLE}</style></head><body>",
              "<h1>repro regression observatory</h1>",
-             f"<p>store: <code>{report['store']}</code> — "
+             f"<p>store: <code>{html.escape(report['store'])}</code> — "
              f"regressions: <b>{report['regressions']}</b> "
              f"({'ok' if report['ok'] else 'FAILING'})</p>"]
+    header = "".join(f"<th>{c}</th>" for c in _COLUMNS[:-1])
     for suite, data in report["suites"].items():
         parts.append(f"<h2>{suite}</h2>")
         parts.append(f"<p>history: {data['history_runs']} recorded "
                      f"runs</p>")
-        parts.append("<table><tr><th class='label'>benchmark</th>"
-                     "<th>baseline s</th><th>current s</th>"
-                     "<th>delta</th><th>threshold</th>"
-                     "<th>history</th><th>verdict</th></tr>")
-        for row in data["rows"]:
-            base = row["baseline_wall_s"]
-            cur = row["current_wall_s"]
-            delta = row.get("delta_pct")
+        parts.append(f"<table><tr>{header}<th>history</th>"
+                     f"<th>verdict</th></tr>")
+        for verdict in data["rows"]:
+            cells = _cells(verdict)
             parts.append(
-                "<tr>"
-                + f"<td class='label'>{row['label']}</td>"
-                + (f"<td>{base:.6f}</td>" if base is not None
-                   else "<td>-</td>")
-                + (f"<td>{cur:.6f}</td>" if cur is not None
-                   else "<td>-</td>")
-                + (f"<td>{delta:+.1f}%</td>" if delta is not None
-                   else "<td>-</td>")
-                + f"<td>+{row['effective_threshold'] * 100:.1f}%</td>"
-                + f"<td>{_sparkline_svg(row['history'])}</td>"
-                + f"<td class='v-{row['verdict']}'>{row['verdict']}"
-                  f"</td></tr>")
+                "<tr>" + "".join(f"<td>{html.escape(c)}</td>"
+                                 for c in cells[:-1])
+                + f"<td>{_sparkline_svg(verdict.get('history') or [])}"
+                  f"</td><td class='v-{cells[-1]}'>{cells[-1]}</td></tr>")
         parts.append("</table>")
         for failure in data["failures"]:
-            parts.append(f"<p class='fail'>FAIL {failure}</p>")
+            parts.append(f"<p class='fail'>FAIL {html.escape(failure)}"
+                         f"</p>")
     traces = report.get("traces")
     if traces:
         pct = traces.get("percentiles") or {}

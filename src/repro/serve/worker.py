@@ -113,10 +113,10 @@ class WarmWorker:
         self._analyzed[sha] = analyzed
         self._touch(self._analyzed, sha, MAX_PROGRAMS)
         if span is not None:
+            replayed = stats.get("replay_hits", 0)
             spans.append(end_span(
-                span, tier="disk" if stats.get("check_hits") else
-                "computed",
-                check_hits=stats.get("check_hits", 0),
+                span, tier="disk" if replayed else "computed",
+                replay_hits=replayed,
                 check_misses=stats.get("check_misses", 0)))
         return analyzed, True
 

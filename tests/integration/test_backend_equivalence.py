@@ -22,6 +22,8 @@ import shutil
 import pytest
 
 from repro.bench import codegen as bench_codegen
+from repro.bench.compare import (SCHEMA, failures, judge, key,
+                                 load_payload, save_payload, set_bound)
 from repro.bench.suite import BENCHMARKS
 from repro.core.api import analyze
 from repro.errors import ReproError
@@ -219,6 +221,11 @@ class TestRouting:
 # the differential bench harness and its committed payload
 # ---------------------------------------------------------------------------
 
+def _value(payload, *row_key):
+    (value,) = [r["value"] for r in payload["rows"] if key(r) == row_key]
+    return value
+
+
 class TestCodegenBench:
     def test_measure_row_equivalence_fields(self):
         divergences = []
@@ -237,36 +244,46 @@ class TestCodegenBench:
     def test_measure_payload_and_compare_roundtrip(self, tmp_path):
         payload = bench_codegen.measure(["Array"], backends=("py",),
                                         fast=True, repeats=1)
-        assert payload["schema"] == bench_codegen.SCHEMA
+        assert payload["schema"] == SCHEMA
+        assert payload["suite"] == "codegen"
         assert payload["divergences"] == []
-        assert payload["aggregate"]["py"]["speedup_vs_seed"] > 0
+        assert _value(payload, "aggregate", "static", "py",
+                      "speedup_vs_seed") > 0
         path = tmp_path / "bench.json"
-        bench_codegen.save_payload(payload, str(path))
-        loaded = bench_codegen.load_payload(str(path))
-        assert bench_codegen.compare(loaded, payload,
-                                     threshold=10.0) == []
+        save_payload(payload, str(path))
+        loaded = load_payload(str(path))
+        assert failures(judge(loaded, payload, threshold=10.0)) == []
 
     def test_compare_flags_cycle_drift_and_divergence(self):
         payload = bench_codegen.measure(["Array"], backends=("py",),
                                         fast=True, repeats=1)
         drifted = json.loads(json.dumps(payload))
-        drifted["benchmarks"]["Array"]["static"]["py"]["cycles"] += 1
-        failures = bench_codegen.compare(drifted, payload)
-        assert any("determinism break" in f for f in failures)
+        for r in drifted["rows"]:
+            if key(r) == ("Array", "static", "py", "cycles"):
+                r["value"] += 1
+        assert any("determinism break" in f
+                   for f in failures(judge(drifted, payload)))
 
-        poisoned = json.loads(json.dumps(payload))
-        poisoned["divergences"] = ["Array/static/py: cycles differ"]
-        failures = bench_codegen.compare(poisoned, payload)
-        assert any("cycles differ" in f for f in failures)
+        poisoned = dict(payload,
+                        divergences=["Array/static/py: cycles differ"])
+        assert any("cycles differ" in f
+                   for f in failures(judge(poisoned, payload)))
 
     def test_min_speedup_gate(self):
         payload = bench_codegen.measure(["Array"], backends=("py",),
                                         fast=True, repeats=1)
-        assert bench_codegen.check_min_speedup(payload, "py", 0.01) == []
-        failures = bench_codegen.check_min_speedup(payload, "py", 1e9)
-        assert failures and "below" in failures[0]
-        failures = bench_codegen.check_min_speedup(payload, "zz", 1.0)
-        assert failures and "no speedup recorded" in failures[0]
+
+        def gated(backend, floor):
+            copy = json.loads(json.dumps(payload))
+            set_bound(copy, "aggregate", "static", backend,
+                      "speedup_vs_seed", floor=floor)
+            return failures(judge(copy))
+
+        assert gated("py", 0.01) == []
+        failed = gated("py", 1e9)
+        assert failed and "below" in failed[0]
+        failed = gated("zz", 1.0)
+        assert failed and "no value recorded" in failed[0]
 
     def test_skipped_c_rows_void_the_aggregate(self, monkeypatch):
         import repro.interp.codegen_c as codegen_c
@@ -281,23 +298,20 @@ class TestCodegenBench:
 
     def test_committed_payload_is_current(self):
         root = pathlib.Path(__file__).parent.parent.parent
-        committed = bench_codegen.load_payload(
-            str(root / "BENCH_codegen.json"))
-        assert committed["schema"] == bench_codegen.SCHEMA
+        committed = load_payload(str(root / "BENCH_codegen.json"))
+        assert committed["suite"] == "codegen"
         assert committed["divergences"] == []
         # the acceptance bar: >=10x aggregate static speedup vs the
         # committed seed interpreter baseline
-        assert committed["aggregate"]["py"]["speedup_vs_seed"] >= 10.0
-        assert bench_codegen.check_min_speedup(committed, "py",
-                                               10.0) == []
+        assert _value(committed, "aggregate", "static", "py",
+                      "speedup_vs_seed") >= 10.0
+        set_bound(committed, "aggregate", "static", "py",
+                  "speedup_vs_seed", floor=10.0)
+        assert failures(judge(committed)) == []
         # and the simulated cycles it records are the fixture's
-        for name, row in committed["benchmarks"].items():
-            for mode in MODES:
-                for backend, cell in row[mode].items():
-                    if "cycles" in cell:
-                        assert cell["cycles"] == \
-                            FIXTURE[name][mode]["cycles"], \
-                            (name, mode, backend)
-                    if isinstance(cell, dict) and \
-                            cell.get("equivalent") is False:
-                        pytest.fail(f"{name}/{mode}/{backend} diverged")
+        for r in committed["rows"]:
+            if r["metric"] == "cycles" and r["program"] in FIXTURE:
+                assert r["value"] == \
+                    FIXTURE[r["program"]][r["mode"]]["cycles"], key(r)
+            if r["metric"] == "equivalent" and r["value"] is False:
+                pytest.fail(f"{key(r)} diverged")

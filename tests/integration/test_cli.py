@@ -261,23 +261,25 @@ class TestBenchFrontend:
         code, out, err = run_cli("bench", "--suite", "frontend",
                                  "--repeats", "1", "--out", out_file)
         assert code == 0
-        assert "cold s" in out and "warm s" in out
+        assert "cold_s" in out and "warm_s" in out
         import json
         payload = json.loads((tmp_path / "bench.json").read_text())
-        assert payload["schema"] == "repro-bench-frontend/1"
-        assert set(payload["sizes"]) == {"5", "20", "40"}
+        assert payload["schema"] == "repro-bench/2"
+        assert payload["suite"] == "frontend"
+        assert {r["program"] for r in payload["rows"]} == \
+            {"size 5", "size 20", "size 40"}
 
     def test_frontend_suite_compare_detects_cold_regression(self,
                                                             tmp_path):
         from repro.bench import frontend
+        from repro.bench.compare import save_payload
         payload = frontend.measure(sizes=[5], repeats=1)
-        slower = {"schema": frontend.SCHEMA,
-                  "sizes": {"5": dict(payload["sizes"]["5"])}}
-        baseline = str(tmp_path / "base.json")
         # baseline claims we used to be 10x faster -> regression
-        slower["sizes"]["5"]["cold_s"] = \
-            payload["sizes"]["5"]["cold_s"] / 10.0
-        frontend.save_payload(slower, baseline)
+        for r in payload["rows"]:
+            if r["metric"] == "cold_s":
+                r["value"] /= 10.0
+        baseline = str(tmp_path / "base.json")
+        save_payload(payload, baseline)
         code, _out, err = run_cli("bench", "--suite", "frontend",
                                   "--repeats", "1", "--compare", baseline)
         assert code == 3
@@ -287,7 +289,32 @@ class TestBenchFrontend:
         code, _out, err = run_cli("bench", "--suite", "frontend",
                                   "--only", "Array")
         assert code == 1
-        assert "--only" in err
+        assert "--only applies to the interp, codegen and serve " \
+            "suites" in err
+
+
+class TestBenchAndReportNumbers:
+    """A bad numeric bench/report flag is a usage error (exit 2), not a
+    gate that silently passes."""
+
+    @pytest.mark.parametrize("command", ["bench", "report"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "lots"])
+    def test_threshold_is_a_finite_fraction(self, command, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--threshold", value)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-3"])
+    def test_min_speedup_is_finite_and_positive(self, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--suite", "codegen", "--min-speedup", value)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["-3", "2.5", "nan"])
+    def test_history_is_a_count(self, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("report", "--history", value)
+        assert exc.value.code == 2
 
 
 class TestBackendFlag:
@@ -341,10 +368,11 @@ class TestBackendFlag:
                                   "--min-speedup", "0.01",
                                   "--out", out_file)
         assert code == 0
-        assert "aggregate" in out
+        assert "aggregate" in out and ">= 0.01" in out
         import json
         payload = json.loads((tmp_path / "bench.json").read_text())
-        assert payload["schema"] == "repro-bench-codegen/1"
+        assert payload["schema"] == "repro-bench/2"
+        assert payload["suite"] == "codegen"
         assert payload["divergences"] == []
 
     def test_bench_codegen_min_speedup_gate_fails_loud(self):

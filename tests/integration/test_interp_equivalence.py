@@ -21,6 +21,8 @@ import pathlib
 import pytest
 
 from repro.bench import wallclock
+from repro.bench.compare import (SCHEMA, failures, judge, load_payload,
+                                 save_payload)
 from repro.bench.suite import BENCHMARKS
 from repro.core.api import analyze
 from repro.interp.machine import RunOptions, run_source
@@ -112,49 +114,65 @@ def test_measure_benchmark_row_shape():
     assert row["cycle_overhead"] > 1.0  # dynamic checks cost cycles
 
 
+def _values(payload, **where):
+    """``{(program, mode, metric): value}`` of the rows matching
+    ``where``."""
+    return {(r["program"], r["mode"], r["metric"]): r["value"]
+            for r in payload["rows"]
+            if all(r.get(k) == v for k, v in where.items())}
+
+
+def _edit(payload, program, mode, metric, change):
+    edited = json.loads(json.dumps(payload))
+    for r in edited["rows"]:
+        if (r["program"], r["mode"], r["metric"]) == (program, mode, metric):
+            r["value"] = change(r["value"])
+    return edited
+
+
 def test_measure_payload_and_compare_roundtrip(tmp_path):
     payload = wallclock.measure(["Array"], fast=True, repeats=1)
-    assert payload["schema"] == wallclock.SCHEMA
+    assert payload["schema"] == SCHEMA and payload["suite"] == "interp"
     path = tmp_path / "bench.json"
-    wallclock.save_payload(payload, str(path))
-    loaded = wallclock.load_payload(str(path))
-    assert wallclock.compare(loaded, payload, threshold=10.0) == []
+    save_payload(payload, str(path))
+    loaded = load_payload(str(path))
+    assert loaded == payload
+    assert failures(judge(loaded, payload, threshold=10.0)) == []
 
 
 def test_compare_flags_cycle_drift_and_wall_regression():
     payload = wallclock.measure(["Array"], fast=True, repeats=1)
-    drifted = json.loads(json.dumps(payload))
-    drifted["benchmarks"]["Array"]["static"]["cycles"] += 1
-    failures = wallclock.compare(drifted, payload)
-    assert any("determinism break" in f for f in failures)
+    drifted = _edit(payload, "Array", "static", "cycles", lambda v: v + 1)
+    assert any("determinism break" in f
+               for f in failures(judge(drifted, payload)))
 
-    slower = json.loads(json.dumps(payload))
+    slower = payload
     for mode in ("dynamic", "static"):
-        slower["benchmarks"]["Array"][mode]["wall_s"] *= 10
-    failures = wallclock.compare(slower, payload, threshold=0.30)
-    assert any("wall-clock regression" in f for f in failures)
+        slower = _edit(slower, "Array", mode, "wall_s", lambda v: v * 10)
+    assert any("wall-clock regression" in f
+               for f in failures(judge(slower, payload, threshold=0.30)))
 
-    missing = {"schema": wallclock.SCHEMA, "benchmarks": {}}
-    failures = wallclock.compare(missing, payload)
-    assert any("missing from current" in f for f in failures)
+    missing = dict(payload, rows=[])
+    assert any("missing from current" in f
+               for f in failures(judge(missing, payload)))
 
 
 def test_committed_bench_payload_is_current():
     """BENCH_interp.json at the repo root must stay in sync with the
     interpreter: same simulated cycles, same output hashes."""
     root = pathlib.Path(__file__).parent.parent.parent
-    committed = wallclock.load_payload(str(root / "BENCH_interp.json"))
-    assert committed["schema"] == wallclock.SCHEMA
-    for name, row in committed["benchmarks"].items():
+    committed = load_payload(str(root / "BENCH_interp.json"))
+    assert committed["suite"] == "interp"
+    measured = _values(committed, backend="interp")
+    for name in BENCHMARKS:
         for mode in ("dynamic", "static"):
-            assert row[mode]["cycles"] == FIXTURE[name][mode]["cycles"], \
-                (name, mode)
-            assert row[mode]["output_sha256"] == \
+            assert measured[(name, mode, "cycles")] == \
+                FIXTURE[name][mode]["cycles"], (name, mode)
+            assert measured[(name, mode, "output_sha256")] == \
                 FIXTURE[name][mode]["output_sha256"], (name, mode)
     # the embedded seed baseline records the before/after story: the
     # acceptance bar is >= 2x on the micro-benchmarks with static checks
-    baseline = committed["baseline"]["benchmarks"]
+    before = _values(committed["baseline"])
     for name in ("Array", "Tree"):
-        before = baseline[name]["static"]["wall_s"]
-        after = committed["benchmarks"][name]["static"]["wall_s"]
-        assert before / after >= 2.0, (name, before, after)
+        after = measured[(name, "static", "wall_s")]
+        assert before[(name, "static", "wall_s")] / after >= 2.0, name

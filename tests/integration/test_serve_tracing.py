@@ -322,3 +322,31 @@ class TestAccessLog:
                 svc, "run", {"program": _variant("log-bad")})
             assert status == 200
             assert headers.get("X-Repro-Trace-Id")
+
+
+def test_worker_analyze_span_names_the_disk_tier(tmp_path):
+    """A worker that replays another worker's disk shard says so in its
+    ``analyze`` span: tier ``disk`` with the body's ``replay_hits``."""
+    from repro.bench.suite import BENCHMARKS
+    from repro.serve.protocol import Job, job_fingerprint, program_sha
+    from repro.serve.worker import WarmWorker
+
+    source = BENCHMARKS["Tree"].source(fast=True)
+    sha = program_sha(source)
+    job = Job("analyze", source, sha,
+              job_fingerprint("analyze", sha, "static", "py"),
+              trace_id="ab" * 16).to_wire()
+
+    def analyze_span(reply):
+        (span,) = [s for s in reply["spans"] if s["name"] == "analyze"]
+        return span["attrs"]
+
+    first = WarmWorker(cache_root=str(tmp_path)).handle(dict(job))
+    assert analyze_span(first)["tier"] == "computed"
+    second = WarmWorker(cache_root=str(tmp_path)).handle(dict(job))
+    cache = second["body"]["cache"]
+    assert cache["replay_hits"] > 0 and cache["check_misses"] == 0
+    attrs = analyze_span(second)
+    assert attrs["tier"] == "disk"
+    assert attrs["replay_hits"] == cache["replay_hits"]
+    assert first["body"]["classes"] == second["body"]["classes"]

@@ -145,9 +145,12 @@ class TestTelemetryCli:
 
 
 def _interp_payload(wall=0.1, cycles=1000):
-    return {"schema": "repro-bench-interp/1", "benchmarks": {
-        "array": {"dynamic": {"wall_s": wall, "cycles": cycles},
-                  "static": {"wall_s": wall / 2, "cycles": 500}}}}
+    from repro.bench.compare import make_payload, row
+    return make_payload("interp", {}, [
+        row("array", "dynamic", "interp", "wall_s", wall, "wall"),
+        row("array", "dynamic", "interp", "cycles", cycles, "exact"),
+        row("array", "static", "interp", "wall_s", wall / 2, "wall"),
+        row("array", "static", "interp", "cycles", 500, "exact")])
 
 
 class TestReportGate:
@@ -171,7 +174,7 @@ class TestReportGate:
         store_dir, baseline = self._seed(tmp_path, [0.101, 0.099, 0.1])
         code, out, err = run_cli(
             "report", "--store", store_dir,
-            "--baseline-interp", baseline)
+            "--baseline", baseline)
         assert code == 0
         assert "no regression" in err
         assert "array/dynamic" in out
@@ -182,8 +185,8 @@ class TestReportGate:
         slow.write_text(json.dumps(_interp_payload(wall=0.5)))
         code, _out, err = run_cli(
             "report", "--store", store_dir,
-            "--baseline-interp", baseline,
-            "--current-interp", str(slow))
+            "--baseline", baseline,
+            "--current", str(slow))
         assert code == 3
         assert "regression" in err
 
@@ -193,8 +196,8 @@ class TestReportGate:
         drift.write_text(json.dumps(_interp_payload(cycles=1001)))
         code, _out, err = run_cli(
             "report", "--store", store_dir,
-            "--baseline-interp", baseline,
-            "--current-interp", str(drift))
+            "--baseline", baseline,
+            "--current", str(drift))
         assert code == 3
         assert "determinism" in err
 
@@ -202,14 +205,14 @@ class TestReportGate:
         store_dir, baseline = self._seed(tmp_path, [0.1, 0.1])
         code, out, _err = run_cli(
             "report", "--store", store_dir,
-            "--baseline-interp", baseline, "--format", "json")
+            "--baseline", baseline, "--format", "json")
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == "repro-report/1"
+        assert report["schema"] == "repro-report/2"
         html_path = tmp_path / "report.html"
         code, _out, err = run_cli(
             "report", "--store", store_dir,
-            "--baseline-interp", baseline,
+            "--baseline", baseline,
             "--format", "html", "--out", str(html_path))
         assert code == 0
         assert "<svg" not in html_path.read_text() \
@@ -219,7 +222,7 @@ class TestReportGate:
     def test_nothing_to_judge_errors(self, tmp_path):
         code, _out, err = run_cli(
             "report", "--store", str(tmp_path / "empty"),
-            "--baseline-interp", str(tmp_path / "missing.json"))
+            "--baseline", str(tmp_path / "missing.json"))
         assert code == 1
 
 
@@ -237,13 +240,14 @@ class TestBenchTelemetryAndScrape:
         (envelope,) = store.load_recent(1, kind="bench")
         assert envelope["bench"]["suite"] == "interp"
         payload = envelope["bench"]["payload"]
-        assert "Array" in payload["benchmarks"]
+        assert {r["program"] for r in payload["rows"]} == {"Array",
+                                                           "total"}
         # a report judged against this same payload as baseline: ok
         baseline = tmp_path / "base.json"
         baseline.write_text(json.dumps(payload))
         code, out, _err = run_cli(
             "report", "--store", store_dir,
-            "--baseline-interp", str(baseline))
+            "--baseline", str(baseline))
         assert code == 0
         assert "Array/dynamic" in out
 

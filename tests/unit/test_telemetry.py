@@ -7,8 +7,8 @@ import urllib.request
 
 import pytest
 
-from repro.bench.compare import (check_exact, check_missing, check_wall,
-                                 mad, median, robust_threshold)
+from repro.bench.compare import (failures, judge, mad, make_payload,
+                                 median, robust_threshold, row)
 from repro.obs.live import TelemetryServer
 from repro.obs.report import build_report, render_html, render_text
 from repro.obs.telemetry import (TELEMETRY_SCHEMA, TelemetryStore,
@@ -140,19 +140,31 @@ class TestRobustStats:
             robust_threshold(base, stable)
 
     def test_shared_judgments(self):
-        assert check_wall("x", 0.1, 0.1) is None
-        assert check_wall("x", 0.0, 9.9) is None  # no baseline
-        msg = check_wall("x", 0.1, 0.2, threshold=0.3)
-        assert msg is not None and "regression" in msg
-        assert check_exact("x", "cycles", 5, 5) is None
-        assert "determinism" in check_exact("x", "cycles", 5, 6)
-        assert "missing" in check_missing("x")
+        def one(kind, base, cur, threshold=0.3):
+            payload = {"rows": [row("x", None, None, "m", base, kind)]}
+            current = {"rows": [row("x", None, None, "m", cur, kind)]
+                       if cur is not None else []}
+            return failures(judge(current, payload, threshold))
+
+        assert one("wall", 0.1, 0.1) == []
+        assert one("wall", 0.0, 9.9) == []  # no baseline timing
+        (msg,) = one("wall", 0.1, 0.2)
+        assert "regression" in msg
+        assert one("exact", 5, 5) == []
+        assert "determinism" in one("exact", 5, 6)[0]
+        assert "missing" in one("exact", 5, None)[0]
 
 
 def _interp_payload(wall=0.1, cycles=1000):
-    return {"schema": "repro-bench-interp/1", "benchmarks": {
-        "array": {"dynamic": {"wall_s": wall, "cycles": cycles},
-                  "static": {"wall_s": wall / 2, "cycles": 500}}}}
+    return make_payload("interp", {}, [
+        row("array", "dynamic", "interp", "wall_s", wall, "wall"),
+        row("array", "dynamic", "interp", "cycles", cycles, "exact"),
+        row("array", "static", "interp", "wall_s", wall / 2, "wall"),
+        row("array", "static", "interp", "cycles", 500, "exact")])
+
+
+def _rows(report, suite="interp"):
+    return {r["label"]: r for r in report["suites"][suite]["rows"]}
 
 
 class TestObservatory:
@@ -169,10 +181,10 @@ class TestObservatory:
         report = build_report(store,
                               baselines={"interp": _interp_payload()})
         assert report["ok"]
-        rows = {r["label"]: r
-                for r in report["suites"]["interp"]["rows"]}
-        assert rows["array/dynamic"]["verdict"] == "ok"
-        assert rows["array/dynamic"]["history"] == [0.101, 0.099]
+        rows = _rows(report)
+        assert rows["array/dynamic/interp/wall_s"]["verdict"] == "ok"
+        assert rows["array/dynamic/interp/wall_s"]["history"] == \
+            [0.101, 0.099]
 
     def test_regression_fails_report(self, tmp_path):
         store = _store(tmp_path)
@@ -194,7 +206,7 @@ class TestObservatory:
 
     def test_missing_strict_only_for_explicit_current(self, tmp_path):
         store = _store(tmp_path)
-        subset = {"schema": "repro-bench-interp/1", "benchmarks": {}}
+        subset = make_payload("interp", {}, [])
         # store-inferred subset run: informational, not failing
         store.append(make_envelope(
             "bench", created_at=1.0, git_sha="",
@@ -215,11 +227,9 @@ class TestObservatory:
                            [0.05, 0.15, 0.07, 0.18, 0.06, 0.150])
         report = build_report(store,
                               baselines={"interp": _interp_payload()})
-        rows = {r["label"]: r
-                for r in report["suites"]["interp"]["rows"]}
-        row = rows["array/dynamic"]
-        assert row["effective_threshold"] > row["threshold"]
-        assert row["verdict"] == "ok"
+        wall = _rows(report)["array/dynamic/interp/wall_s"]
+        assert wall["threshold"] > report["threshold"]
+        assert wall["verdict"] == "ok"
 
     def test_renderings(self, tmp_path):
         store = _store(tmp_path)
@@ -227,7 +237,7 @@ class TestObservatory:
         report = build_report(store,
                               baselines={"interp": _interp_payload()})
         text = render_text(report)
-        assert "array/dynamic" in text and "FAIL" in text
+        assert "array/dynamic/interp/wall_s" in text and "FAIL" in text
         html = render_html(report)
         assert "regression" in html and "<table>" in html
 
