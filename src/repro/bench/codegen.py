@@ -81,7 +81,12 @@ def _options(enabled: bool, backend: str) -> RunOptions:
 
 
 def _run_best(analyzed, options: RunOptions, repeats: int):
-    """Best-of-``repeats`` wall time (min: timer noise is additive)."""
+    """Best-of-``repeats`` wall time (min: timer noise is additive).
+
+    One untimed run first builds the backend's form (cc + dlopen for
+    C), which ``analyzed.compiled`` keeps, so every timed run measures
+    execution alone, even at ``repeats=1``."""
+    execute(analyzed, dataclasses.replace(options))
     best = None
     result = machine = None
     for _ in range(max(repeats, 1)):

@@ -35,10 +35,8 @@ fail every run.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import platform
-import socket
 import tempfile
 import threading
 import time
@@ -66,36 +64,6 @@ JUDGES = {"cycles": "exact", "output_sha256": "exact",
           "analyses": "exact"}
 
 
-class _Client:
-    """One persistent keep-alive connection with Nagle disabled."""
-
-    def __init__(self, host: str, port: int) -> None:
-        self.conn = http.client.HTTPConnection(host, port, timeout=30)
-        self.conn.connect()
-        self.conn.sock.setsockopt(socket.IPPROTO_TCP,
-                                  socket.TCP_NODELAY, 1)
-        #: response headers of the most recent post() (title-cased)
-        self.last_headers: Dict[str, str] = {}
-
-    def post(self, endpoint: str, payload: Dict[str, Any]):
-        body = json.dumps(payload)
-        self.conn.request("POST", f"/v1/{endpoint}", body=body,
-                          headers={"Content-Type": "application/json"})
-        resp = self.conn.getresponse()
-        data = resp.read()
-        self.last_headers = {k.title(): v
-                             for k, v in resp.getheaders()}
-        return resp.status, json.loads(data)
-
-    def get_text(self, path: str) -> str:
-        self.conn.request("GET", path)
-        resp = self.conn.getresponse()
-        return resp.read().decode("utf-8")
-
-    def close(self) -> None:
-        self.conn.close()
-
-
 def _reference_results(sources: Dict[str, str]) -> Dict[str, Dict[str, Any]]:
     """CLI-equivalent execution: the byte-identity reference."""
     from ..core.api import analyze
@@ -116,6 +84,10 @@ def _reference_results(sources: Dict[str, str]) -> Dict[str, Dict[str, Any]]:
                              else "interp"),
         }
     return out
+
+
+def _metrics_text(client) -> str:
+    return client.get("/metrics")[1].decode("utf-8")
 
 
 def _metric_value(text: str, name: str) -> float:
@@ -142,7 +114,8 @@ def measure(names: Optional[Sequence[str]] = None, fast: bool = True,
             warm_seconds: Optional[float] = None,
             queue_depth: int = 64) -> Dict[str, Any]:
     from ..bench.suite import BENCHMARKS
-    from ..serve import ServeConfig, ServeService
+    from ..serve import (ClientPolicy, ResilientClient, ServeClientError,
+                         ServeConfig, ServeService)
 
     mix = list(names) if names else list(DEFAULT_MIX)
     if warm_seconds is None:
@@ -151,6 +124,9 @@ def measure(names: Optional[Sequence[str]] = None, fast: bool = True,
                for name in mix}
     reference = _reference_results(sources)
     divergences: List[str] = []
+    # one attempt per request: the bench measures the service, so a
+    # failure must show as a divergence, never be retried away
+    policy = ClientPolicy(max_retries=0, trace=False)
 
     with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as tmp:
         config = ServeConfig(workers=workers, cache_dir=tmp,
@@ -160,13 +136,14 @@ def measure(names: Optional[Sequence[str]] = None, fast: bool = True,
 
             # -- phase 1: cold + byte-identity parity ------------------
             programs: Dict[str, Dict[str, Any]] = {}
-            client = _Client(host, port)
+            client = ResilientClient(host, port, policy)
             for name in mix:
                 t0 = time.perf_counter()
-                status, body = client.post("run", {
+                reply = client.post("run", {
                     "program": sources[name], "mode": "static",
                     "backend": "py"})
                 cold_s = time.perf_counter() - t0
+                status, body = reply.status, reply.body
                 ref = reference[name]
                 row = {"cold_ms": round(cold_s * 1e3, 3),
                        "cycles": body.get("cycles"),
@@ -178,7 +155,7 @@ def measure(names: Optional[Sequence[str]] = None, fast: bool = True,
                         f"{name}: served status {status}: "
                         f"{body.get('error')}")
                     continue
-                if not client.last_headers.get("X-Repro-Trace-Id"):
+                if not reply.headers.get("X-Repro-Trace-Id"):
                     # the bench runs with tracing on (the gate *is*
                     # the tracing-overhead gate) — a missing trace id
                     # means the plane silently fell off
@@ -195,18 +172,18 @@ def measure(names: Optional[Sequence[str]] = None, fast: bool = True,
             # -- phase 2: coalescing -----------------------------------
             probe = (BENCHMARKS[COALESCE_BASE].source(fast=fast)
                      + "\n// serve-bench coalesce probe\n")
-            before = client.get_text("/metrics")
+            before = _metrics_text(client)
             barrier = threading.Barrier(COALESCE_CLIENTS)
             statuses: List[int] = []
             lock = threading.Lock()
 
             def fire():
-                c = _Client(host, port)
+                c = ResilientClient(host, port, policy)
                 try:
                     barrier.wait(timeout=10)
-                    status, _body = c.post("run", {
+                    status = c.post("run", {
                         "program": probe, "mode": "static",
-                        "backend": "py"})
+                        "backend": "py"}).status
                     with lock:
                         statuses.append(status)
                 finally:
@@ -218,7 +195,7 @@ def measure(names: Optional[Sequence[str]] = None, fast: bool = True,
                 t.start()
             for t in threads:
                 t.join(timeout=60)
-            after = client.get_text("/metrics")
+            after = _metrics_text(client)
             d_analyses = (_metric_value(after,
                                         "repro_serve_analyses_total")
                           - _metric_value(before,
@@ -247,26 +224,26 @@ def measure(names: Optional[Sequence[str]] = None, fast: bool = True,
             stop_at = time.perf_counter() + warm_seconds
 
             def closed_loop(idx: int) -> None:
-                c = _Client(host, port)
+                c = ResilientClient(host, port, policy)
                 payloads = [json.dumps({"program": sources[n],
                                         "mode": "static",
-                                        "backend": "py"})
+                                        "backend": "py"}).encode("utf-8")
                             for n in mix]
+                headers = {"Content-Type": "application/json"}
                 try:
                     i = idx  # desynchronize the round-robin phase
                     while time.perf_counter() < stop_at:
                         body = payloads[i % len(payloads)]
                         i += 1
                         t0 = time.perf_counter()
-                        c.conn.request(
-                            "POST", "/v1/run", body=body,
-                            headers={"Content-Type":
-                                     "application/json"})
-                        resp = c.conn.getresponse()
-                        resp.read()
+                        try:
+                            status = c.transport("POST", "/v1/run",
+                                                 body, headers)[0]
+                        except ServeClientError:
+                            status = None
                         latencies[idx].append(
                             time.perf_counter() - t0)
-                        if resp.status != 200:
+                        if status != 200:
                             errors[idx] += 1
                 finally:
                     c.close()
@@ -295,7 +272,7 @@ def measure(names: Optional[Sequence[str]] = None, fast: bool = True,
                 divergences.append(
                     f"warm: {warm['errors']} non-200 responses")
 
-            hits = _metric_value(client.get_text("/metrics"),
+            hits = _metric_value(_metrics_text(client),
                                  "repro_serve_result_cache_hits_total")
             client.close()
 

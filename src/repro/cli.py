@@ -18,7 +18,8 @@ Commands
                timelines, leak suspects, portal contention, and the
                check-elimination ledger (Figure 12)
 ``metricsd``   serve the telemetry store over HTTP: ``/metrics``
-               (Prometheus text), ``/healthz``, ``/runs``
+               (Prometheus text), ``/healthz``, ``/runs`` — on the
+               serve frontend's HTTP server
 ``serve``      analysis-as-a-service: POST programs to
                ``/v1/analyze``, ``/v1/run``, ``/v1/inspect`` on a
                pre-forked pool of warm workers (coalescing, batching,
@@ -27,7 +28,8 @@ Commands
                bench history against the committed baselines
 
 Long-lived daemons (``serve``, ``metricsd``, ``run --serve-metrics``)
-print a machine-readable ready line naming the actually-bound
+all answer on one HTTP server (:class:`repro.serve.server.HTTPEdge`),
+and print a machine-readable ready line naming the actually-bound
 host/port *after* the listening socket exists — with ``--port 0`` a
 script parses that line and connects immediately, no polling.
 
@@ -42,16 +44,19 @@ ones under ``examples/``) is also accepted — the embedded ``PROGRAM``
 string literal is extracted and used as the program.
 
 Exit status is 0 on success, 1 on type errors, 2 on runtime failures.
+A file that cannot be read or written is one ``error: cannot read
+FILE: ...`` / ``error: cannot write FILE: ...`` line and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import dataclasses
 
@@ -69,20 +74,24 @@ _EMBEDDED_PROGRAM = re.compile(r'^PROGRAM\s*=\s*r?"""(.*?)"""',
                                re.S | re.M)
 
 
-class _Unreadable(Exception):
-    """An input file that cannot be read; ``main`` reports it in one
-    line and exits 1."""
+class _FileError(Exception):
+    """An input file that cannot be read, or an output file that cannot
+    be written; ``main`` reports it in one line and exits 1."""
 
 
-def _read(path: str) -> str:
+def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except (OSError, UnicodeDecodeError) as err:
         reason = getattr(err, "strerror", None) or err
-        raise _Unreadable(f"cannot read {path}: {reason}") from err
+        raise _FileError(f"cannot read {path}: {reason}") from err
+
+
+def _read(path: str) -> str:
+    text = _read_text(path)
     if path.endswith(".py"):
         # a Python driver script (examples/*.py): run the embedded
         # core-language program it carries
@@ -90,6 +99,16 @@ def _read(path: str) -> str:
         if match:
             return match.group(1)
     return text
+
+
+@contextlib.contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Report a failed write of ``path`` as a :class:`_FileError`."""
+    try:
+        yield
+    except OSError as err:
+        raise _FileError(
+            f"cannot write {path}: {err.strerror or err}") from err
 
 
 def _open_cache(args):
@@ -185,11 +204,10 @@ def _write_exports(args, machine, mode: str) -> bool:
         if not path:
             continue
         try:
-            write(path)
-        except OSError as err:
-            reason = err.strerror or err
-            print(f"error: cannot write {path}: {reason}",
-                  file=sys.stderr)
+            with _writing(path):
+                write(path)
+        except _FileError as err:
+            print(f"error: {err}", file=sys.stderr)
             written = False
     return written
 
@@ -225,10 +243,11 @@ def cmd_run(args) -> int:
     if args.serve_metrics is not None:
         # live scrape endpoint for the duration of the run: /metrics
         # renders the run's own registry on every request
-        from .obs.live import TelemetryServer
-        store = _telemetry_store(args)
-        server = TelemetryServer(store=store, registry=metrics,
-                                 port=args.serve_metrics)
+        from .obs.live import telemetry_routes
+        from .serve.server import HTTPEdge
+        server = HTTPEdge("127.0.0.1", args.serve_metrics,
+                          telemetry_routes(_telemetry_store(args),
+                                           metrics))
         server.serve_background()
         # bound + listening before this prints: the line is the ready
         # signal (stderr so it never mixes with program output), and
@@ -475,7 +494,8 @@ def cmd_bench(args) -> int:
     else:
         print(render_table(payload, payload["baseline"] or baseline))
     if args.out:
-        save_payload(payload, args.out)
+        with _writing(args.out):
+            save_payload(payload, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
     _record_envelope(args, "bench", label=args.suite,
                      bench={"suite": args.suite, "payload": payload})
@@ -579,8 +599,7 @@ def cmd_chaos(args) -> int:
         os.path.join("examples", "*.py")))
     corpus = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read_text(path)
         if path.endswith(".py"):
             match = _EMBEDDED_PROGRAM.search(text)
             if match is None:
@@ -667,7 +686,8 @@ def cmd_inspect(args) -> int:
     report = build_report(header, records, schedule=schedule,
                           compare=compare)
     if args.html:
-        with open(args.html, "w", encoding="utf-8") as handle:
+        with _writing(args.html), \
+                open(args.html, "w", encoding="utf-8") as handle:
             handle.write(report.to_html())
         print(f"wrote {args.html}", file=sys.stderr)
     if args.json:
@@ -707,12 +727,12 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_metricsd(args) -> int:
-    from .obs.live import TelemetryServer
+    from .obs.live import telemetry_routes
     from .obs.telemetry import TelemetryStore
+    from .serve.server import HTTPEdge
 
     store = TelemetryStore(args.store)
-    server = TelemetryServer(store=store, host=args.host,
-                             port=args.port)
+    server = HTTPEdge(args.host, args.port, telemetry_routes(store))
     # the constructor bound the socket, so the kernel is already
     # queueing connections: this line IS the readiness signal, and
     # with --port 0 it is the only place the real port appears.
@@ -855,7 +875,8 @@ def cmd_trace(args) -> int:
         return 2 if problems else 0
     report = analyze_traces(records, tail=args.tail)
     if args.html:
-        with open(args.html, "w", encoding="utf-8") as handle:
+        with _writing(args.html), \
+                open(args.html, "w", encoding="utf-8") as handle:
             handle.write(render_report_html(report, records))
         print(f"wrote {args.html}", file=sys.stderr)
     if args.json:
@@ -905,7 +926,8 @@ def cmd_report(args) -> int:
         return 1
     rendered = RENDERERS[args.format](report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _writing(args.out), \
+                open(args.out, "w", encoding="utf-8") as handle:
             handle.write(rendered)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
@@ -1386,7 +1408,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_Unreadable, LexError, ParseError) as err:
+    except (_FileError, LexError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except BrokenPipeError:

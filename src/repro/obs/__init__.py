@@ -16,8 +16,9 @@ imports *us*, never the reverse):
   over flight-recorder dumps;
 * :mod:`repro.obs.telemetry` — the content-addressed cross-run
   envelope store under ``.repro/telemetry/``;
-* :mod:`repro.obs.live` — the ``repro metricsd`` scrape endpoint
-  (``/metrics``, ``/healthz``, ``/runs``);
+* :mod:`repro.obs.live` — the telemetry routes (``/metrics``,
+  ``/healthz``, ``/runs``) that ``repro metricsd`` and ``repro run
+  --serve-metrics`` mount on the serve frontend's HTTP server;
 * :mod:`repro.obs.report` — the ``repro report`` regression
   observatory over the store and committed bench baselines;
 * :mod:`repro.obs.trace` — request-scoped distributed tracing for

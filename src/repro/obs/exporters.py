@@ -122,6 +122,10 @@ def write_trace(recorder: FlightRecorder,
 # Prometheus text format
 # ---------------------------------------------------------------------------
 
+#: content type mandated by the Prometheus text exposition format
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
 def _escape_label_value(value: str) -> str:
     # exposition format: label values escape backslash, double-quote,
     # and line feed (backslash first so the others stay single-escaped)

@@ -1,172 +1,73 @@
-"""The live scrape endpoint: stdlib HTTP daemon over the telemetry
-store and (optionally) a live in-process metrics registry.
+"""The telemetry routes: what ``repro metricsd`` and ``repro run
+--serve-metrics`` serve, all read-only.
 
-``repro metricsd`` serves three routes, all read-only:
-
-* ``GET /metrics`` — Prometheus text exposition.  When the server is
-  attached to a live :class:`~repro.obs.metrics.MetricsRegistry`
-  (the ``--serve-metrics`` flag on a long run), the registry renders
-  directly; otherwise the newest envelope in the telemetry store with
-  a metrics snapshot is re-rendered via
-  :func:`~repro.obs.exporters.snapshot_to_prometheus`.
+* ``GET /metrics`` — Prometheus text exposition.  With a live
+  :class:`~repro.obs.metrics.MetricsRegistry` (the ``--serve-metrics``
+  flag on a long run) the registry renders directly; otherwise the
+  newest envelope in the telemetry store with a metrics snapshot is
+  re-rendered via :func:`~repro.obs.exporters.snapshot_to_prometheus`.
 * ``GET /healthz`` — liveness JSON: status, store root, envelope
   count, and the source the ``/metrics`` route would use.
 * ``GET /runs`` — the newest telemetry index entries as a JSON array
   (``?n=`` bounds the count, ``?kind=`` filters); ``GET /runs/<sha>``
   returns one full envelope.
 
-Implementation notes: pure stdlib (``http.server``), a threading
-server on a daemon thread so the CLI's foreground loop stays
-interruptible, and port 0 supported for tests (the bound port is
-published on ``server.port``).  Every response is computed per
-request — scraping always sees the current store state.
+The routes mount on the serve frontend's
+:class:`~repro.serve.server.HTTPEdge`, the one HTTP server.  Every
+response is computed per request, so a scrape always sees the current
+store state.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional
-from urllib.parse import parse_qs, urlparse
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .exporters import snapshot_to_prometheus, to_prometheus
 from .metrics import MetricsRegistry
 from .telemetry import TelemetryStore
 
-#: content type mandated by the Prometheus text exposition format
-PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+Query = Dict[str, List[str]]
 
 
-class TelemetryServer:
-    """The metrics/telemetry HTTP daemon.
+def telemetry_routes(store: Optional[TelemetryStore] = None,
+                     registry: Optional[MetricsRegistry] = None
+                     ) -> Dict[str, Callable[[str, Query],
+                                             Tuple[int, Any]]]:
+    """The GET route table over ``store`` (default: the store under
+    ``.repro/telemetry/``); ``registry``, when given, takes precedence
+    for ``/metrics``."""
+    if store is None:
+        store = TelemetryStore()
 
-    ``registry`` (or a ``registry_provider`` callable, for runs that
-    swap registries) takes precedence for ``/metrics``; without one the
-    store's newest metrics-bearing envelope is served.
-    """
-
-    def __init__(self, store: Optional[TelemetryStore] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 registry_provider: Optional[
-                     Callable[[], Optional[MetricsRegistry]]] = None,
-                 host: str = "127.0.0.1", port: int = 0) -> None:
-        self.store = store if store is not None else TelemetryStore()
-        self._registry = registry
-        self._registry_provider = registry_provider
-        self._httpd = ThreadingHTTPServer(
-            (host, port), _make_handler(self))
-        self._httpd.daemon_threads = True
-        self.host = self._httpd.server_address[0]
-        #: the bound port (resolves port 0 to the ephemeral choice)
-        self.port = self._httpd.server_address[1]
-        self._thread: Optional[threading.Thread] = None
-
-    # -- data sources --------------------------------------------------
-
-    def live_registry(self) -> Optional[MetricsRegistry]:
-        if self._registry_provider is not None:
-            return self._registry_provider()
-        return self._registry
-
-    def metrics_text(self) -> str:
-        """The /metrics body: live registry first, store fallback."""
-        registry = self.live_registry()
+    def metrics(_tail: str, _query: Query) -> Tuple[int, str]:
         if registry is not None:
-            return to_prometheus(registry)
-        for envelope in self.store.load_recent(20):
+            return 200, to_prometheus(registry)
+        for envelope in store.load_recent(20):
             snapshot = envelope.get("metrics")
             if snapshot:
-                return snapshot_to_prometheus(snapshot)
-        return ""
+                return 200, snapshot_to_prometheus(snapshot)
+        return 200, ""
 
-    def health(self) -> Dict[str, Any]:
-        return {
+    def health(_tail: str, _query: Query) -> Tuple[int, Dict[str, Any]]:
+        return 200, {
             "status": "ok",
-            "store": self.store.root,
-            "envelopes": len(self.store.index()),
-            "metrics_source": ("live" if self.live_registry() is not None
-                               else "store"),
+            "store": store.root,
+            "envelopes": len(store.index()),
+            "metrics_source": "live" if registry is not None else "store",
         }
 
-    # -- lifecycle -----------------------------------------------------
+    def runs(_tail: str, query: Query) -> Tuple[int, Any]:
+        try:
+            n = int(query.get("n", ["20"])[0])
+        except ValueError:
+            return 400, {"error": "bad n= value"}
+        return 200, store.recent(n=n, kind=query.get("kind", [None])[0])
 
-    def serve_background(self) -> "TelemetryServer":
-        """Start serving on a daemon thread; returns self."""
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name=f"repro-metricsd:{self.port}", daemon=True)
-        self._thread.start()
-        return self
+    def run(sha: str, _query: Query) -> Tuple[int, Any]:
+        try:
+            return 200, store.load(sha)
+        except (OSError, ValueError):
+            return 404, {"error": f"no envelope {sha!r}"}
 
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        self._httpd.serve_forever()
-
-    def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "TelemetryServer":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-def _make_handler(server: TelemetryServer):
-    """Bind a request-handler class to one :class:`TelemetryServer`."""
-
-    class Handler(BaseHTTPRequestHandler):
-        # stay quiet: scrape traffic must not interleave the CLI output
-        def log_message(self, fmt: str, *args: Any) -> None:
-            pass
-
-        def _send(self, status: int, body: str,
-                  content_type: str = "application/json") -> None:
-            payload = body.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def _send_json(self, status: int, payload: Any) -> None:
-            self._send(status, json.dumps(payload, sort_keys=True,
-                                          indent=2) + "\n")
-
-        def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-            parsed = urlparse(self.path)
-            path = parsed.path.rstrip("/") or "/"
-            try:
-                if path == "/metrics":
-                    self._send(200, server.metrics_text(),
-                               PROMETHEUS_CONTENT_TYPE)
-                elif path == "/healthz":
-                    self._send_json(200, server.health())
-                elif path == "/runs":
-                    query = parse_qs(parsed.query)
-                    try:
-                        n = int(query.get("n", ["20"])[0])
-                    except ValueError:
-                        self._send_json(400, {"error": "bad n= value"})
-                        return
-                    kind = query.get("kind", [None])[0]
-                    self._send_json(
-                        200, server.store.recent(n=n, kind=kind))
-                elif path.startswith("/runs/"):
-                    sha = path[len("/runs/"):]
-                    try:
-                        self._send_json(200, server.store.load(sha))
-                    except (OSError, ValueError):
-                        self._send_json(
-                            404, {"error": f"no envelope {sha!r}"})
-                else:
-                    self._send_json(404, {"error": f"no route {path!r}"})
-            except Exception as err:  # scrape must never kill the run
-                self._send_json(500, {"error": str(err)})
-
-    return Handler
+    return {"/metrics": metrics, "/healthz": health, "/runs": runs,
+            "/runs/": run}

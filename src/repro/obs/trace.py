@@ -15,7 +15,6 @@ span             process   covers
 ===============  ========  ============================================
 client-request   client    the whole logical request (retries included)
 attempt          client    one HTTP attempt (``n``, ``status`` attrs)
-hedge            client    the duplicate fired at observed p99
 backoff          client    the sleep between retries
 request          frontend  the served request (root of the server tree)
 admission        frontend  shape/size/quota/degradation checks

@@ -107,11 +107,7 @@ def _campaign_policy(seed: int) -> ClientPolicy:
         # still has budget to land — "zero lost" is the contract
         max_retries=10,
         backoff_base_s=0.02, backoff_cap_s=0.5,
-        jitter_seed=seed,
-        # the breaker and hedging stay off in campaigns: both make
-        # request timing feed back into request *behavior*, which
-        # would break bit-for-bit replay
-        breaker_threshold=0, hedge=False)
+        jitter_seed=seed)
 
 
 def _corpus_sources(fast: bool = True) -> Dict[str, str]:

@@ -1,9 +1,9 @@
-"""The resilient serve client: retries, backoff, deadlines, breaker.
+"""The resilient serve client: retries, backoff, deadlines.
 
 Every programmatic consumer of ``repro serve`` in this repo — the
-bench suites, the chaos campaign, the CLI — talks through this client
-rather than raw ``http.client``, so the retry discipline is uniform
-and testable:
+``serve`` and ``serve-chaos`` bench suites and the ``repro chaos
+--target serve`` campaign — talks through this client rather than raw
+``http.client``, so the retry discipline is uniform and testable:
 
 * **bounded retries with exponential backoff + deterministic jitter**
   — the jitter stream comes from a seeded ``random.Random``, so a
@@ -15,30 +15,20 @@ and testable:
   the early-retry thundering herd);
 * **deadline budgets**: a per-request budget is decremented across
   attempts and propagated to the server as ``deadline_ms``, so the
-  server can cancel queued work the client has already given up on;
-* **circuit breaker**: consecutive 5xx responses trip the breaker;
-  while open, requests fail fast with a synthetic 503 instead of
-  piling onto a struggling service; after ``breaker_reset_s`` one
-  probe request is allowed through (half-open);
-* **optional hedging**: after enough latency samples, a second
-  identical request can be fired when the first exceeds the observed
-  p99 — first answer wins.  Identical jobs coalesce server-side, so a
-  hedge costs a queue slot, not a duplicate analysis.  Off by default
-  (and off in chaos campaigns, where request order must be
-  deterministic).
+  server can cancel queued work the client has already given up on.
 
 Transport is pluggable (``transport(method, path, body, headers) →
 (status, headers, body)``) so unit tests drive the whole policy
 surface without a socket; the default transport is a keep-alive
-``http.client.HTTPConnection`` with Nagle off, same as the bench
-harness.
+``http.client.HTTPConnection`` with Nagle off.  The serve bench's warm
+loop calls a client's ``transport`` directly with pre-encoded bodies,
+so its timed region holds no client-side JSON work.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -67,7 +57,7 @@ class ServeClientError(RuntimeError):
 
 @dataclass
 class ClientPolicy:
-    """Knobs for the retry/backoff/breaker/hedge discipline."""
+    """Knobs for the retry/backoff discipline."""
 
     #: attempts beyond the first (0 = fail on first error)
     max_retries: int = 4
@@ -75,20 +65,13 @@ class ClientPolicy:
     backoff_cap_s: float = 2.0
     #: seed for the jitter stream — same seed, same sleeps
     jitter_seed: int = 0
-    #: consecutive 5xx replies that trip the breaker (0 disables)
-    breaker_threshold: int = 5
-    breaker_reset_s: float = 1.0
     #: total budget per logical request, spread across attempts and
     #: propagated to the server (None = no budget)
     deadline_budget_ms: Optional[float] = None
-    #: fire a duplicate request when the first exceeds observed p99
-    hedge: bool = False
-    #: successful-latency samples required before hedging arms
-    hedge_min_samples: int = 20
     #: stamp one trace context per attempt (``X-Repro-Trace``) and
     #: keep a client-side span record per logical request — each
-    #: retry/hedge parents a distinct attempt span, so the server
-    #: trees it joins stay distinguishable
+    #: retry parents a distinct attempt span, so the server trees it
+    #: joins stay distinguishable
     trace: bool = True
 
 
@@ -100,8 +83,6 @@ class ClientResult:
     body: Dict[str, Any]
     attempts: int = 1
     retried: bool = False
-    hedged: bool = False
-    breaker_open: bool = False
     headers: Dict[str, str] = field(default_factory=dict)
     #: the logical request's trace id ("" when tracing is off)
     trace_id: str = ""
@@ -157,7 +138,7 @@ def _default_transport(host: str, port: int, timeout: float):
 
 
 class ResilientClient:
-    """Retrying, deadline-aware, breaker-guarded serve client."""
+    """Retrying, deadline-aware serve client."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  policy: Optional[ClientPolicy] = None,
@@ -168,79 +149,21 @@ class ResilientClient:
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.policy = policy or ClientPolicy()
-        self._transport = (transport
-                           or _default_transport(host, port, timeout))
-        self._host, self._port, self._timeout = host, port, timeout
+        #: one attempt, no retries: ``transport(method, path, body,
+        #: headers) -> (status, headers, body)``; raises
+        #: :class:`ServeClientError` on a transport failure
+        self.transport = (transport
+                          or _default_transport(host, port, timeout))
         self._sleep = sleep
         self._clock = clock
         self._rng = random.Random(self.policy.jitter_seed)
-        self._lock = threading.Lock()
-        self._consecutive_5xx = 0
-        self._breaker_open_until: Optional[float] = None
-        self._latencies: List[float] = []  # successful attempts only
         #: counters the bench/chaos harnesses read back
         self.stats: Dict[str, int] = {
             "requests": 0, "attempts": 0, "retries": 0,
-            "breaker_fastfail": 0, "hedges": 0,
             "transport_errors": 0}
         #: finished client-side trace records, newest last (same
         #: record shape as the server's — render_trace_text works)
         self.traces: "deque[Dict[str, Any]]" = deque(maxlen=256)
-
-    # -- breaker --------------------------------------------------------
-
-    def _breaker_allows(self) -> bool:
-        if self.policy.breaker_threshold <= 0:
-            return True
-        with self._lock:
-            until = self._breaker_open_until
-            if until is None:
-                return True
-            if self._clock() >= until:
-                # half-open: let exactly this request probe; a failure
-                # re-trips below, a success closes
-                self._breaker_open_until = None
-                return True
-            return False
-
-    def _record_status(self, status: int) -> None:
-        if self.policy.breaker_threshold <= 0:
-            return
-        with self._lock:
-            if status >= 500:
-                self._consecutive_5xx += 1
-                if (self._consecutive_5xx
-                        >= self.policy.breaker_threshold):
-                    self._breaker_open_until = (
-                        self._clock() + self.policy.breaker_reset_s)
-            else:
-                self._consecutive_5xx = 0
-                self._breaker_open_until = None
-
-    @property
-    def breaker_open(self) -> bool:
-        with self._lock:
-            return (self._breaker_open_until is not None
-                    and self._clock() < self._breaker_open_until)
-
-    # -- hedging --------------------------------------------------------
-
-    def _hedge_delay(self) -> Optional[float]:
-        if not self.policy.hedge:
-            return None
-        with self._lock:
-            samples = sorted(self._latencies)
-        if len(samples) < max(2, self.policy.hedge_min_samples):
-            return None
-        rank = max(0, min(len(samples) - 1,
-                          int(0.99 * (len(samples) - 1))))
-        return samples[rank]
-
-    def _note_latency(self, seconds: float) -> None:
-        with self._lock:
-            self._latencies.append(seconds)
-            if len(self._latencies) > 512:
-                del self._latencies[:256]
 
     # -- one attempt ----------------------------------------------------
 
@@ -252,9 +175,8 @@ class ResilientClient:
             headers["Content-Length"] = str(len(body))
         if trace_hdr:
             headers[TRACE_HEADER] = trace_hdr
-        started = self._clock()
         try:
-            status, reply_headers, raw = self._transport(
+            status, reply_headers, raw = self.transport(
                 method, path, body, headers)
         except ServeClientError as err:
             self.stats["transport_errors"] += 1
@@ -264,79 +186,7 @@ class ResilientClient:
             reply = json.loads(raw.decode("utf-8")) if raw else {}
         except (ValueError, UnicodeDecodeError):
             reply = {"ok": False, "error": "unparseable body"}
-        if 200 <= status < 300:
-            self._note_latency(self._clock() - started)
         return status, reply_headers, reply
-
-    def _hedged_attempt(self, method: str, path: str,
-                        body: Optional[bytes], delay: float,
-                        trace: Optional[Tuple[str, str,
-                                              List[Dict[str, Any]],
-                                              Optional[str]]] = None
-                        ) -> Tuple[Tuple[int, Dict[str, str],
-                                         Dict[str, Any]], bool]:
-        """Primary attempt with a delayed duplicate; first reply wins.
-        The hedge runs on its own one-shot connection so the two
-        in-flight requests never share a socket.  ``trace`` is
-        ``(trace_id, root_span_id, spans, primary_header)`` — the
-        hedge gets its own span and header, so the two server trees
-        stay distinguishable."""
-        slot: Dict[str, Any] = {}
-        done = threading.Event()
-
-        def run(label: str, transport,
-                trace_hdr: Optional[str] = None) -> None:
-            headers = {"Content-Type": "application/json"}
-            if body is not None:
-                headers["Content-Length"] = str(len(body))
-            if trace_hdr:
-                headers[TRACE_HEADER] = trace_hdr
-            try:
-                status, hdrs, raw = transport(method, path, body,
-                                              headers)
-                reply = (json.loads(raw.decode("utf-8"))
-                         if raw else {})
-            except (ServeClientError, ValueError,
-                    UnicodeDecodeError) as err:
-                status, hdrs, reply = (STATUS_TRANSPORT_ERROR, {},
-                                       {"ok": False,
-                                        "error": str(err)})
-            with self._lock:
-                if "result" not in slot:
-                    slot["result"] = (status, hdrs, reply)
-                    slot["winner"] = label
-            done.set()
-
-        primary_hdr = trace[3] if trace is not None else None
-        primary = threading.Thread(
-            target=run, args=("primary", self._transport, primary_hdr),
-            daemon=True)
-        primary.start()
-        hedged = False
-        hspan: Optional[Dict[str, Any]] = None
-        if not done.wait(timeout=delay):
-            hedge_transport = _default_transport(
-                self._host, self._port, self._timeout)
-            hedged = True
-            self.stats["hedges"] += 1
-            hedge_hdr: Optional[str] = None
-            if trace is not None:
-                trace_id, root_id, spans, _ = trace
-                hspan = start_span("hedge", "client", parent=root_id)
-                spans.append(hspan)
-                hedge_hdr = format_traceparent(trace_id,
-                                               hspan["span"])
-            threading.Thread(target=run,
-                             args=("hedge", hedge_transport,
-                                   hedge_hdr),
-                             daemon=True).start()
-            done.wait()
-        with self._lock:
-            result = slot["result"]
-            winner = slot.get("winner", "primary")
-        if hspan is not None:
-            end_span(hspan, winner=winner)
-        return result, hedged
 
     # -- public API -----------------------------------------------------
 
@@ -350,7 +200,6 @@ class ResilientClient:
         path = f"/v1/{endpoint}"
         self.stats["requests"] += 1
         attempts = 0
-        hedged_any = False
         tracing = policy.trace
         trace_id = new_trace_id() if tracing else ""
         root = (start_span("client-request", "client",
@@ -365,17 +214,7 @@ class ResilientClient:
                                    cr.status, endpoint)
             return cr
 
-        result: Tuple[int, Dict[str, str], Dict[str, Any]] = (
-            STATUS_TRANSPORT_ERROR, {}, {"ok": False,
-                                         "error": "no attempt made"})
         while True:
-            if not self._breaker_allows():
-                self.stats["breaker_fastfail"] += 1
-                return _done(ClientResult(
-                    503, {"ok": False,
-                          "error": "circuit breaker open"},
-                    attempts=attempts, retried=attempts > 1,
-                    hedged=hedged_any, breaker_open=True))
             remaining_ms: Optional[float] = None
             if budget_ms is not None:
                 remaining_ms = budget_ms - (self._clock()
@@ -384,8 +223,7 @@ class ResilientClient:
                     return _done(ClientResult(
                         504, {"ok": False,
                               "error": "client deadline exhausted"},
-                        attempts=attempts, retried=attempts > 1,
-                        hedged=hedged_any))
+                        attempts=attempts, retried=attempts > 1))
             wire = dict(payload)
             if remaining_ms is not None:
                 # the server sees what's actually left, so it can
@@ -406,30 +244,19 @@ class ResilientClient:
                 spans.append(aspan)
                 trace_hdr = format_traceparent(trace_id,
                                                aspan["span"])
-            delay = self._hedge_delay()
-            if delay is not None:
-                result, was_hedged = self._hedged_attempt(
-                    "POST", path, body, delay,
-                    trace=((trace_id, root["span"], spans, trace_hdr)
-                           if tracing else None))
-                hedged_any = hedged_any or was_hedged
-            else:
-                result = self._attempt("POST", path, body, trace_hdr)
-            status, headers, reply = result
+            status, headers, reply = self._attempt("POST", path, body,
+                                                   trace_hdr)
             if aspan is not None:
                 end_span(aspan, status=status)
-            self._record_status(status)
             if (status not in RETRY_STATUSES
                     and status != STATUS_TRANSPORT_ERROR):
                 return _done(ClientResult(
                     status, reply, attempts=attempts,
-                    retried=attempts > 1, hedged=hedged_any,
-                    headers=headers))
+                    retried=attempts > 1, headers=headers))
             if attempts > policy.max_retries:
                 return _done(ClientResult(
                     status, reply, attempts=attempts,
-                    retried=attempts > 1, hedged=hedged_any,
-                    headers=headers))
+                    retried=attempts > 1, headers=headers))
             # exponential backoff with deterministic jitter, never
             # earlier than the server's Retry-After
             wait = min(policy.backoff_cap_s,
@@ -447,8 +274,7 @@ class ResilientClient:
                 if wait >= leftover:
                     return _done(ClientResult(
                         status, reply, attempts=attempts,
-                        retried=attempts > 1, hedged=hedged_any,
-                        headers=headers))
+                        retried=attempts > 1, headers=headers))
             self.stats["retries"] += 1
             if tracing:
                 bspan = start_span("backoff", "client",
@@ -480,12 +306,12 @@ class ResilientClient:
         """Raw GET for ``/metrics`` / ``/healthz`` — no retries; the
         read-only routes are the ground truth probes."""
         try:
-            status, _, raw = self._transport("GET", path, None, {})
+            status, _, raw = self.transport("GET", path, None, {})
             return status, raw
         except ServeClientError as err:
             return STATUS_TRANSPORT_ERROR, str(err).encode()
 
     def close(self) -> None:
-        closer = getattr(self._transport, "close", None)
+        closer = getattr(self.transport, "close", None)
         if closer is not None:
             closer()

@@ -20,10 +20,13 @@ spends anything):
 6. **the pool** — micro-batched dispatch to pre-forked warm workers
    (:mod:`repro.serve.pool`), deadline re-checked at every hop.
 
-Socket tuning that the throughput gate depends on: HTTP/1.1
-keep-alive (persistent client connections), Nagle off, and one
-buffered ``wfile`` write per response — header and body coalesce into
-a single segment instead of paying a 40 ms delayed-ACK stall.
+The HTTP server underneath, :class:`HTTPEdge`, is the repo's one HTTP
+server: ``repro metricsd`` and ``repro run --serve-metrics`` mount the
+telemetry routes (:mod:`repro.obs.live`) on it.  Socket tuning that
+the throughput gate depends on: HTTP/1.1 keep-alive (persistent client
+connections), Nagle off, and one buffered ``wfile`` write per
+response — header and body coalesce into a single segment instead of
+paying a 40 ms delayed-ACK stall.
 
 The whole service is stdlib-only and single-object: build a
 :class:`ServeService`, then ``serve_background()`` (tests) or
@@ -43,11 +46,11 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
+from urllib.parse import parse_qs
 
 from ..faults import FaultInjector
-from ..obs.exporters import to_prometheus
-from ..obs.live import PROMETHEUS_CONTENT_TYPE
+from ..obs.exporters import PROMETHEUS_CONTENT_TYPE, to_prometheus
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import RequestTrace, TraceBuffer, queue_compute_ms
 from .degrade import (BACKEND_BROWNOUT_FALLBACK, RUNG_BROWNOUT,
@@ -62,6 +65,12 @@ from .quota import QuotaTable
 #: request-latency buckets in seconds (sub-ms to 10 s)
 LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
+
+#: a GET route of :class:`HTTPEdge`: ``(tail, query) -> (status,
+#: body)``.  ``tail`` is the path past a prefix route's key ("" for an
+#: exact route) and ``query`` the parsed query string; a ``str`` body
+#: is Prometheus text, any other body is JSON
+Route = Callable[[str, Dict[str, List[str]]], Tuple[int, Any]]
 
 
 @dataclass
@@ -171,7 +180,63 @@ class _AccessLog:
         self._thread.join(timeout=timeout)
 
 
-class ServeService:
+class HTTPEdge:
+    """The one HTTP server, tuned as the module docstring says, with a
+    per-connection read timeout.
+
+    It serves a table of GET ``routes``: each key is an exact path,
+    and a key ending in ``/`` is the prefix of a path family
+    (``/runs/`` answers ``/runs/<sha>``, passing ``<sha>`` as the
+    route's tail).  Given a ``service``, it also serves that service's
+    ``/v1/*`` POSTs.
+    """
+
+    def __init__(self, host: str, port: int, routes: Dict[str, Route],
+                 service: Optional[ServeService] = None,
+                 read_timeout_s: float = 30.0) -> None:
+        self._httpd = _EdgeHTTPServer(
+            (host, port), _make_handler(routes, service, read_timeout_s))
+        self.host = self._httpd.server_address[0]
+        #: the bound port (resolves port 0 to the kernel's choice);
+        #: the listen backlog queues connections from here on, so
+        #: publishing this value *is* the readiness signal
+        self.port = self._httpd.server_address[1]
+        self._thread: Optional[threading.Thread] = None
+
+    def serve_background(self) -> "HTTPEdge":
+        """Serve on a daemon thread; returns self."""
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever,
+            name=f"repro-http:{self.port}", daemon=True)
+        self._thread.start()
+        return self
+
+    def serve_forever(self) -> None:
+        """Serve on the calling thread until interrupted."""
+        self._httpd.serve_forever()
+
+    def close(self) -> None:
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5)
+            self._thread = None
+
+    def __enter__(self) -> "HTTPEdge":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+
+class _EdgeHTTPServer(ThreadingHTTPServer):
+    daemon_threads = True
+    #: deep listen backlog: bursts of new connections queue in the
+    #: kernel instead of getting connection-refused
+    request_queue_size = 128
+
+
+class ServeService(HTTPEdge):
     """The served frontend: HTTP threads over one shared pool."""
 
     def __init__(self, config: Optional[ServeConfig] = None,
@@ -241,15 +306,9 @@ class ServeService:
         self._inflight: Dict[str, PendingJob] = {}
         self._hot: "OrderedDict[str, Tuple[int, Dict[str, Any]]]" = \
             OrderedDict()
-        self._httpd = _ServeHTTPServer(
-            (self.config.host, self.config.port), _make_handler(self))
-        self._httpd.daemon_threads = True
-        self.host = self._httpd.server_address[0]
-        #: the bound port (resolves port 0 to the kernel's choice);
-        #: the listen backlog queues connections from here on, so
-        #: publishing this value *is* the readiness signal
-        self.port = self._httpd.server_address[1]
-        self._thread: Optional[threading.Thread] = None
+        super().__init__(self.config.host, self.config.port,
+                         self._routes(), service=self,
+                         read_timeout_s=self.config.read_timeout_s)
 
     # -- degradation ---------------------------------------------------
 
@@ -493,8 +552,37 @@ class ServeService:
 
     # -- read-only routes ----------------------------------------------
 
-    def metrics_text(self) -> str:
-        return to_prometheus(self.metrics)
+    def _routes(self) -> Dict[str, Route]:
+        routes: Dict[str, Route] = {
+            "/metrics": lambda *_: (200, to_prometheus(self.metrics)),
+            "/healthz": lambda *_: (200, self.health()),
+            # liveness: the process answers — always 200 while the
+            # HTTP loop runs, whatever the rung
+            "/livez": lambda *_: (200, {"status": "alive"}),
+            "/readyz": self._readiness,
+        }
+        traces = self.traces
+        if traces is not None:
+            routes["/traces"] = lambda *_: (200, {
+                "stats": traces.stats(), "traces": traces.snapshot()})
+            routes["/traces/"] = self._trace
+        return routes
+
+    def _trace(self, trace_id: str, _query: Any) -> Tuple[int, Any]:
+        record = self.traces.get(trace_id)
+        if record is None:
+            return 404, error_body(f"no retained trace {trace_id!r}")
+        return 200, record
+
+    def _readiness(self, *_: Any) -> Tuple[int, Dict[str, Any]]:
+        """Only the healthy rung accepts full traffic; load balancers
+        drain on 503 here while /livez keeps the process from being
+        killed."""
+        rung = self.ladder.observe()
+        return (200 if rung == RUNG_HEALTHY else 503,
+                {"status": ("ready" if rung == RUNG_HEALTHY
+                            else "degraded"),
+                 "rung": RUNG_NAMES[rung]})
 
     def health(self) -> Dict[str, Any]:
         rung = self.ladder.observe()
@@ -515,38 +603,11 @@ class ServeService:
 
     # -- lifecycle ------------------------------------------------------
 
-    def serve_background(self) -> "ServeService":
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name=f"repro-serve:{self.port}", daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        self._httpd.serve_forever()
-
     def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        super().close()
         self.pool.close()
         if self._access_log is not None:
             self._access_log.close()
-
-    def __enter__(self) -> "ServeService":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-class _ServeHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    #: deep listen backlog: bursts of new connections queue in the
-    #: kernel instead of getting connection-refused
-    request_queue_size = 128
 
 
 def _retry_after(seconds: float) -> str:
@@ -556,7 +617,8 @@ def _retry_after(seconds: float) -> str:
     return str(max(1, math.ceil(seconds)))
 
 
-def _make_handler(service: ServeService):
+def _make_handler(routes: Dict[str, Route],
+                  service: Optional[ServeService], read_timeout_s: float):
     class Handler(BaseHTTPRequestHandler):
         #: keep-alive is the throughput contract: closed-loop clients
         #: reuse one connection per thread
@@ -568,7 +630,7 @@ def _make_handler(service: ServeService):
         #: per-connection socket timeout (slow-loris defence): header
         #: and body reads that stall past this drop the connection
         #: instead of pinning a handler thread forever
-        timeout = service.config.read_timeout_s
+        timeout = read_timeout_s
 
         def log_message(self, fmt: str, *args: Any) -> None:
             pass  # request logging is the metrics registry's job
@@ -589,134 +651,115 @@ def _make_handler(service: ServeService):
             self._send(status, body, "application/json", extra)
 
         def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
+            target, _, query = self.path.partition("?")
+            path = target.rstrip("/") or "/"
+            route, tail = routes.get(path), ""
+            if route is None:
+                head, nested, tail = path[1:].partition("/")
+                route = routes.get(f"/{head}/") if nested else None
             try:
-                if path == "/metrics":
-                    self._send(200,
-                               service.metrics_text().encode("utf-8"),
-                               PROMETHEUS_CONTENT_TYPE)
-                elif path == "/healthz":
-                    self._send_json(200, service.health())
-                elif path == "/livez":
-                    # liveness: the process answers — always 200 while
-                    # the HTTP loop runs, whatever the rung
-                    self._send_json(200, {"status": "alive"})
-                elif path == "/readyz":
-                    # readiness: only the healthy rung accepts full
-                    # traffic; load balancers drain on 503 here while
-                    # /livez keeps the process from being killed
-                    rung = service.ladder.observe()
-                    self._send_json(
-                        200 if rung == RUNG_HEALTHY else 503,
-                        {"status": ("ready" if rung == RUNG_HEALTHY
-                                    else "degraded"),
-                         "rung": RUNG_NAMES[rung]})
-                elif path == "/traces" \
-                        and service.traces is not None:
-                    self._send_json(200, {
-                        "stats": service.traces.stats(),
-                        "traces": service.traces.snapshot()})
-                elif path.startswith("/traces/") \
-                        and service.traces is not None:
-                    trace_id = path[len("/traces/"):]
-                    record = service.traces.get(trace_id)
-                    if record is None:
-                        self._send_json(404, error_body(
-                            f"no retained trace {trace_id!r}"))
-                    else:
-                        self._send_json(200, record)
-                else:
+                if route is None:
                     self._send_json(
                         404, error_body(f"no route {path!r}"))
+                    return
+                status, body = route(tail, parse_qs(query))
+                if isinstance(body, str):
+                    self._send(status, body.encode("utf-8"),
+                               PROMETHEUS_CONTENT_TYPE)
+                else:
+                    self._send_json(status, body)
             except BrokenPipeError:
                 pass
             except Exception as err:
                 self._send_json(500, error_body(str(err)))
 
-        def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-            started = time.perf_counter()
-            # admit the trace context first: every response — shed,
-            # rejected, crashed — names its trace id, because the
-            # rejects are exactly the traces worth pulling up
-            trace_ctx = (admit_trace(self.headers.get(TRACE_HEADER))
-                         if service.traces is not None else None)
-            trace_hdr = ({TRACE_ID_HEADER: trace_ctx[0]}
-                         if trace_ctx is not None else {})
-            path = self.path.split("?", 1)[0].rstrip("/")
-            endpoint = path[len("/v1/"):] if path.startswith("/v1/") \
-                else None
+        if service is not None:
+            # the /v1/* POST path; an edge without a service
+            # answers POST with the stdlib's 501
+            def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
+                started = time.perf_counter()
+                # admit the trace context first: every response — shed,
+                # rejected, crashed — names its trace id, because the
+                # rejects are exactly the traces worth pulling up
+                trace_ctx = (admit_trace(self.headers.get(TRACE_HEADER))
+                             if service.traces is not None else None)
+                trace_hdr = ({TRACE_ID_HEADER: trace_ctx[0]}
+                             if trace_ctx is not None else {})
+                path = self.path.split("?", 1)[0].rstrip("/")
+                endpoint = path[len("/v1/"):] if path.startswith("/v1/") \
+                    else None
 
-            def reject(status: int, message: str) -> None:
-                # refused before admission: still one access-log line
-                service.log_untraced(trace_hdr.get(TRACE_ID_HEADER, ""),
-                                     None, endpoint or path, status,
-                                     started)
-                self._send_json(status, error_body(message), trace_hdr)
+                def reject(status: int, message: str) -> None:
+                    # refused before admission: still one access-log line
+                    service.log_untraced(trace_hdr.get(TRACE_ID_HEADER, ""),
+                                         None, endpoint or path, status,
+                                         started)
+                    self._send_json(status, error_body(message), trace_hdr)
 
-            if endpoint not in ENDPOINTS:
-                reject(404, f"no route {path!r}")
-                return
-            # body hygiene: a declared, bounded length is the price of
-            # admission — chunked or lengthless bodies are 411 (we
-            # never read unbounded), oversized declarations are 413
-            # before a single body byte is read
-            if self.headers.get("Transfer-Encoding"):
-                self.close_connection = True
-                reject(411, "chunked bodies not accepted; "
-                            "send Content-Length")
-                return
-            declared = self.headers.get("Content-Length")
-            if declared is None:
-                self.close_connection = True
-                reject(411, "Content-Length required")
-                return
-            try:
-                length = int(declared)
-            except ValueError:
-                length = -1
-            if length < 0 or length > MAX_PROGRAM_BYTES * 2:
-                self.close_connection = True
-                reject(413, "bad request length")
-                return
-            try:
-                raw = self.rfile.read(length)
-            except socket.timeout:
-                # slow-loris body: drop the connection rather than
-                # wait out a client that trickles bytes forever
-                self.close_connection = True
-                reject(408, "body read timed out")
-                return
-            if len(raw) < length:
-                self.close_connection = True
-                reject(400, "truncated body")
-                return
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
+                if endpoint not in ENDPOINTS:
+                    reject(404, f"no route {path!r}")
+                    return
+                # body hygiene: a declared, bounded length is the price of
+                # admission — chunked or lengthless bodies are 411 (we
+                # never read unbounded), oversized declarations are 413
+                # before a single body byte is read
+                if self.headers.get("Transfer-Encoding"):
+                    self.close_connection = True
+                    reject(411, "chunked bodies not accepted; "
+                                "send Content-Length")
+                    return
+                declared = self.headers.get("Content-Length")
+                if declared is None:
+                    self.close_connection = True
+                    reject(411, "Content-Length required")
+                    return
+                try:
+                    length = int(declared)
+                except ValueError:
+                    length = -1
+                if length < 0 or length > MAX_PROGRAM_BYTES * 2:
+                    self.close_connection = True
+                    reject(413, "bad request length")
+                    return
+                try:
+                    raw = self.rfile.read(length)
+                except socket.timeout:
+                    # slow-loris body: drop the connection rather than
+                    # wait out a client that trickles bytes forever
+                    self.close_connection = True
+                    reject(408, "body read timed out")
+                    return
+                if len(raw) < length:
+                    self.close_connection = True
+                    reject(400, "truncated body")
+                    return
+                try:
+                    payload = json.loads(raw.decode("utf-8"))
+                except (ValueError, UnicodeDecodeError):
+                    service._requests.labels(endpoint=endpoint,
+                                             status="400").inc()
+                    reject(400, "invalid JSON body")
+                    return
+                try:
+                    status, body, extra = service.handle_job(
+                        endpoint, payload, trace=trace_ctx)
+                except Exception as err:  # the service must stay up
+                    status, body, extra = 500, error_body(
+                        f"{type(err).__name__}: {err}"), dict(trace_hdr)
                 service._requests.labels(endpoint=endpoint,
-                                         status="400").inc()
-                reject(400, "invalid JSON body")
-                return
-            try:
-                status, body, extra = service.handle_job(
-                    endpoint, payload, trace=trace_ctx)
-            except Exception as err:  # the service must stay up
-                status, body, extra = 500, error_body(
-                    f"{type(err).__name__}: {err}"), dict(trace_hdr)
-            service._requests.labels(endpoint=endpoint,
-                                     status=str(status)).inc()
-            # a latency observation carries its trace id as an
-            # exemplar only when the tail sampler retained the trace
-            # — a scraped tail bucket then names a pullable trace
-            exemplar = None
-            if (trace_ctx is not None
-                    and service.traces.get(trace_ctx[0]) is not None):
-                exemplar = trace_ctx[0]
-            service._latency.labels(endpoint=endpoint).observe(
-                time.perf_counter() - started, exemplar=exemplar)
-            try:
-                self._send_json(status, body, extra)
-            except BrokenPipeError:
-                pass
+                                         status=str(status)).inc()
+                # a latency observation carries its trace id as an
+                # exemplar only when the tail sampler retained the trace
+                # — a scraped tail bucket then names a pullable trace
+                exemplar = None
+                if (trace_ctx is not None
+                        and service.traces.get(trace_ctx[0]) is not None):
+                    exemplar = trace_ctx[0]
+                service._latency.labels(endpoint=endpoint).observe(
+                    time.perf_counter() - started, exemplar=exemplar)
+                try:
+                    self._send_json(status, body, extra)
+                except BrokenPipeError:
+                    pass
 
     return Handler

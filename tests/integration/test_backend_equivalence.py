@@ -18,6 +18,7 @@ import hashlib
 import json
 import pathlib
 import shutil
+import types
 
 import pytest
 
@@ -240,6 +241,22 @@ class TestCodegenBench:
             assert cell["output_sha256"] == \
                 FIXTURE["Array"][mode]["output_sha256"]
         assert row["static"]["py"]["backend_used"] == "py-fused"
+
+    def test_timed_runs_reuse_the_compiled_form(self, monkeypatch):
+        # the timer's first reading opens the first timed run: the
+        # backend's form must already be built by then
+        analyzed = analyze(BENCHMARKS["Array"].source(fast=True))
+        forms_at_reading = []
+
+        def perf_counter():
+            forms_at_reading.append(len(analyzed.compiled))
+            return 0.0
+
+        monkeypatch.setattr(bench_codegen, "time",
+                            types.SimpleNamespace(perf_counter=perf_counter))
+        bench_codegen._run_best(
+            analyzed, bench_codegen._options(False, "py"), repeats=1)
+        assert forms_at_reading and forms_at_reading[0] > 0
 
     def test_measure_payload_and_compare_roundtrip(self, tmp_path):
         payload = bench_codegen.measure(["Array"], backends=("py",),

@@ -218,6 +218,67 @@ class TestExportFiles:
         assert exc.value.code == 2
 
 
+class TestCommandFiles:
+    """A file any command cannot write or read is one ``error:`` line
+    and exit 1, never a traceback."""
+
+    @staticmethod
+    def _cannot_write(path):
+        return f"error: cannot write {path}: No such file or directory"
+
+    def test_inspect_html(self, good_file, tmp_path):
+        dump = str(tmp_path / "dump.jsonl")
+        assert run_cli("run", good_file, "--record-out", dump)[0] == 0
+        html = str(tmp_path / "absent" / "report.html")
+        code, out, err = run_cli("inspect", dump, "--html", html)
+        assert code == 1 and out == ""
+        assert err == self._cannot_write(html) + "\n"
+
+    def test_trace_url_html(self, tmp_path):
+        from repro.serve.server import HTTPEdge
+        html = str(tmp_path / "absent" / "traces.html")
+        routes = {"/traces": lambda *_: (200, {"stats": {},
+                                              "traces": []})}
+        with HTTPEdge("127.0.0.1", 0, routes).serve_background() as edge:
+            code, out, err = run_cli(
+                "trace", "--url", f"http://{edge.host}:{edge.port}",
+                "--html", html)
+        assert code == 1 and out == ""
+        assert err == self._cannot_write(html) + "\n"
+
+    def test_report_out(self, tmp_path):
+        from repro.bench.compare import make_payload, row, save_payload
+        payload = tmp_path / "interp.json"
+        save_payload(make_payload("interp", {}, [
+            row("array", "static", "interp", "cycles", 500, "exact")]),
+            str(payload))
+        out_path = str(tmp_path / "absent" / "report.txt")
+        code, out, err = run_cli(
+            "report", "--store", str(tmp_path / "store"),
+            "--baseline", str(payload), "--current", str(payload),
+            "--out", out_path)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == self._cannot_write(out_path)
+
+    def test_bench_out(self, tmp_path):
+        out_path = str(tmp_path / "absent" / "bench.json")
+        code, out, err = run_cli("bench", "--only", "Array",
+                                 "--repeats", "1", "--out", out_path)
+        assert code == 1
+        assert "Array" in out  # measured and shown before the write
+        assert err == self._cannot_write(out_path) + "\n"
+
+    def test_chaos_corpus_file(self, tmp_path):
+        script = tmp_path / "no_program.py"
+        script.write_text("print('no embedded program here')\n")
+        missing = str(tmp_path / "absent.rtj")
+        code, out, err = run_cli("chaos", str(script), missing)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"chaos: skipping {script} (no embedded PROGRAM)",
+            f"error: cannot read {missing}: No such file or directory"]
+
+
 class TestAnalysisCache:
     def test_run_with_cache_matches_plain_run(self, good_file, tmp_path):
         cache_dir = str(tmp_path / "cache")

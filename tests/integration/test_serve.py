@@ -13,7 +13,8 @@ are wire-level:
 * tenant quotas shed independently per tenant;
 * the ``REPRO-SERVE-READY`` / ``REPRO-METRICSD-READY`` stdout lines
   are printed only once the socket is accepting — a subprocess
-  connects immediately, no polling.
+  connects immediately, no polling;
+* ``repro metricsd`` answers on the same HTTP/1.1 keep-alive server.
 """
 
 from __future__ import annotations
@@ -83,6 +84,28 @@ def _get(service, path):
         conn.request("GET", path)
         resp = conn.getresponse()
         return resp.status, dict(resp.getheaders()), resp.read()
+    finally:
+        conn.close()
+
+
+def _keepalive_probe(host, port):
+    """The statuses of two ``/healthz`` GETs, an unknown route, a
+    missing envelope and a bad ``n=`` sent over one HTTP/1.1
+    connection, and whether that connection carried them all."""
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.connect()
+        sock = conn.sock
+        statuses = []
+        for path in ("/healthz", "/healthz", "/nope", "/runs/missing",
+                     "/runs?n=many"):
+            conn.request("GET", path)
+            resp = conn.getresponse()
+            resp.read()
+            statuses.append(resp.status)
+        # http.client drops a socket the server closed and reconnects
+        # on the next request, so a surviving socket is the proof
+        return statuses, conn.sock is sock
     finally:
         conn.close()
 
@@ -425,7 +448,22 @@ class TestReadySignals:
                 conn.request("GET", "/healthz")
                 resp = conn.getresponse()
                 assert resp.status == 200
+                # metricsd answers on the HTTP/1.1 keep-alive edge
+                assert resp.version == 11
             finally:
                 conn.close()
         finally:
             self._reap(proc)
+
+    def test_metricsd_keeps_one_connection_alive(self, tmp_path):
+        proc = self._spawn(["metricsd", "--port", "0",
+                            "--store", str(tmp_path / "telemetry")],
+                           tmp_path)
+        try:
+            fields = self._ready_fields(proc, "REPRO-METRICSD-READY")
+            statuses, one_connection = _keepalive_probe(
+                fields["host"], int(fields["port"]))
+        finally:
+            self._reap(proc)
+        assert statuses == [200, 200, 404, 404, 400]
+        assert one_connection

@@ -61,8 +61,7 @@ def _metric(client: ResilientClient, name: str) -> float:
 
 def _patient_client(service) -> ResilientClient:
     return ResilientClient(service.host, service.port, ClientPolicy(
-        max_retries=10, backoff_base_s=0.02, backoff_cap_s=0.5,
-        breaker_threshold=0))
+        max_retries=10, backoff_base_s=0.02, backoff_cap_s=0.5))
 
 
 class TestCrashStorm:

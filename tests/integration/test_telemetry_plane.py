@@ -4,6 +4,7 @@ scrape path, and the `repro report` regression gate."""
 
 import io
 import json
+import sys
 import urllib.request
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -13,6 +14,8 @@ from repro.cli import main
 from repro.core.api import analyze
 from repro.interp.machine import Machine, RunOptions
 from repro.obs.telemetry import TelemetryStore, validate_envelope
+
+from .test_serve import _keepalive_probe
 
 #: a program with enough regions, allocations, and checks to exercise
 #: every high-volume event kind the sampling tier thins
@@ -143,6 +146,31 @@ class TestTelemetryCli:
         assert code == 0
         assert "serving /metrics on http://" in err
 
+    def test_serve_metrics_keeps_one_connection_alive(
+            self, program_file, tmp_path, monkeypatch):
+        # probe the endpoint from inside the run, while it is up
+        probed = {}
+        real_run = Machine.run
+
+        def run_after_probe(machine):
+            ready = next(line for line in sys.stderr.getvalue()
+                         .splitlines()
+                         if line.startswith("REPRO-METRICS-READY"))
+            fields = dict(part.split("=", 1)
+                          for part in ready.split()[1:])
+            probed["result"] = _keepalive_probe(fields["host"],
+                                                int(fields["port"]))
+            return real_run(machine)
+
+        monkeypatch.setattr(Machine, "run", run_after_probe)
+        code, _out, _err = run_cli(
+            "run", program_file, "--serve-metrics", "0",
+            "--telemetry-store", str(tmp_path / "tstore"))
+        assert code == 0
+        statuses, one_connection = probed["result"]
+        assert statuses == [200, 200, 404, 404, 400]
+        assert one_connection
+
 
 def _interp_payload(wall=0.1, cycles=1000):
     from repro.bench.compare import make_payload, row
@@ -262,8 +290,10 @@ class TestBenchTelemetryAndScrape:
         h.observe(5)
         store.append(make_envelope("run", created_at=1.0, git_sha="",
                                    metrics=reg.to_dict()))
-        from repro.obs.live import TelemetryServer
-        with TelemetryServer(store=store).serve_background() as server:
+        from repro.obs.live import telemetry_routes
+        from repro.serve.server import HTTPEdge
+        with HTTPEdge("127.0.0.1", 0, telemetry_routes(store)) \
+                .serve_background() as server:
             url = f"http://{server.host}:{server.port}/metrics"
             with urllib.request.urlopen(url, timeout=5) as response:
                 assert response.headers["Content-Type"].startswith(

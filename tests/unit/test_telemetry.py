@@ -9,15 +9,23 @@ import pytest
 
 from repro.bench.compare import (failures, judge, mad, make_payload,
                                  median, robust_threshold, row)
-from repro.obs.live import TelemetryServer
+from repro.obs.live import telemetry_routes
 from repro.obs.report import build_report, render_html, render_text
 from repro.obs.telemetry import (TELEMETRY_SCHEMA, TelemetryStore,
                                  envelope_digest, make_envelope,
                                  validate_envelope)
+from repro.serve.server import HTTPEdge
 
 
 def _store(tmp_path):
     return TelemetryStore(str(tmp_path / "telemetry"))
+
+
+def _telemetry_server(store, registry=None):
+    """The telemetry routes on the one HTTP server, as ``repro
+    metricsd`` and ``repro run --serve-metrics`` mount them."""
+    return HTTPEdge("127.0.0.1", 0,
+                    telemetry_routes(store, registry)).serve_background()
 
 
 class TestEnvelope:
@@ -260,7 +268,7 @@ class TestLiveServer:
         sha = store.append(make_envelope(
             "run", created_at=1.0, git_sha="", label="demo",
             summary={"cycles": 7}, metrics=reg.to_dict()))
-        with TelemetryServer(store=store).serve_background() as server:
+        with _telemetry_server(store) as server:
             status, body = self._get(server, "/healthz")
             assert status == 200
             health = json.loads(body)
@@ -286,8 +294,7 @@ class TestLiveServer:
         reg = MetricsRegistry()
         gauge = reg.gauge("repro_live", "live gauge")
         gauge.set(1)
-        with TelemetryServer(store=_store(tmp_path),
-                             registry=reg).serve_background() as server:
+        with _telemetry_server(_store(tmp_path), reg) as server:
             _, body = self._get(server, "/metrics")
             _, _, samples = parse_prometheus(body)
             assert samples[("repro_live", ())] == 1.0
@@ -299,11 +306,13 @@ class TestLiveServer:
             assert health["metrics_source"] == "live"
 
     def test_unknown_routes_404(self, tmp_path):
-        with TelemetryServer(store=_store(tmp_path)) \
-                .serve_background() as server:
+        with _telemetry_server(_store(tmp_path)) as server:
             with pytest.raises(urllib.error.HTTPError) as err:
                 self._get(server, "/nope")
             assert err.value.code == 404
             with pytest.raises(urllib.error.HTTPError) as err:
                 self._get(server, "/runs/doesnotexist")
             assert err.value.code == 404
+            with pytest.raises(urllib.error.HTTPError) as err:
+                self._get(server, "/runs?n=many")
+            assert err.value.code == 400
