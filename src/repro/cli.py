@@ -644,36 +644,35 @@ def cmd_chaos(args) -> int:
     return 0 if report["ok"] else 4
 
 
+def _load_dump(path: str, what: str = ""):
+    """Load and validate one flight dump: ``(header, records)``, or
+    ``None`` after one ``invalid flight record{what}: ...`` line per
+    problem."""
+    from .obs.flightrec import load_flight, validate_flight
+    try:
+        header, records = load_flight(path)
+    except (OSError, ValueError, KeyError) as err:
+        problems = [str(err)]
+    else:
+        problems = validate_flight(header, records)
+    for problem in problems:
+        print(f"invalid flight record{what}: {problem}", file=sys.stderr)
+    return None if problems else (header, records)
+
+
 def cmd_inspect(args) -> int:
     from .obs.analyze import build_report, report_json
-    from .obs.flightrec import load_flight, validate_flight
 
-    try:
-        header, records = load_flight(args.dump)
-    except (OSError, ValueError, KeyError) as err:
-        print(f"invalid flight record: {err}", file=sys.stderr)
+    loaded = _load_dump(args.dump)
+    if loaded is None:
         return 1
-    problems = validate_flight(header, records)
-    if problems:
-        for problem in problems:
-            print(f"invalid flight record: {problem}", file=sys.stderr)
-        return 1
+    header, records = loaded
     compare = None
     if args.compare:
-        try:
-            compare_header, compare_records = load_flight(args.compare)
-        except (OSError, ValueError, KeyError) as err:
-            print(f"invalid flight record (--compare): {err}",
-                  file=sys.stderr)
+        loaded = _load_dump(args.compare, " (--compare)")
+        if loaded is None:
             return 1
-        compare_problems = validate_flight(compare_header,
-                                           compare_records)
-        if compare_problems:
-            for problem in compare_problems:
-                print(f"invalid flight record (--compare): {problem}",
-                      file=sys.stderr)
-            return 1
-        compare = compare_header
+        compare = loaded[0]
     schedule = None
     if args.schedule:
         from .faults import ScheduleError, load_schedule

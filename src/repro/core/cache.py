@@ -453,8 +453,8 @@ def shard_path(root: str, fingerprint: str) -> str:
 
     Shards fan out over a two-hex-digit directory (256-way) so a shared
     cache tree scales to many programs without giant directories:
-    ``root/ab/abcdef….json``.  Multi-process serving hangs one
-    :class:`AnalysisCache` per program fingerprint off this layout — a
+    ``root/ab/abcdef….json``.  Multi-process serving builds one
+    :class:`AnalysisCache` per analysis over its program's shard — a
     program analyzed by one worker is a warm disk hit on every other.
     """
     fingerprint = fingerprint.lower()

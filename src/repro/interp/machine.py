@@ -29,7 +29,7 @@ from ..rtsj.faults import RecoveryPolicy
 from ..rtsj.gc import GarbageCollector
 from ..rtsj.objects import ArrayStorage, ObjRef
 from ..rtsj.regions import RegionManager
-from ..rtsj.sanitizer import RegionSanitizer, SanitizerConfig
+from ..rtsj.sanitizer import RegionSanitizer
 from ..rtsj.stats import CostModel, Stats
 from ..rtsj.threads import Scheduler, SimThread
 from .interpreter import Frame, Interpreter
@@ -70,7 +70,6 @@ class RunOptions:
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     #: run the region sanitizer at checkpoints
     sanitize: bool = False
-    sanitizer_config: Optional[SanitizerConfig] = None
     #: graceful degradation: a failing thread is finished with a
     #: structured diagnostic instead of aborting the whole run
     degrade: bool = False
@@ -158,11 +157,8 @@ class Machine:
                                    self.options.gc_trigger_bytes,
                                    fault_injector=self.fault_injector)
         self.sanitizer: Optional[RegionSanitizer] = None
-        if self.options.sanitize \
-                or self.options.sanitizer_config is not None:
-            self.sanitizer = RegionSanitizer(
-                self.regions, self.stats,
-                config=self.options.sanitizer_config)
+        if self.options.sanitize:
+            self.sanitizer = RegionSanitizer(self.regions, self.stats)
         self.scheduler = Scheduler(self.stats,
                                    quantum=self.options.quantum,
                                    max_cycles=self.options.max_cycles,

@@ -58,13 +58,14 @@ BACKEND_BROWNOUT_FALLBACK = {"c": "py-fused"}
 class DegradationLadder:
     """Tracks the rung, escalates on trouble, heals when calm."""
 
+    #: troubles while already browned out that escalate to shed
+    shed_after_troubles = 5
+
     def __init__(self, heal_after_s: float = 0.5,
-                 shed_after_troubles: int = 5,
                  calm: Optional[Callable[[], bool]] = None,
                  metrics: Optional[Any] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.heal_after_s = max(0.0, heal_after_s)
-        self.shed_after_troubles = max(2, shed_after_troubles)
         #: extra heal precondition (full worker complement, quiet
         #: queue); None means time alone heals
         self._calm = calm

@@ -18,9 +18,9 @@ dispatcher thread.  All dispatchers pull from a single shared queue:
   ``500`` honestly if it already rode a dead worker, and the
   dispatcher forks a fresh replacement before pulling more work — the
   pool heals itself;
-* an optional **stall watchdog** (``stall_timeout_s``) bounds how long
-  a dispatcher waits for a worker's reply: a wedged worker — stuck,
-  not dead — is killed and replaced through the same healing path as a
+* a **stall watchdog** (``stall_timeout_s``) bounds how long a
+  dispatcher waits for a worker's reply: a wedged worker — stuck, not
+  dead — is killed and replaced through the same healing path as a
   crash, so a missed deadline can't pin a dispatcher forever.
 
 The pool is also where the serve resilience plane injects failures: an
@@ -48,6 +48,9 @@ from ..obs.trace import end_span, start_span
 from .protocol import Job, JobOutcome, error_body
 
 _SHUTDOWN = object()
+
+#: default reply-wait bound per dispatch (the stall watchdog)
+STALL_TIMEOUT_S = 60.0
 
 
 @dataclass
@@ -101,8 +104,7 @@ class WorkerPool:
                  batch_max: int = 8,
                  metrics: Optional[Any] = None,
                  fault_injector: Optional[FaultInjector] = None,
-                 stall_timeout_s: Optional[float] = None,
-                 requeue_on_crash: bool = True,
+                 stall_timeout_s: float = STALL_TIMEOUT_S,
                  on_worker_event: Optional[Callable[[str], None]]
                  = None,
                  flight_dir: Optional[str] = None) -> None:
@@ -118,9 +120,8 @@ class WorkerPool:
         #: a serve-target FaultInjector, seeded or replaying (None in
         #: prod)
         self.faults = fault_injector
-        #: reply-wait bound per dispatch; None disables the watchdog
+        #: reply-wait bound per dispatch (the stall watchdog)
         self.stall_timeout_s = stall_timeout_s
-        self.requeue_on_crash = requeue_on_crash
         self._on_worker_event = on_worker_event
         self._ctx = mp.get_context()
         self._queue: "queue.Queue[Any]" = queue.Queue()
@@ -352,8 +353,7 @@ class WorkerPool:
                 if pipe_fail:
                     raise OSError("injected pipe-write failure")
                 conn.send(wire)
-                if (self.stall_timeout_s is not None
-                        and not conn.poll(self.stall_timeout_s)):
+                if not conn.poll(self.stall_timeout_s):
                     # the worker is wedged, not dead: the watchdog
                     # turns a missed deadline into the healing path
                     self._heal(index, live, "stall")
@@ -371,8 +371,7 @@ class WorkerPool:
                     p.spans.extend(reply.pop("spans", None) or [])
                 self._finish(
                     p,
-                    JobOutcome(reply["status"], reply["body"],
-                               memo=reply.get("memo", False)),
+                    JobOutcome(reply["status"], reply["body"]),
                     cancelled=reply.get("cancelled", False),
                     computed=reply.get("computed", False))
 
@@ -396,8 +395,7 @@ class WorkerPool:
             if p.dspan is not None:
                 p.spans.append(end_span(p.dspan, outcome=reason))
                 p.dspan = None
-            if (self.requeue_on_crash and not self._closed
-                    and not p.requeued):
+            if not self._closed and not p.requeued:
                 p.requeued = True
                 if self._requeue_ctr is not None:
                     self._requeue_ctr.inc()

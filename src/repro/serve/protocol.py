@@ -163,10 +163,6 @@ class JobOutcome:
 
     status: int                    # HTTP status the frontend will send
     body: Dict[str, Any] = field(default_factory=dict)
-    #: set when the result was replayed from a worker memo rather than
-    #: recomputed; transport-level, never part of ``body`` (so memoized
-    #: and fresh bodies stay byte-identical)
-    memo: bool = False
 
     @property
     def ok(self) -> bool:

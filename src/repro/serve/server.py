@@ -8,10 +8,14 @@ spends anything):
 2. **tenant quota** — a token-bucket per tenant (see
    :mod:`repro.serve.quota`); an empty bucket is ``429`` with a
    ``Retry-After`` naming the next token's arrival;
-3. **hot results** — a frontend LRU keyed by job fingerprint.  The
-   machine is deterministic, so a finished body is exact forever; warm
-   traffic is answered here without touching the pool (this tier is
-   why warm throughput is thousands of req/s on one core);
+3. **hot results** — a frontend LRU of ``HOT_RESULTS`` finished 2xx
+   bodies keyed by job fingerprint, the service's one in-memory home
+   for finished bodies.  The machine is deterministic, so a finished
+   body is exact forever; warm traffic is answered here without
+   touching the pool (this tier is why warm throughput is thousands
+   of req/s on one core).  A 4xx repeat, or a fingerprint evicted
+   from here, goes to a worker, which answers it from its
+   analyzed-program LRU (:mod:`repro.serve.worker`);
 4. **coalescing** — an identical job already in flight adopts that
    job's outcome instead of queueing a duplicate (N concurrent cold
    requests for one program ⇒ exactly one analysis);
@@ -56,7 +60,7 @@ from ..obs.trace import RequestTrace, TraceBuffer, queue_compute_ms
 from .degrade import (BACKEND_BROWNOUT_FALLBACK, RUNG_BROWNOUT,
                       RUNG_HEALTHY, RUNG_NAMES, RUNG_SHED,
                       DegradationLadder)
-from .pool import PendingJob, WorkerPool
+from .pool import STALL_TIMEOUT_S, PendingJob, WorkerPool
 from .protocol import (ENDPOINTS, MAX_PROGRAM_BYTES, TRACE_HEADER,
                        TRACE_ID_HEADER, Job, admit_trace, error_body,
                        job_fingerprint, program_sha, validate_request)
@@ -65,6 +69,16 @@ from .quota import QuotaTable
 #: request-latency buckets in seconds (sub-ms to 10 s)
 LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
+
+#: hot-tier size: finished 2xx bodies kept, by job fingerprint
+HOT_RESULTS = 1024
+
+#: how long a request without a deadline waits for its job
+REQUEST_TIMEOUT_S = 60.0
+
+#: queue-pressure ratio (outstanding / queue_depth) that counts as
+#: trouble for the degradation ladder
+BROWNOUT_RATIO = 0.9
 
 #: a GET route of :class:`HTTPEdge`: ``(tail, query) -> (status,
 #: body)``.  ``tail`` is the path past a prefix route's key ("" for an
@@ -92,26 +106,14 @@ class ServeConfig:
     default_backend: str = "py"
     #: deadline applied when the request names none (None = unbounded)
     default_deadline_ms: Optional[float] = None
-    #: frontend hot-results LRU size (finished bodies by fingerprint)
-    hot_results: int = 1024
-    #: leader wait bound for jobs without a deadline
-    request_timeout_s: float = 60.0
     #: pool stall watchdog: a worker that doesn't reply within this is
-    #: killed and replaced (None disables — not recommended)
-    stall_timeout_s: Optional[float] = 60.0
+    #: killed and replaced
+    stall_timeout_s: float = STALL_TIMEOUT_S
     #: per-connection socket timeout for header/body reads — a
     #: slow-loris client times out instead of pinning a handler thread
     read_timeout_s: float = 30.0
-    #: a job that rode a dying worker is resubmitted once,
-    #: transparently, before any client-visible 500
-    requeue_on_crash: bool = True
-    #: queue-pressure ratio (outstanding / queue_depth) that counts as
-    #: trouble for the degradation ladder
-    brownout_ratio: float = 0.9
     #: calm seconds before the ladder steps down one rung
     heal_after_s: float = 0.5
-    #: troubles while already browned out that escalate to shed
-    shed_after_troubles: int = 5
     #: request tracing (span trees + tail-based sampling); per-request
     #: cost is a handful of dict allocations — see obs/trace.py
     tracing: bool = True
@@ -268,7 +270,7 @@ class ServeService(HTTPEdge):
             "requests shed by admission control, by reason")
         self._hits = m.counter(
             "repro_serve_result_cache_hits_total",
-            "requests answered from a finished-result tier")
+            "requests answered from the frontend hot tier")
         self._cancelled = m.counter(
             "repro_serve_deadline_cancelled_total",
             "jobs cancelled before execution (deadline expired)")
@@ -288,7 +290,6 @@ class ServeService(HTTPEdge):
         # events have somewhere to land from the first fork on
         self.ladder = DegradationLadder(
             heal_after_s=self.config.heal_after_s,
-            shed_after_troubles=self.config.shed_after_troubles,
             calm=self._calm, metrics=m)
         # the pool forks before any HTTP thread exists
         self.pool = WorkerPool(
@@ -297,7 +298,6 @@ class ServeService(HTTPEdge):
             batch_max=self.config.batch_max, metrics=m,
             fault_injector=fault_injector,
             stall_timeout_s=self.config.stall_timeout_s,
-            requeue_on_crash=self.config.requeue_on_crash,
             on_worker_event=self.ladder.worker_event,
             flight_dir=self.config.flight_dir)
         self.quotas = QuotaTable(self.config.quota_rate,
@@ -317,7 +317,7 @@ class ServeService(HTTPEdge):
         non-positive line (queue_depth=0 shed-everything configs) is
         degenerate: pressure never fires and never blocks healing —
         the queue-full 429 branch owns that regime."""
-        return self.config.brownout_ratio * self.config.queue_depth
+        return BROWNOUT_RATIO * self.config.queue_depth
 
     def _calm(self) -> bool:
         """Heal precondition for the ladder: every worker alive and
@@ -507,7 +507,7 @@ class ServeService(HTTPEdge):
                 self._queue_gauge.set(self.pool.outstanding)
         budget = (max(0.0, deadline - time.monotonic()) + 5.0
                   if deadline is not None
-                  else self.config.request_timeout_s)
+                  else REQUEST_TIMEOUT_S)
         if not pending.done.wait(timeout=budget):
             # the job is still running; it will land in the hot tier
             # for whoever retries.  Don't adopt spans here — the
@@ -529,8 +529,6 @@ class ServeService(HTTPEdge):
                     rt.flag("faulted")
                 if pending.requeued:
                     rt.flag("requeued")
-        if outcome.memo:
-            self._hits.labels(tier="worker").inc()
         return outcome.status, outcome.body, {}
 
     def _complete(self, pending: PendingJob) -> None:
@@ -542,7 +540,7 @@ class ServeService(HTTPEdge):
                 self._hot[pending.job.fingerprint] = (outcome.status,
                                                       outcome.body)
                 self._hot.move_to_end(pending.job.fingerprint)
-                while len(self._hot) > self.config.hot_results:
+                while len(self._hot) > HOT_RESULTS:
                     self._hot.popitem(last=False)
         if pending.computed:
             self._analyses.inc()

@@ -1,17 +1,27 @@
-"""The warm worker: one forked process, three cache tiers.
+"""The warm worker: one forked process, one in-memory tier.
 
-Each worker keeps, in process memory:
+Each serve fact has one in-memory home, and the worker holds only one
+of them: the post-inference :class:`AnalyzedProgram`, keyed by program
+sha in an LRU of ``MAX_PROGRAMS``.  A repeat of a program skips the
+frontend entirely, and since a program carries its lowered and bound
+compiled forms (``analyzed.compiled``), the same bound caps compiled
+code.  The other two facts live elsewhere:
 
-* an :class:`~repro.core.cache.AnalysisCache` per program fingerprint
-  (LRU-bounded), whose disk shard lives in the *shared* content-
-  addressed tree (``shard_path(root, sha)``) — so a program analyzed
-  by one worker is a warm disk hit on every sibling;
-* the post-inference :class:`AnalyzedProgram` itself, keyed by program
-  sha — a repeat of the same program skips the frontend entirely;
-* a result memo keyed by job fingerprint.  The simulated machine is
-  deterministic (same program + options ⇒ same cycles, same output),
-  so replaying a finished body is *exact*, not approximate — this memo
-  is what turns warm traffic into dictionary lookups.
+* finished bodies live in the frontend's hot tier
+  (:mod:`repro.serve.server`), which answers a 2xx repeat without
+  reaching the pool;
+* class analyses live in the shared content-addressed disk tree
+  (``shard_path(root, sha)``), so a program analyzed by one worker is
+  a warm disk hit on every sibling.  Each analysis builds one
+  transient :class:`~repro.core.cache.AnalysisCache` over its shard
+  (a memory-only worker builds one over no path, so ``/v1/analyze``
+  bodies always carry ``cache`` stats) and drops it with the reply.
+
+So two kinds of repeat reach a worker: a 4xx, which the hot tier does
+not hold, and a fingerprint the hot tier has evicted.  A program that
+parsed is answered from the LRU, with a byte-identical body and
+``computed: false``; a program that does not parse never enters the
+LRU, so its repeat is parsed again and counts as an analysis.
 
 The worker talks to the pool over a ``multiprocessing.Pipe``: the
 parent sends a micro-batch (list of job dicts), the worker replies
@@ -22,14 +32,14 @@ starts: a job whose deadline passed while queued is answered 504
 frontend count real analyses exactly).
 
 Tracing: a job carrying a ``trace_id`` gets worker-side spans
-(``batch-wait``, cache-tier hits, ``analyze``, ``execute``,
+(``batch-wait``, ``cache-lru``, ``analyze``, ``execute``,
 ``serialize``) returned in the reply's top-level ``spans`` list —
-*never* in the body, so memoized and fresh bodies stay byte-identical
+*never* in the body, so replayed and fresh bodies stay byte-identical
 and chaos replay digests are unaffected.  When the pool was built with
-a ``flight_dir``, each *computed* ``/v1/inspect`` job additionally
-dumps its flight record there with the trace id stamped into the
-header meta — the join key ``repro inspect --trace`` stitches service
-spans to runtime events with.
+a ``flight_dir``, each ``/v1/inspect`` job additionally dumps its
+flight record there with the trace id stamped into the header meta —
+the join key ``repro inspect --trace`` stitches service spans to
+runtime events with.
 """
 
 from __future__ import annotations
@@ -46,11 +56,10 @@ from ..errors import ReproError
 from ..obs.trace import end_span, instant_span, start_span
 from .protocol import error_body
 
-#: LRU bounds — per worker, so memory stays flat under program churn:
-#: an AnalyzedProgram carries its lowered and bound compiled forms
-#: (``analyzed.compiled``), so evicting it frees them too
+#: analyzed-program LRU bound, per worker, so memory stays flat under
+#: program churn: an AnalyzedProgram carries its lowered and bound
+#: compiled forms (``analyzed.compiled``), so evicting it frees them too
 MAX_PROGRAMS = 128
-MAX_RESULTS = 512
 
 #: flight-recorder ring capacity for served /v1/inspect jobs
 INSPECT_CAPACITY = 1 << 14
@@ -62,29 +71,22 @@ class WarmWorker:
     def __init__(self, cache_root: Optional[str] = None,
                  flight_dir: Optional[str] = None) -> None:
         self.cache_root = cache_root
-        #: when set, computed inspect jobs dump their trace-id-stamped
-        #: flight record here (side channel — never in the body)
+        #: when set, inspect jobs dump their trace-id-stamped flight
+        #: record here (side channel — never in the body)
         self.flight_dir = flight_dir
-        self._caches: "OrderedDict[str, AnalysisCache]" = OrderedDict()
         self._analyzed: "OrderedDict[str, Any]" = OrderedDict()
-        self._results: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 
-    # -- cache tiers ----------------------------------------------------
-
-    def _touch(self, lru: OrderedDict, key: str, limit: int) -> None:
-        lru.move_to_end(key)
-        while len(lru) > limit:
-            lru.popitem(last=False)
+    # -- the analyzed-program tier ---------------------------------------
 
     def _analyze(self, source: str, sha: str,
                  spans: Optional[List[Dict[str, Any]]] = None,
                  parent: Optional[str] = None):
-        """Frontend with all three tiers consulted; returns
+        """The frontend behind the analyzed-program LRU; returns
         ``(analyzed, computed)`` where ``computed`` says whether any
-        real frontend work ran (vs a pure in-memory replay)."""
+        real frontend work ran (vs an LRU hit)."""
         hit = self._analyzed.get(sha)
         if hit is not None:
-            self._touch(self._analyzed, sha, MAX_PROGRAMS)
+            self._analyzed.move_to_end(sha)
             if spans is not None:
                 spans.append(instant_span("cache-lru", "worker",
                                           parent, tier="analyzed-lru"))
@@ -92,13 +94,8 @@ class WarmWorker:
         from ..core.api import analyze
         span = (start_span("analyze", "worker", parent)
                 if spans is not None else None)
-        cache = self._caches.get(sha)
-        if cache is None:
-            path = (shard_path(self.cache_root, sha)
-                    if self.cache_root else None)
-            cache = AnalysisCache(path)
-            self._caches[sha] = cache
-        self._touch(self._caches, sha, MAX_PROGRAMS)
+        cache = AnalysisCache(shard_path(self.cache_root, sha)
+                              if self.cache_root else None)
         try:
             analyzed = analyze(source, cache=cache)
         except Exception:
@@ -111,7 +108,8 @@ class WarmWorker:
             # siblings warm from it (atomic rename, last-write-wins)
             cache.save()
         self._analyzed[sha] = analyzed
-        self._touch(self._analyzed, sha, MAX_PROGRAMS)
+        while len(self._analyzed) > MAX_PROGRAMS:
+            self._analyzed.popitem(last=False)
         if span is not None:
             replayed = stats.get("replay_hits", 0)
             spans.append(end_span(
@@ -142,17 +140,7 @@ class WarmWorker:
         if deadline is not None and time.monotonic() >= deadline:
             return {"status": 504,
                     "body": error_body("deadline exceeded"),
-                    "memo": False, "computed": False,
-                    "cancelled": True, "spans": spans or []}
-        fingerprint = job["fingerprint"]
-        memo = self._results.get(fingerprint)
-        if memo is not None:
-            self._touch(self._results, fingerprint, MAX_RESULTS)
-            if spans is not None:
-                spans.append(instant_span("cache-memo", "worker",
-                                          parent, tier="memo"))
-            return {"status": memo["status"], "body": memo["body"],
-                    "memo": True, "computed": False,
+                    "computed": False, "cancelled": True,
                     "spans": spans or []}
         try:
             reply = self._execute(job, spans, parent)
@@ -161,13 +149,7 @@ class WarmWorker:
                      "body": error_body(
                          f"{type(err).__name__}: {err}"),
                      "computed": True}
-        reply.setdefault("memo", False)
-        reply.setdefault("computed", True)
         reply["spans"] = spans or []
-        if reply["status"] != 500:
-            self._results[fingerprint] = {"status": reply["status"],
-                                          "body": reply["body"]}
-            self._touch(self._results, fingerprint, MAX_RESULTS)
         return reply
 
     def _execute(self, job: Dict[str, Any],
@@ -180,9 +162,7 @@ class WarmWorker:
                                                spans, parent)
         except ReproError as err:
             # lexer/parser rejections raise instead of populating
-            # .errors — still the client's fault, so 422 (and
-            # memoizable: the same text will fail the same way), never
-            # a 500
+            # .errors — still the client's fault, so 422, never a 500
             return {"status": 422,
                     "body": error_body("program does not parse",
                                        errors=[str(err)],
@@ -250,7 +230,7 @@ class WarmWorker:
                      sha: str) -> None:
         """Side-channel flight dump for a traced inspect job: the
         header meta carries the trace id (the ``--trace`` join key).
-        The *body's* report stays trace-free — bodies are memoized and
+        The *body's* report stays trace-free — bodies are replayed and
         digested, so a trace id there would break the determinism
         contract."""
         trace_id = job.get("trace_id")

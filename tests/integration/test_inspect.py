@@ -207,6 +207,23 @@ class TestInspectCLI:
         assert code == 1
         assert "invalid flight record" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"schema": "not-a-flight-record/0"}\n',
+        '{"schema": "repro-flight',
+    ], ids=["wrong-schema", "torn"])
+    def test_malformed_compare_dump_exits_1(self, dumps, tmp_path, text):
+        dyn, _ = dumps
+        bogus = tmp_path / "bogus.jsonl"
+        bogus.write_text(text)
+        code, out, err = run_cli("inspect", str(dyn),
+                                 "--compare", str(bogus))
+        assert code == 1
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert lines and all(
+            line.startswith("invalid flight record (--compare): ")
+            for line in lines)
+
     @pytest.mark.parametrize("schedule", [
         Path(__file__).resolve().parent.parent / "data"
         / "schedule_v1_serve.jsonl",

@@ -5,16 +5,19 @@ each bound backend form — is memoized on that program, so a second run
 reuses it and dropping the program frees it: at once, by reference
 counting, because no form refers back to its program.  That is what
 lets the serve worker's ``MAX_PROGRAMS`` LRU bound a worker's memory
-under a stream of first-sight programs.
+under a stream of first-sight programs — the one LRU it keeps: class
+analyses live in the disk shards, not in worker memory.
 """
 
 import gc
+import os
 import weakref
 
 import pytest
 
 import repro.core.api as api
 from repro import RunOptions, analyze
+from repro.core.cache import shard_path
 from repro.interp.machine import execute
 from repro.serve import worker as worker_mod
 from repro.serve.protocol import Job, job_fingerprint, program_sha
@@ -97,3 +100,31 @@ def test_worker_lru_bounds_live_programs(monkeypatch):
     gc.collect()
     assert len(seen) == 12
     assert sum(1 for ref in seen if ref() is not None) <= 4
+
+
+@pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
+def test_worker_keeps_no_analysis_cache(monkeypatch, tmp_path, disk):
+    # class analyses live in the disk shards; the worker builds one
+    # AnalysisCache per analysis and drops it with the reply
+    caches = []
+    real_cache = worker_mod.AnalysisCache
+
+    def tracking(*args, **kwargs):
+        cache = real_cache(*args, **kwargs)
+        caches.append(weakref.ref(cache))
+        return cache
+
+    monkeypatch.setattr(worker_mod, "AnalysisCache", tracking)
+    root = str(tmp_path) if disk else None
+    worker = worker_mod.WarmWorker(root)
+    for i in range(12):
+        source = SOURCE % i
+        sha = program_sha(source)
+        job = Job("run", source, sha,
+                  job_fingerprint("run", sha, "static", "py"))
+        reply = worker.handle(job.to_wire())
+        assert reply["status"] == 200, reply
+        assert os.path.exists(shard_path(str(tmp_path), sha)) == disk
+        gc.collect()
+        assert len(caches) == i + 1
+        assert all(ref() is None for ref in caches)

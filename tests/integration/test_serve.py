@@ -246,17 +246,26 @@ class TestCacheTiers:
         assert second[2] == first[2]  # byte-identical replay
         assert after == before + 1
 
-    def test_worker_memo_serves_when_the_hot_tier_cannot(self):
-        # hot_results=0 disables the frontend tier entirely, so the
-        # repeat must round-trip to the pool and come back as a memo
-        config = ServeConfig(workers=1, hot_results=0)
-        with ServeService(config).serve_background() as svc:
-            program = _variant("memo-tier")
-            first = _post(svc, "run", {"program": program})
-            second = _post(svc, "run", {"program": program})
-            assert first[0] == second[0] == 200
-            assert second[2] == first[2]
-            assert _metric(svc, "repro_serve_analyses_total") == 1
+    @pytest.mark.parametrize("source,status", [
+        (SOURCE, 200), (BROKEN_SOURCE, 422)],
+        ids=["well-typed", "ill-typed"])
+    def test_worker_repeat_replays_from_the_analyzed_lru(self, source,
+                                                         status):
+        # a repeat the hot tier does not hold (a 4xx, or an evicted
+        # fingerprint) reaches the worker, whose analyzed-program LRU
+        # answers it with the same bytes and no frontend work
+        from repro.serve.protocol import Job, job_fingerprint, program_sha
+        from repro.serve.worker import WarmWorker
+        sha = program_sha(source)
+        job = Job("run", source, sha,
+                  job_fingerprint("run", sha, "static", "py")).to_wire()
+        worker = WarmWorker()
+        first = worker.handle(dict(job))
+        second = worker.handle(dict(job))
+        assert first["status"] == second["status"] == status
+        assert first["computed"] is True and second["computed"] is False
+        assert (json.dumps(second["body"], sort_keys=True)
+                == json.dumps(first["body"], sort_keys=True))
 
 
 class TestTrafficMechanics:
