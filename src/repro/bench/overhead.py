@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import List, Set
 
 from ..lang import ast, parse_program
+from ..source import Loc
 
 
 @dataclass
@@ -63,20 +64,19 @@ class _AnnotationScanner:
     def __init__(self) -> None:
         self.lines: Set[int] = set()
 
-    def mark(self, span) -> None:
-        if span is not None and span.start.line > 0:
-            self.lines.add(span.start.line)
+    def mark(self, loc: Loc) -> None:
+        if loc[0] > 0:
+            self.lines.add(loc[0])
 
-    def mark_range(self, span) -> None:
-        if span is not None and span.start.line > 0:
-            for line in range(span.start.line, span.end.line + 1):
-                self.lines.add(line)
+    def mark_range(self, loc: Loc) -> None:
+        if loc[0] > 0:
+            self.lines.update(range(loc[0], loc[2] + 1))
 
     # ------------------------------------------------------------------
 
     def scan_program(self, program: ast.Program) -> None:
         for rk in program.region_kinds:
-            self.mark_range(rk.span)
+            self.mark_range(rk.loc)
         for cls in program.classes:
             self.scan_class(cls)
         if program.main is not None:
@@ -84,11 +84,11 @@ class _AnnotationScanner:
 
     def scan_class(self, cls: ast.ClassDecl) -> None:
         if cls.formals:
-            self.mark(cls.span)
+            self.mark(cls.loc)
         for c in cls.constraints:
-            self.mark(c.span)
+            self.mark(c.loc)
         if cls.superclass is not None and cls.superclass.owners:
-            self.mark(cls.superclass.span)
+            self.mark(cls.superclass.loc)
         for fld in cls.fields:
             self.scan_type(fld.declared_type)
         for meth in cls.methods:
@@ -96,11 +96,11 @@ class _AnnotationScanner:
 
     def scan_method(self, meth: ast.MethodDecl) -> None:
         if meth.formals:
-            self.mark(meth.span)
+            self.mark(meth.loc)
         if meth.effects is not None:
-            self.mark(meth.span)
+            self.mark(meth.loc)
         for c in meth.constraints:
-            self.mark(c.span)
+            self.mark(c.loc)
         self.scan_type(meth.return_type)
         for ptype, _name in meth.params:
             self.scan_type(ptype)
@@ -108,9 +108,9 @@ class _AnnotationScanner:
 
     def scan_type(self, t: ast.TypeAst) -> None:
         if isinstance(t, ast.ClassTypeAst) and t.owners:
-            self.mark(t.span)
+            self.mark(t.loc)
         elif isinstance(t, ast.HandleTypeAst):
-            self.mark(t.span)
+            self.mark(t.loc)
 
     # -- statements -----------------------------------------------------
 
@@ -145,13 +145,13 @@ class _AnnotationScanner:
                 self.scan_expr(stmt.value)
         elif isinstance(stmt, ast.Fork):
             if stmt.realtime:
-                self.mark(stmt.span)
+                self.mark(stmt.loc)
             self.scan_expr(stmt.call)
         elif isinstance(stmt, ast.RegionStmt):
-            self.mark(stmt.span)
+            self.mark(stmt.loc)
             self.scan_block(stmt.body)
         elif isinstance(stmt, ast.SubregionStmt):
-            self.mark(stmt.span)
+            self.mark(stmt.loc)
             self.scan_block(stmt.body)
 
     # -- expressions --------------------------------------------------------
@@ -159,14 +159,14 @@ class _AnnotationScanner:
     def scan_expr(self, expr: ast.Expr) -> None:
         if isinstance(expr, ast.NewExpr):
             if expr.owners:
-                self.mark(expr.span)
+                self.mark(expr.loc)
             for arg in expr.args:
                 self.scan_expr(arg)
         elif isinstance(expr, ast.FieldRead):
             self.scan_expr(expr.target)
         elif isinstance(expr, ast.Invoke):
             if expr.owner_args:
-                self.mark(expr.span)
+                self.mark(expr.loc)
             self.scan_expr(expr.target)
             for arg in expr.args:
                 self.scan_expr(arg)

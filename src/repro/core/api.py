@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Union
 from ..errors import LexError, OwnershipTypeError, ParseError
 from ..lang import ast, parse_program
 from .cache import (AnalysisCache, deserialize_errors, fingerprints,
-                    first_token_span, serialize_errors, split_chunks)
+                    first_token_loc, serialize_errors, split_chunks)
 from .checker import Checker
 from .inference import (DefaultPolicy, PAPER_DEFAULTS, _MethodInference,
                         apply_signature_defaults)
@@ -217,10 +217,10 @@ def _analyze_cached(source: str, filename: str, policy: DefaultPolicy,
     except (LexError, ParseError):
         return None
 
-    # the whole-program parser stamps the main block with the span of
+    # the whole-program parser stamps the main block with the location of
     # the program's *first* token; reproduce that so assembled programs
     # compare equal to freshly parsed ones
-    main = (ast.Block(main_stmts, first_token_span(chunks, filename))
+    main = (ast.Block(main_stmts, first_token_loc(chunks, filename))
             if main_stmts else None)
     program = ast.Program(decls, region_kinds, main, filename=filename,
                           source_text=source)

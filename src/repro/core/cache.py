@@ -58,7 +58,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..errors import OwnershipTypeError
 from ..lang import ast
-from ..source import Position, Span
+from ..source import Loc, Position, Span
 
 SCHEMA = "repro-analysis-cache/1"
 
@@ -151,24 +151,22 @@ def split_chunks(source: str) -> Optional[List[Chunk]]:
     return chunks
 
 
-def first_token_span(chunks: Sequence[Chunk], filename: str
-                     ) -> Optional[Span]:
-    """The span of the program's first token — what the whole-program
-    parser assigns to the main block (it snapshots the first token's
-    span before reading any declarations), reproduced here so assembled
-    programs compare equal to freshly parsed ones."""
+def first_token_loc(chunks: Sequence[Chunk], filename: str
+                    ) -> Optional[Loc]:
+    """The location of the program's first token — what the
+    whole-program parser assigns to the main block (it snapshots the
+    first token's location before reading any declarations), reproduced
+    here so assembled programs compare equal to freshly parsed ones."""
     from ..lang.lexer import tokenize
     from ..lang.tokens import TokenKind
     for c in chunks:
         if c.kind == "class":
-            return Span(Position(c.line, c.col),
-                        Position(c.line, c.col + 5), filename)
+            return (c.line, c.col, c.line, c.col + 5, filename)
         if c.kind == "regionKind":
-            return Span(Position(c.line, c.col),
-                        Position(c.line, c.col + 10), filename)
+            return (c.line, c.col, c.line, c.col + 10, filename)
         tokens = tokenize(c.text, filename, c.line, c.col)
         if tokens[0].kind is not TokenKind.EOF:
-            return tokens[0].span
+            return tokens[0].loc
     return None
 
 
@@ -417,8 +415,9 @@ def apply_annotations(decl: ast.ClassDecl,
                       annotations: Sequence[Sequence[str]]) -> bool:
     """Replay recorded owners onto a pristine parse of the same chunk.
     Slots whose parsed owners already match are left untouched (so
-    explicit annotations keep their parser spans); filled slots
-    reproduce the spans :meth:`_MethodInference._rewrite` would assign.
+    explicit annotations keep their parser locations); filled slots
+    reproduce the locations :meth:`_MethodInference._rewrite` would
+    assign.
     Returns False on any structural mismatch (caller re-infers live)."""
     slots = list(_walk_slots(decl))
     if len(slots) != len(annotations):
@@ -428,18 +427,18 @@ def apply_annotations(decl: ast.ClassDecl,
             old = node.declared_type
             if [o.name for o in old.owners] == list(names):
                 continue
-            owners = tuple(ast.OwnerAst(nm, node.span) for nm in names)
+            owners = tuple(ast.OwnerAst(nm, node.loc) for nm in names)
             node.declared_type = ast.ClassTypeAst(old.name, owners,
-                                                  old.span)
+                                                  old.loc)
         elif kind == "new":
             if [o.name for o in node.owners] == list(names):
                 continue
-            node.owners = tuple(ast.OwnerAst(nm, node.span)
+            node.owners = tuple(ast.OwnerAst(nm, node.loc)
                                 for nm in names)
         else:
             if [o.name for o in node.owner_args] == list(names):
                 continue
-            node.owner_args = tuple(ast.OwnerAst(nm, node.span)
+            node.owner_args = tuple(ast.OwnerAst(nm, node.loc)
                                     for nm in names)
     return True
 

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import OwnershipTypeError
 from ..lang import ast
 from ..lang.parser import BUILTIN_CLASSES
+from ..source import loc_span
 from .env import Effects, Env
 from .kinds import (K_GC_REGION, K_LOCAL_REGION, K_REGION,
                     K_SHARED_REGION, Kind, LOCAL_REGION, OBJ_OWNER, OWNER,
@@ -141,18 +142,18 @@ class Checker:
 
     def _declare_formals(self, env: Env,
                          formals: List[Tuple[str, Kind]],
-                         span) -> Env:
+                         loc) -> Env:
         for fn, kind in formals:
-            self.check_kind_wf(env, kind, span)
+            self.check_kind_wf(env, kind, loc)
             env = env.with_owner(fn, kind)
         return env
 
     def _class_env(self, info: ClassInfo) -> Env:
         """The environment of [CLASS DEF]: formals, constraints, ``this``
         bound at type ``cn<fn1..n>``, and ``fni ≽ fn1`` for i ≥ 2."""
-        span = info.decl.span if info.decl else None
+        loc = info.decl.loc if info.decl else None
         env = Env.initial(self.program)
-        env = self._declare_formals(env, info.formals, span)
+        env = self._declare_formals(env, info.formals, loc)
         env = env.with_constraints(info.constraints)
         this_type = ClassType(info.name,
                               tuple(Owner(fn) for fn, _ in info.formals))
@@ -163,24 +164,24 @@ class Checker:
         return env
 
     def _check_class(self, info: ClassInfo) -> None:
-        span = info.decl.span if info.decl else None
+        loc = info.decl.loc if info.decl else None
         try:
             env = self._class_env(info)
             if info.superclass is not None:
-                self.check_type_wf(env, info.superclass, span)
+                self.check_type_wf(env, info.superclass, loc)
             for fi in info.fields.values():
-                fspan = fi.decl.span if fi.decl else span
+                floc = fi.decl.loc if fi.decl else loc
                 if fi.static:
-                    self._check_static_field(env, fi, fspan)
+                    self._check_static_field(env, fi, floc)
                 else:
-                    self.check_type_wf(env, fi.type, fspan)
+                    self.check_type_wf(env, fi.type, floc)
                 if fi.decl is not None and fi.decl.init is not None:
                     if not isinstance(fi.decl.init,
                                       (ast.NullLit, ast.IntLit,
                                        ast.FloatLit, ast.BoolLit)):
                         raise OwnershipTypeError(
                             "field initializers must be literals "
-                            "(use an init method)", fspan)
+                            "(use an init method)", loc_span(floc))
         except OwnershipTypeError as err:
             self.errors.append(err)
             return
@@ -190,7 +191,7 @@ class Checker:
             except OwnershipTypeError as err:
                 self.errors.append(err)
 
-    def _check_static_field(self, env: Env, fi, span) -> None:
+    def _check_static_field(self, env: Env, fi, loc) -> None:
         """Static fields live outside any instance; their owners must be
         the always-available ``heap``/``immortal`` regions (Section 2.5
         defaults static owners to ``immortal``)."""
@@ -199,19 +200,19 @@ class Checker:
                 if o not in (HEAP, IMMORTAL):
                     raise OwnershipTypeError(
                         f"static field '{fi.name}' may only use owners "
-                        f"heap/immortal, found '{o}'", span,
+                        f"heap/immortal, found '{o}'", loc_span(loc),
                         rule="STATIC FIELD")
         elif isinstance(fi.type, HandleType):
             raise OwnershipTypeError(
                 f"static field '{fi.name}' cannot store a region handle",
-                span, rule="STATIC FIELD")
+                loc_span(loc), rule="STATIC FIELD")
 
     def _check_region_kind(self, info) -> None:
         """[REGION KIND DEF]: formals, constraints, ``this`` bound as the
         region itself; portal types and subregion kinds well-formed."""
-        span = info.decl.span if info.decl else None
+        loc = info.decl.loc if info.decl else None
         env = Env.initial(self.program)
-        env = self._declare_formals(env, info.formals, span)
+        env = self._declare_formals(env, info.formals, loc)
         env = env.with_constraints(info.constraints)
         # inside a region kind, `this` denotes the region; model it as an
         # owner of the kind being declared so portal types like
@@ -226,32 +227,33 @@ class Checker:
         for portal in info.portals.values():
             ptype = portal.type.substitute(rename)
             self.check_type_wf(env_this, ptype,
-                               portal.decl.span if portal.decl else span)
+                               portal.decl.loc if portal.decl else loc)
         for sub in info.subregions.values():
             sub_kind = sub.kind.substitute(rename)
             self.check_kind_wf(env_this, sub_kind,
-                               sub.decl.span if sub.decl else span)
+                               sub.decl.loc if sub.decl else loc)
             if not self.program.kind_table.is_shared_kind(sub_kind):
                 raise OwnershipTypeError(
                     f"subregion '{sub.name}' must have a shared region "
-                    f"kind, found '{sub.kind}'", span,
+                    f"kind, found '{sub.kind}'", loc_span(loc),
                     rule="REGION KIND DEF")
 
     def _check_method(self, class_env: Env, info: ClassInfo,
                       mi: MethodInfo) -> None:
         """[METHOD]."""
-        span = mi.decl.span if mi.decl else None
-        env = self._declare_formals(class_env, mi.formals, span)
+        loc = mi.decl.loc if mi.decl else None
+        env = self._declare_formals(class_env, mi.formals, loc)
         env = env.with_constraints(mi.constraints)
         env = env.with_handle(INITIAL_REGION)  # RHandle(initialRegion) hfresh
-        self.check_type_wf(env, mi.return_type, span)
+        self.check_type_wf(env, mi.return_type, loc)
         for ptype, pname in mi.params:
-            self.check_type_wf(env, ptype, span)
+            self.check_type_wf(env, ptype, loc)
             env = env.with_var(pname, ptype)
         if mi.effects is None:
             raise OwnershipTypeError(
                 f"method '{info.name}.{mi.name}' has no effects clause; "
-                "run inference/defaults first", span, rule="METHOD")
+                "run inference/defaults first", loc_span(loc),
+                rule="METHOD")
         for eff in mi.effects:
             if eff == RT_EFFECT:
                 continue
@@ -265,90 +267,93 @@ class Checker:
     # ------------------------------------------------------------------
 
 
-    def _owner_kind(self, env: Env, owner: Owner, span) -> Kind:
-        """``E ⊢k o : k`` with the use-site span attached to failures."""
+    def _owner_kind(self, env: Env, owner: Owner, loc) -> Kind:
+        """``E ⊢k o : k`` with the use-site location attached to
+        failures."""
         try:
             return env.kind_of(owner)
         except OwnershipTypeError as err:
-            raise OwnershipTypeError(err.message, span,
+            raise OwnershipTypeError(err.message, loc_span(loc),
                                      rule="OWNER") from None
 
-    def check_kind_wf(self, env: Env, kind: Kind, span) -> None:
+    def check_kind_wf(self, env: Env, kind: Kind, loc) -> None:
         """``P; E ⊢okind k``."""
         if kind.is_builtin:
             if kind.args:
                 raise OwnershipTypeError(
                     f"built-in kind '{kind.name}' takes no owner "
-                    "arguments", span, rule="OKIND")
+                    "arguments", loc_span(loc), rule="OKIND")
             return
         info = self.program.region_kinds.get(kind.name)
         if info is None:
             raise OwnershipTypeError(
-                f"unknown owner kind '{kind.name}'", span, rule="OKIND")
+                f"unknown owner kind '{kind.name}'", loc_span(loc),
+                rule="OKIND")
         if len(kind.args) != len(info.formals):
             raise OwnershipTypeError(
                 f"region kind '{kind.name}' expects "
                 f"{len(info.formals)} owner arguments, got "
-                f"{len(kind.args)}", span, rule="OKIND")
+                f"{len(kind.args)}", loc_span(loc), rule="OKIND")
         subst = make_subst(info.formal_names, kind.args)
         for actual, (fn, declared) in zip(kind.args, info.formals):
-            actual_kind = self._owner_kind(env, actual, span)
+            actual_kind = self._owner_kind(env, actual, loc)
             wanted = declared.substitute(subst)
             if not self.program.kind_table.is_subkind(actual_kind, wanted):
                 raise OwnershipTypeError(
                     f"owner '{actual}' has kind '{actual_kind}', not a "
                     f"subkind of '{wanted}' required by '{kind.name}'",
-                    span, rule="USER DECLARED SHARED REGION")
+                    loc_span(loc), rule="USER DECLARED SHARED REGION")
         for c in info.constraints:
             inst = c.substitute(subst)
             if not env.entails(inst):
                 raise OwnershipTypeError(
                     f"constraint '{inst}' of region kind '{kind.name}' "
-                    "is not satisfied", span,
+                    "is not satisfied", loc_span(loc),
                     rule="USER DECLARED SHARED REGION")
 
-    def check_type_wf(self, env: Env, t: Type, span) -> None:
+    def check_type_wf(self, env: Env, t: Type, loc) -> None:
         """``P; E ⊢type t`` — [TYPE INT], [TYPE REGION HANDLE], [TYPE C]."""
         if isinstance(t, (PrimType, NullType)):
             return
         if isinstance(t, HandleType):
-            kind = self._owner_kind(env, t.region, span)
+            kind = self._owner_kind(env, t.region, loc)
             if not self.program.kind_table.is_region_kind(kind):
                 raise OwnershipTypeError(
                     f"RHandle requires a region, but '{t.region}' has "
-                    f"kind '{kind}'", span, rule="TYPE REGION HANDLE")
+                    f"kind '{kind}'", loc_span(loc),
+                    rule="TYPE REGION HANDLE")
             return
         assert isinstance(t, ClassType)
         info = self.program.classes.get(t.name)
         if info is None:
-            raise OwnershipTypeError(f"unknown class '{t.name}'", span,
-                                     rule="TYPE C")
+            raise OwnershipTypeError(f"unknown class '{t.name}'",
+                                     loc_span(loc), rule="TYPE C")
         if len(t.owners) != len(info.formals):
             raise OwnershipTypeError(
                 f"class '{t.name}' expects {len(info.formals)} owners, "
-                f"got {len(t.owners)}", span, rule="TYPE C")
+                f"got {len(t.owners)}", loc_span(loc), rule="TYPE C")
         subst = make_subst(info.formal_names, t.owners)
         first = t.owners[0]
         for i, (actual, (fn, declared)) in enumerate(
                 zip(t.owners, info.formals)):
-            actual_kind = self._owner_kind(env, actual, span)
+            actual_kind = self._owner_kind(env, actual, loc)
             wanted = declared.substitute(subst)
             if not self.program.kind_table.is_subkind(actual_kind, wanted):
                 raise OwnershipTypeError(
                     f"owner '{actual}' has kind '{actual_kind}', not a "
                     f"subkind of '{wanted}' required by '{t.name}'",
-                    span, rule="TYPE C")
+                    loc_span(loc), rule="TYPE C")
             if i > 0 and not env.outlives(actual, first):
                 raise OwnershipTypeError(
                     f"illegal type '{t}': owner '{actual}' does not "
-                    f"outlive the first owner '{first}'", span,
+                    f"outlive the first owner '{first}'", loc_span(loc),
                     rule="TYPE C")
         for c in info.constraints:
             inst = c.substitute(subst)
             if not env.entails(inst):
                 raise OwnershipTypeError(
                     f"constraint '{inst}' of class '{t.name}' is not "
-                    f"satisfied by type '{t}'", span, rule="TYPE C")
+                    f"satisfied by type '{t}'", loc_span(loc), rule="TYPE C")
 
     # ------------------------------------------------------------------
     # subtyping — [SUBTYPE ...]
@@ -367,11 +372,11 @@ class Checker:
                 current = self.program.superclass_of(current)
         return False
 
-    def _require_subtype(self, sub: Type, sup: Type, span,
+    def _require_subtype(self, sub: Type, sup: Type, loc,
                          what: str) -> None:
         if not self.is_subtype(sub, sup):
             raise OwnershipTypeError(
-                f"{what}: '{sub}' is not a subtype of '{sup}'", span,
+                f"{what}: '{sub}' is not a subtype of '{sup}'", loc_span(loc),
                 rule="SUBTYPE")
 
     # ------------------------------------------------------------------
@@ -387,14 +392,14 @@ class Checker:
         return env.effect_covers(permitted, owner)
 
     def _require_effect(self, env: Env, permitted: Effects, owner: Owner,
-                        span, what: str, rule: str) -> None:
+                        loc, what: str, rule: str) -> None:
         if not self._covers(env, permitted, owner):
             shown = ("world" if permitted is None
                      else "{" + ", ".join(sorted(str(o) for o in permitted))
                      + "}")
             raise OwnershipTypeError(
                 f"{what} accesses '{owner}', which the effects {shown} "
-                "do not cover", span, rule=rule)
+                "do not cover", loc_span(loc), rule=rule)
 
     # ------------------------------------------------------------------
     # statements
@@ -426,14 +431,14 @@ class Checker:
             return env
         if isinstance(stmt, ast.If):
             cond = self.check_expr(env, stmt.cond, permitted, rcr)
-            self._require_subtype(cond, BOOLEAN, stmt.span, "if condition")
+            self._require_subtype(cond, BOOLEAN, stmt.loc, "if condition")
             self.check_block(env, stmt.then_body, permitted, rcr)
             if stmt.else_body is not None:
                 self.check_block(env, stmt.else_body, permitted, rcr)
             return env
         if isinstance(stmt, ast.While):
             cond = self.check_expr(env, stmt.cond, permitted, rcr)
-            self._require_subtype(cond, BOOLEAN, stmt.span,
+            self._require_subtype(cond, BOOLEAN, stmt.loc,
                                   "while condition")
             self.check_block(env, stmt.body, permitted, rcr)
             return env
@@ -465,10 +470,10 @@ class Checker:
         if declared == VOID:
             raise OwnershipTypeError("variables cannot have type void",
                                      stmt.span)
-        self.check_type_wf(env, declared, stmt.span)
+        self.check_type_wf(env, declared, stmt.loc)
         if stmt.init is not None:
             actual = self.check_expr(env, stmt.init, permitted, rcr)
-            self._require_subtype(actual, declared, stmt.span,
+            self._require_subtype(actual, declared, stmt.loc,
                                   f"initializer of '{stmt.name}'")
         return env.with_var(stmt.name, declared)
 
@@ -476,7 +481,7 @@ class Checker:
                             permitted: Effects, rcr: Owner) -> None:
         value = self.check_expr(env, stmt.value, permitted, rcr)
         if stmt.name in env.vars:
-            self._require_subtype(value, env.vars[stmt.name], stmt.span,
+            self._require_subtype(value, env.vars[stmt.name], stmt.loc,
                                   f"assignment to '{stmt.name}'")
             return
         # Unqualified field write: `head = newNode;` means
@@ -484,8 +489,8 @@ class Checker:
         if env.this_type is not None:
             fi = self.program.lookup_field(env.this_type.name, stmt.name)
             if fi is not None:
-                self._check_field_write_on(env, ast.ThisRef(stmt.span),
-                                           stmt.name, value, stmt.span,
+                self._check_field_write_on(env, ast.ThisRef(stmt.loc),
+                                           stmt.name, value, stmt.loc,
                                            permitted, rcr)
                 return
         raise OwnershipTypeError(f"unknown variable '{stmt.name}'",
@@ -495,41 +500,41 @@ class Checker:
                             permitted: Effects, rcr: Owner) -> None:
         value = self.check_expr(env, stmt.value, permitted, rcr)
         self._check_field_write_on(env, stmt.target, stmt.field_name,
-                                   value, stmt.span, permitted, rcr)
+                                   value, stmt.loc, permitted, rcr)
 
     def _check_field_write_on(self, env: Env, target: ast.Expr,
-                              field_name: str, value_type: Type, span,
+                              field_name: str, value_type: Type, loc,
                               permitted: Effects, rcr: Owner) -> None:
         """[EXPR REF WRITE] / [EXPR SET REGION FIELD] / static write."""
         static = self._try_static_field(env, target, field_name)
         if static is not None:
-            self._require_subtype(value_type, static.type, span,
+            self._require_subtype(value_type, static.type, loc,
                                   f"static field '{field_name}'")
             if isinstance(static.type, ClassType):
                 self._require_effect(env, permitted, static.type.owner,
-                                     span, f"writing '{field_name}'",
+                                     loc, f"writing '{field_name}'",
                                      "EXPR REF WRITE")
             return
         ttype = self.check_expr(env, target, permitted, rcr)
         if isinstance(ttype, HandleType):
-            declared = self._portal_field_type(env, ttype, field_name, span)
-            self._require_subtype(value_type, declared, span,
+            declared = self._portal_field_type(env, ttype, field_name, loc)
+            self._require_subtype(value_type, declared, loc,
                                   f"portal field '{field_name}'")
             if isinstance(declared, ClassType):
-                self._require_effect(env, permitted, declared.owner, span,
+                self._require_effect(env, permitted, declared.owner, loc,
                                      f"writing portal '{field_name}'",
                                      "EXPR SET REGION FIELD")
             return
         if not isinstance(ttype, ClassType):
             raise OwnershipTypeError(
-                f"cannot assign field of non-object type '{ttype}'", span,
-                rule="EXPR REF WRITE")
+                f"cannot assign field of non-object type '{ttype}'",
+                loc_span(loc), rule="EXPR REF WRITE")
         declared = self._instance_field_type(env, ttype, target,
-                                             field_name, span)
-        self._require_subtype(value_type, declared, span,
+                                             field_name, loc)
+        self._require_subtype(value_type, declared, loc,
                               f"field '{field_name}'")
         if isinstance(declared, ClassType):
-            self._require_effect(env, permitted, declared.owner, span,
+            self._require_effect(env, permitted, declared.owner, loc,
                                  f"writing field '{field_name}'",
                                  "EXPR REF WRITE")
 
@@ -546,7 +551,7 @@ class Checker:
             raise OwnershipTypeError("void method returns a value",
                                      stmt.span)
         actual = self.check_expr(env, stmt.value, permitted, rcr)
-        self._require_subtype(actual, expected, stmt.span, "return value")
+        self._require_subtype(actual, expected, stmt.loc, "return value")
 
     # ------------------------------------------------------------------
     # regions — [EXPR REGION], [EXPR LOCALREGION], [EXPR SUBREGION]
@@ -558,7 +563,7 @@ class Checker:
             kind = K_LOCAL_REGION  # [EXPR LOCALREGION]
         else:
             kind = convert_kind(stmt.kind)
-            self.check_kind_wf(env, kind, stmt.span)
+            self.check_kind_wf(env, kind, stmt.loc)
             table = self.program.kind_table
             if not (table.is_subkind(kind, K_LOCAL_REGION)
                     or table.is_shared_kind(kind)):
@@ -569,7 +574,7 @@ class Checker:
                   if stmt.policy is not None else Policy("VT"))
         kr = kind.with_lt() if policy.kind == "LT" else kind
         # Creating a region allocates memory: X ≽ heap.
-        self._require_effect(env, permitted, HEAP, stmt.span,
+        self._require_effect(env, permitted, HEAP, stmt.loc,
                              "creating a region", "EXPR REGION")
         region = Owner(stmt.region_name)
         env2 = env.with_owner(stmt.region_name, kr)
@@ -609,7 +614,7 @@ class Checker:
         kr = rkind.with_lt() if sub.policy.kind == "LT" else rkind
         if stmt.fresh or sub.policy.kind == "VT" or not sub.realtime:
             self._require_effect(
-                env, permitted, HEAP, stmt.span,
+                env, permitted, HEAP, stmt.loc,
                 "entering a NoRT/VT/fresh subregion", "EXPR SUBREGION")
         if sub.realtime:
             # literal membership, not coverage: only methods that declare
@@ -772,8 +777,8 @@ class Checker:
         if env.this_type is not None:
             fi = self.program.lookup_field(env.this_type.name, expr.name)
             if fi is not None and not fi.static:
-                read = ast.FieldRead(ast.ThisRef(expr.span), expr.name,
-                                     expr.span)
+                read = ast.FieldRead(ast.ThisRef(expr.loc), expr.name,
+                                     expr.loc)
                 return self._check_field_read(env, read, permitted, rcr)
         if expr.name in self.program.classes:
             raise OwnershipTypeError(
@@ -792,9 +797,9 @@ class Checker:
                 rule="EXPR NEW")
         ctype = ClassType(expr.class_name,
                           tuple(convert_owner(o) for o in expr.owners))
-        self.check_type_wf(env, ctype, expr.span)
+        self.check_type_wf(env, ctype, expr.loc)
         owner = ctype.owner
-        self._require_effect(env, permitted, owner, expr.span,
+        self._require_effect(env, permitted, owner, expr.loc,
                              f"allocating '{ctype}'", "EXPR NEW")
         if not env.av_rh(owner):
             raise OwnershipTypeError(
@@ -808,7 +813,7 @@ class Checker:
                     expr.span, rule="EXPR NEW")
             for arg, want in zip(expr.args, info.ctor_params):
                 got = self.check_expr(env, arg, permitted, rcr)
-                self._require_subtype(got, want, expr.span,
+                self._require_subtype(got, want, expr.loc,
                                       "constructor argument")
         elif expr.args:
             raise OwnershipTypeError(
@@ -840,35 +845,36 @@ class Checker:
 
     def _instance_field_type(self, env: Env, ttype: ClassType,
                              target: ast.Expr, field_name: str,
-                             span) -> Type:
+                             loc) -> Type:
         fi = self.program.lookup_field(ttype.name, field_name)
         if fi is None or fi.static:
             raise OwnershipTypeError(
                 f"class '{ttype.name}' has no field '{field_name}'",
-                span, rule="EXPR REF READ")
+                loc_span(loc), rule="EXPR REF READ")
         if fi.type.mentions(THIS) and not isinstance(target, ast.ThisRef):
             raise OwnershipTypeError(
                 f"field '{field_name}' has a type owned by its object "
                 "and is encapsulated (property O3); it is only "
-                "accessible through 'this'", span, rule="EXPR REF READ")
+                "accessible through 'this'", loc_span(loc),
+                rule="EXPR REF READ")
         subst = make_subst(
             self.program.class_info(ttype.name).formal_names,
             ttype.owners)
         return fi.type.substitute(subst)
 
     def _portal_field_type(self, env: Env, htype: HandleType,
-                           field_name: str, span) -> Type:
+                           field_name: str, loc) -> Type:
         region = htype.region
         kind = env.kind_of(region)
         if kind.name not in self.program.region_kinds:
             raise OwnershipTypeError(
                 f"region '{region}' of kind '{kind}' has no portal "
-                "fields", span, rule="EXPR GET REGION FIELD")
+                "fields", loc_span(loc), rule="EXPR GET REGION FIELD")
         portal = self.program.lookup_portal(kind.strip_lt(), field_name)
         if portal is None:
             raise OwnershipTypeError(
                 f"region kind '{kind}' has no portal field "
-                f"'{field_name}'", span, rule="EXPR GET REGION FIELD")
+                f"'{field_name}'", loc_span(loc), rule="EXPR GET REGION FIELD")
         return portal.type.substitute({THIS: region})
 
     def _check_field_read(self, env: Env, expr: ast.FieldRead,
@@ -878,17 +884,17 @@ class Checker:
         if static is not None:
             if isinstance(static.type, ClassType):
                 self._require_effect(env, permitted, static.type.owner,
-                                     expr.span,
+                                     expr.loc,
                                      f"reading '{expr.field_name}'",
                                      "EXPR REF READ")
             return static.type
         ttype = self.check_expr(env, expr.target, permitted, rcr)
         if isinstance(ttype, HandleType):
             declared = self._portal_field_type(env, ttype,
-                                               expr.field_name, expr.span)
+                                               expr.field_name, expr.loc)
             if isinstance(declared, ClassType):
                 self._require_effect(env, permitted, declared.owner,
-                                     expr.span,
+                                     expr.loc,
                                      f"reading portal '{expr.field_name}'",
                                      "EXPR GET REGION FIELD")
             return declared
@@ -897,9 +903,9 @@ class Checker:
                 f"cannot read field of non-object type '{ttype}'",
                 expr.span, rule="EXPR REF READ")
         declared = self._instance_field_type(env, ttype, expr.target,
-                                             expr.field_name, expr.span)
+                                             expr.field_name, expr.loc)
         if isinstance(declared, ClassType):
-            self._require_effect(env, permitted, declared.owner, expr.span,
+            self._require_effect(env, permitted, declared.owner, expr.loc,
                                  f"reading field '{expr.field_name}'",
                                  "EXPR REF READ")
         return declared
@@ -951,18 +957,18 @@ class Checker:
         ttype, sig, actuals = self._invoke_parts(
             env, expr, permitted, rcr)
         mi, rename = sig.method, sig.rename
-        span = expr.span
+        loc = expr.loc
         receiver_is_this = isinstance(expr.target, ast.ThisRef)
         first_owner = ttype.owner
 
         # owner-argument kinds: ki' ≤ Rename(ki)
         for wanted, actual in zip(sig.formal_kinds, actuals):
-            actual_kind = self._owner_kind(env, actual, span)
+            actual_kind = self._owner_kind(env, actual, loc)
             if not self.program.kind_table.is_subkind(actual_kind, wanted):
                 raise OwnershipTypeError(
                     f"owner argument '{actual}' has kind "
                     f"'{actual_kind}', not a subkind of '{wanted}'",
-                    span, rule="EXPR INVOKE")
+                    loc_span(loc), rule="EXPR INVOKE")
             # Section 2.1 / Theorem 4: a method owner argument that is an
             # *object* must (transitively) own the receiver object.  For
             # a `this` receiver that is the object itself; for any other
@@ -974,26 +980,26 @@ class Checker:
                 if not env.owns(actual, target):
                     raise OwnershipTypeError(
                         f"object owner argument '{actual}' must "
-                        f"(transitively) own the receiver", span,
+                        f"(transitively) own the receiver", loc_span(loc),
                         rule="EXPR INVOKE")
 
         def reject_this_mention(what: str) -> None:
             raise OwnershipTypeError(
                 f"{what} of '{ttype.name}.{mi.name}' mentions 'this' "
                 "and is only usable through 'this' (property O3)",
-                span, rule="EXPR INVOKE")
+                loc_span(loc), rule="EXPR INVOKE")
 
         if len(expr.args) != len(mi.params):
             raise OwnershipTypeError(
                 f"method '{ttype.name}.{mi.name}' expects "
                 f"{len(mi.params)} arguments, got {len(expr.args)}",
-                span, rule="EXPR INVOKE")
+                loc_span(loc), rule="EXPR INVOKE")
         for i, (arg, (_, pname)) in enumerate(zip(expr.args, mi.params)):
             if sig.param_mentions_this[i] and not receiver_is_this:
                 reject_this_mention(f"parameter '{pname}'")
             want = sig.param_types[i]
             got = self.check_expr(env, arg, permitted, rcr)
-            self._require_subtype(got, want, span,
+            self._require_subtype(got, want, loc,
                                   f"argument for '{pname}'")
 
         for c in mi.constraints:
@@ -1001,7 +1007,8 @@ class Checker:
                 raise OwnershipTypeError(
                     f"constraint '{c}' of '{ttype.name}.{mi.name}' "
                     "mentions 'this' on the left and cannot be checked "
-                    "for a non-this receiver", span, rule="EXPR INVOKE")
+                    "for a non-this receiver", loc_span(loc),
+                    rule="EXPR INVOKE")
             inst = Constraint(
                 c.relation,
                 rename.get(c.left, c.left),
@@ -1010,13 +1017,13 @@ class Checker:
             if not env.entails(inst):
                 raise OwnershipTypeError(
                     f"constraint '{inst}' of method "
-                    f"'{ttype.name}.{mi.name}' is not satisfied", span,
-                    rule="EXPR INVOKE")
+                    f"'{ttype.name}.{mi.name}' is not satisfied",
+                    loc_span(loc), rule="EXPR INVOKE")
 
         for renamed in sig.effects:
             if renamed == THIS and not receiver_is_this:
                 renamed = first_owner
-            self._require_effect(env, permitted, renamed, span,
+            self._require_effect(env, permitted, renamed, loc,
                                  f"calling '{ttype.name}.{mi.name}'",
                                  "EXPR INVOKE")
         if sig.return_mentions_this and not receiver_is_this:
@@ -1084,6 +1091,6 @@ class Checker:
                 expr.span)
         for arg, want in zip(expr.args, params):
             got = self.check_expr(env, arg, permitted, rcr)
-            self._require_subtype(got, want, expr.span,
+            self._require_subtype(got, want, expr.loc,
                                   f"argument of '{expr.name}'")
         return ret

@@ -60,7 +60,7 @@ class _UnionFind:
             self.parent[token], token = root, self.parent[token]
         return root
 
-    def union(self, a: Token, b: Token, span) -> None:
+    def union(self, a: Token, b: Token) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return
@@ -146,9 +146,9 @@ def _fill(type_ast: ast.TypeAst, program: ast.Program,
         return type_ast
     decl = program.class_named(type_ast.name)
     arity = len(decl.formals) if decl is not None else 1
-    owners = tuple(ast.OwnerAst(default, type_ast.span)
+    owners = tuple(ast.OwnerAst(default, type_ast.loc)
                    for _ in range(arity))
-    return ast.ClassTypeAst(type_ast.name, owners, type_ast.span)
+    return ast.ClassTypeAst(type_ast.name, owners, type_ast.loc)
 
 
 def apply_signature_defaults(
@@ -160,8 +160,8 @@ def apply_signature_defaults(
         if not cls.formals:
             # default class parameterization: one plain Owner formal
             cls.formals.append(ast.FormalAst(
-                ast.KindAst("Owner", (), False, cls.span), "__owner",
-                cls.span))
+                ast.KindAst("Owner", (), False, cls.loc), "__owner",
+                cls.loc))
         this_owner = policy.instance_field_owner or cls.formals[0].name
         if cls.superclass is not None and not cls.superclass.owners:
             sup = program.class_named(cls.superclass.name)
@@ -169,9 +169,9 @@ def apply_signature_defaults(
                 else 1
             cls.superclass = ast.ClassTypeAst(
                 cls.superclass.name,
-                tuple(ast.OwnerAst(this_owner, cls.span)
+                tuple(ast.OwnerAst(this_owner, cls.loc)
                       for _ in range(arity)),
-                cls.superclass.span)
+                cls.superclass.loc)
         for fld in cls.fields:
             default = (policy.static_field_owner if fld.static
                        else this_owner)
@@ -187,7 +187,7 @@ def apply_signature_defaults(
                          + [f.name for f in meth.formals])
                 if policy.effects_include_initial_region:
                     names.append("initialRegion")
-                meth.effects = [ast.OwnerAst(n, meth.span) for n in names]
+                meth.effects = [ast.OwnerAst(n, meth.loc) for n in names]
     for rk in program.region_kinds:
         for portal in rk.portals:
             portal.declared_type = _fill(portal.declared_type, program,
@@ -226,11 +226,11 @@ class _MethodInference:
         self.pending.append((node, tokens))
         return tokens
 
-    def unify(self, a: Pattern, b: Pattern, span) -> None:
+    def unify(self, a: Pattern, b: Pattern) -> None:
         if not isinstance(a, RefPattern) or not isinstance(b, RefPattern):
             if isinstance(a, HandlePattern) and isinstance(b,
                                                            HandlePattern):
-                self.uf.union(a.region, b.region, span)
+                self.uf.union(a.region, b.region)
             return
         if a.class_name == "<null>" or b.class_name == "<null>":
             return
@@ -245,7 +245,7 @@ class _MethodInference:
             else:
                 b2 = b
         for oa, ob in zip(a2.owners, b2.owners):
-            self.uf.union(oa, ob, span)
+            self.uf.union(oa, ob)
 
     def _upcast(self, pattern: RefPattern,
                 target: str) -> Optional[RefPattern]:
@@ -315,19 +315,19 @@ class _MethodInference:
             pattern = self._pattern_of_type_ast(stmt.declared_type, stmt)
             if stmt.init is not None:
                 init = self.visit_expr(stmt.init, scope)
-                self.unify(pattern, init, stmt.span)
+                self.unify(pattern, init)
             scope[stmt.name] = pattern
         elif isinstance(stmt, ast.AssignLocal):
             value = self.visit_expr(stmt.value, scope)
             target = scope.get(stmt.name)
             if target is None:
                 target = self._this_field_pattern(stmt.name)
-            self.unify(target, value, stmt.span)
+            self.unify(target, value)
         elif isinstance(stmt, ast.AssignField):
             value = self.visit_expr(stmt.value, scope)
             target = self._field_pattern(stmt.target, stmt.field_name,
                                          scope)
-            self.unify(target, value, stmt.span)
+            self.unify(target, value)
         elif isinstance(stmt, ast.ExprStmt):
             self.visit_expr(stmt.expr, scope)
         elif isinstance(stmt, ast.If):
@@ -343,7 +343,7 @@ class _MethodInference:
                 value = self.visit_expr(stmt.value, scope)
                 declared = self._pattern_of_type_ast(
                     self.method.return_type)
-                self.unify(declared, value, stmt.span)
+                self.unify(declared, value)
         elif isinstance(stmt, ast.Fork):
             self.visit_expr(stmt.call, scope)
         elif isinstance(stmt, ast.RegionStmt):
@@ -525,8 +525,7 @@ class _MethodInference:
             for (fn, _), actual in zip(mi.formals, actuals):
                 subst[fn] = actual
         for (ptype, _), apat in zip(mi.params, arg_patterns):
-            self.unify(self._pattern_of_semantic(ptype, subst), apat,
-                       expr.span)
+            self.unify(self._pattern_of_semantic(ptype, subst), apat)
         return self._pattern_of_semantic(mi.return_type, subst)
 
     # -- rewriting ----------------------------------------------------------
@@ -538,13 +537,13 @@ class _MethodInference:
             owners = tuple(
                 ast.OwnerAst(
                     self.uf.resolve(t, self.policy.unconstrained_local),
-                    node.span)
+                    node.loc)
                 for t in tokens)
             if isinstance(node, ast.LocalDecl):
                 old = node.declared_type
                 assert isinstance(old, ast.ClassTypeAst)
                 node.declared_type = ast.ClassTypeAst(old.name, owners,
-                                                      old.span)
+                                                      old.loc)
             elif isinstance(node, ast.NewExpr):
                 node.owners = owners
             elif isinstance(node, ast.Invoke):

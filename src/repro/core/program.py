@@ -269,10 +269,10 @@ class ProgramInfo:
 
     # -- class member lookup (with inheritance) -------------------------
 
-    def class_info(self, name: str, span=None) -> ClassInfo:
+    def class_info(self, name: str) -> ClassInfo:
         info = self.classes.get(name)
         if info is None:
-            raise OwnershipTypeError(f"unknown class '{name}'", span)
+            raise OwnershipTypeError(f"unknown class '{name}'")
         return info
 
     def superclass_of(self, ctype: ClassType) -> Optional[ClassType]:
@@ -375,10 +375,10 @@ class ProgramInfo:
 
     # -- region-kind member lookup ---------------------------------------
 
-    def region_kind_info(self, name: str, span=None) -> RegionKindInfo:
+    def region_kind_info(self, name: str) -> RegionKindInfo:
         info = self.region_kinds.get(name)
         if info is None:
-            raise OwnershipTypeError(f"unknown region kind '{name}'", span)
+            raise OwnershipTypeError(f"unknown region kind '{name}'")
         return info
 
     def lookup_portal(self, kind: Kind,

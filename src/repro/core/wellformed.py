@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from ..errors import OwnershipTypeError
+from ..source import loc_span
 from .kinds import BUILTIN_KINDS, K_SHARED_REGION, Kind
 from .owners import INITIAL_REGION, Owner, make_subst
 from .program import (ClassInfo, Constraint, MethodInfo, ProgramInfo,
@@ -98,7 +99,7 @@ def _wf_region_kinds(program: ProgramInfo) -> None:
         declared.add(rk.name)
 
     for name, info in program.region_kinds.items():
-        span = info.decl.span if info.decl else None
+        loc = info.decl.loc if info.decl else None
         # superkind chain must reach SharedRegion without cycles
         seen = {name}
         current: Kind = info.superkind
@@ -108,22 +109,22 @@ def _wf_region_kinds(program: ProgramInfo) -> None:
             if current.name in BUILTIN_KINDS:
                 raise OwnershipTypeError(
                     f"region kind '{name}' must (transitively) extend "
-                    f"SharedRegion, found '{current.name}'", span)
+                    f"SharedRegion, found '{current.name}'", loc_span(loc))
             if current.name in seen:
                 raise OwnershipTypeError(
                     "cycle in the region kind hierarchy involving "
-                    f"'{current.name}'", span)
+                    f"'{current.name}'", loc_span(loc))
             seen.add(current.name)
             parent = program.region_kinds.get(current.name)
             if parent is None:
                 raise OwnershipTypeError(
                     f"region kind '{name}' extends unknown kind "
-                    f"'{current.name}'", span)
+                    f"'{current.name}'", loc_span(loc))
             if len(current.args) != len(parent.formals):
                 raise OwnershipTypeError(
                     f"region kind '{name}' instantiates "
                     f"'{current.name}' with {len(current.args)} owners, "
-                    f"expected {len(parent.formals)}", span)
+                    f"expected {len(parent.formals)}", loc_span(loc))
             current = parent.superkind
 
     _finite_subregions(program)
@@ -209,7 +210,7 @@ def _inheritance_ok(program: ProgramInfo) -> None:
         sup = program.classes.get(info.superclass.name)
         if sup is None or sup.builtin:
             continue
-        span = info.decl.span if info.decl else None
+        loc = info.decl.loc if info.decl else None
         subst = make_subst(sup.formal_names, info.superclass.owners)
         have = _constraint_set(info.constraints)
         for c in sup.constraints:
@@ -217,19 +218,19 @@ def _inheritance_ok(program: ProgramInfo) -> None:
             if needed not in have:
                 raise OwnershipTypeError(
                     f"class '{name}' must repeat the inherited constraint "
-                    f"'{needed}' of '{sup.name}'", span)
+                    f"'{needed}' of '{sup.name}'", loc_span(loc))
         for mname, meth in info.methods.items():
             overridden = program.lookup_method(info.superclass.name, mname)
             if overridden is not None:
                 # expressed over sup's formals; rewrite to info's view
                 overridden = overridden.substitute(subst)
-                _overrides_ok(program, name, meth, overridden, span)
+                _overrides_ok(program, name, meth, overridden, loc)
 
     for name, info in program.region_kinds.items():
         if info.superkind.name not in program.region_kinds:
             continue
         sup = program.region_kinds[info.superkind.name]
-        span = info.decl.span if info.decl else None
+        loc = info.decl.loc if info.decl else None
         subst = make_subst(sup.formal_names, info.superkind.args)
         have = _constraint_set(info.constraints)
         for c in sup.constraints:
@@ -237,11 +238,11 @@ def _inheritance_ok(program: ProgramInfo) -> None:
             if needed not in have:
                 raise OwnershipTypeError(
                     f"region kind '{name}' must repeat the inherited "
-                    f"constraint '{needed}' of '{sup.name}'", span)
+                    f"constraint '{needed}' of '{sup.name}'", loc_span(loc))
 
 
 def _overrides_ok(program: ProgramInfo, class_name: str, meth: MethodInfo,
-                  overridden: MethodInfo, span) -> None:
+                  overridden: MethodInfo, loc) -> None:
     """[OVERRIDESOK METHOD] — positional renaming of method formals, then:
     identical parameter types, covariant return, effects a subset of the
     overridden effects, constraints a subset of the overridden
@@ -250,11 +251,11 @@ def _overrides_ok(program: ProgramInfo, class_name: str, meth: MethodInfo,
     if len(meth.formals) != len(overridden.formals):
         raise OwnershipTypeError(
             f"{where} overrides a method with a different number of "
-            "owner formals", span)
+            "owner formals", loc_span(loc))
     if len(meth.params) != len(overridden.params):
         raise OwnershipTypeError(
             f"{where} overrides a method with a different number of "
-            "parameters", span)
+            "parameters", loc_span(loc))
     rename = make_subst((fn for fn, _ in overridden.formals),
                         tuple(Owner(fn) for fn, _ in meth.formals))
     over_params = [t.substitute(rename) for t, _ in overridden.params]
@@ -262,27 +263,27 @@ def _overrides_ok(program: ProgramInfo, class_name: str, meth: MethodInfo,
         if t != t_over:
             raise OwnershipTypeError(
                 f"{where} changes the type of a parameter "
-                f"({t} vs {t_over})", span)
+                f"({t} vs {t_over})", loc_span(loc))
     over_ret = overridden.return_type.substitute(rename)
     if meth.return_type != over_ret and not _is_subclass_of(
             program, meth.return_type, over_ret):
         raise OwnershipTypeError(
             f"{where} changes the return type ({meth.return_type} vs "
-            f"{over_ret})", span)
+            f"{over_ret})", loc_span(loc))
     if meth.effects is not None and overridden.effects is not None:
         over_effects = {rename.get(o, o) for o in overridden.effects}
         for eff in meth.effects:
             if eff not in over_effects:
                 raise OwnershipTypeError(
                     f"{where} declares effect '{eff}' not present in the "
-                    "overridden method", span)
+                    "overridden method", loc_span(loc))
     over_constraints = {c.substitute(rename)
                         for c in overridden.constraints}
     for c in meth.constraints:
         if c not in over_constraints:
             raise OwnershipTypeError(
                 f"{where} adds constraint '{c}' not present in the "
-                "overridden method", span)
+                "overridden method", loc_span(loc))
 
 
 def _is_subclass_of(program: ProgramInfo, sub, sup) -> bool:

@@ -542,7 +542,7 @@ class _FusedEmitter:
             else:
                 self.field_put(fn, "S", s.name, v,
                                self._type(s.value, fn),
-                               s.span.start.line)
+                               s.loc[0])
             return
         if isinstance(s, ast.AssignField):
             if fn.facts.targets.get(id(s)) != "object":
@@ -551,7 +551,7 @@ class _FusedEmitter:
             v = self.eval(fn, s.value)
             recv = self.eval(fn, s.target)
             self.field_put(fn, recv, s.field_name, v,
-                           self._type(s.value, fn), s.span.start.line)
+                           self._type(s.value, fn), s.loc[0])
             return
         if isinstance(s, ast.ExprStmt):
             self.eval(fn, s.expr)

@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..errors import (InterpreterError, MemoryAccessError,
                       RealtimeViolationError)
 from ..lang import ast
+from ..source import Loc
 from ..rtsj.objects import ObjRef, make_array
 from ..rtsj.regions import LT, VT
 from ..rtsj.threads import SimThread, YIELD
@@ -52,7 +53,7 @@ from .values import RegionHandle, format_value, region_of_owner
 
 _ARRAY_CLASSES = ("IntArray", "FloatArray")
 
-#: host objects the generated module closes over; ``SPANS`` is added
+#: host objects the generated module closes over; ``LOCS`` is added
 #: per emission (error messages embed real source positions)
 _BASE_CTX: Dict[str, Any] = {
     "Frame": Frame,
@@ -115,8 +116,8 @@ class _FaithfulEmitter:
         self.active = active          # checks.active: RT guards emitted
         self.c = cost
         self.w = SourceWriter()
-        self.spans: List[Any] = []
-        self._span_ix: Dict[int, int] = {}
+        self.locs: List[Loc] = []
+        self._loc_ix: Dict[Loc, int] = {}
         self.ntmp = 0
 
     # -- small helpers ---------------------------------------------------
@@ -125,13 +126,13 @@ class _FaithfulEmitter:
         self.ntmp += 1
         return f"_t{self.ntmp}"
 
-    def sp(self, span: Any) -> str:
-        ix = self._span_ix.get(id(span))
+    def lc(self, loc: Loc) -> str:
+        ix = self._loc_ix.get(loc)
         if ix is None:
-            ix = len(self.spans)
-            self.spans.append(span)
-            self._span_ix[id(span)] = ix
-        return f"SP[{ix}]"
+            ix = len(self.locs)
+            self.locs.append(loc)
+            self._loc_ix[loc] = ix
+        return f"LC[{ix}]"
 
     def preamble(self) -> None:
         self.w.emit("ST.steps += 1")
@@ -169,7 +170,7 @@ class _FaithfulEmitter:
             w.emit("else:")
             w.indent()
             w.emit(f"{v} = yield from FR(F.this, {bake(e.name)}, T, "
-                   f"{self.sp(e.span)})")
+                   f"{self.lc(e.loc)})")
             w.dedent()
             w.emit(f"if isinstance({v}, ObjRef):")
             w.indent()
@@ -284,7 +285,7 @@ class _FaithfulEmitter:
     def emit_field_read(self, e: ast.FieldRead, rn: str) -> str:
         w = self.w
         fname = bake(e.field_name)
-        span = self.sp(e.span)
+        loc = self.lc(e.loc)
         res = self.tmp()
         target = e.target
         if isinstance(target, ast.VarRef) \
@@ -294,7 +295,7 @@ class _FaithfulEmitter:
             cls = bake(target.name)
             w.emit(f"if {cls} not in F.vars:")
             w.indent()
-            w.emit(f"{res} = yield from SR({cls}, {fname}, T, {span})")
+            w.emit(f"{res} = yield from SR({cls}, {fname}, T, {loc})")
             w.dedent()
             w.emit("else:")
             w.indent()
@@ -308,11 +309,11 @@ class _FaithfulEmitter:
             w.emit(f"if isinstance({recv}, RegionHandle):")
             w.indent()
             w.emit(f"{res} = yield from PR({recv}.area, {fname}, T, "
-                   f"{span})")
+                   f"{loc})")
             w.dedent()
             w.emit("else:")
             w.indent()
-            w.emit(f"{res} = yield from FR({recv}, {fname}, T, {span})")
+            w.emit(f"{res} = yield from FR({recv}, {fname}, T, {loc})")
             w.dedent()
             w.dedent()
         else:
@@ -320,11 +321,11 @@ class _FaithfulEmitter:
             w.emit(f"if isinstance({recv}, RegionHandle):")
             w.indent()
             w.emit(f"{res} = yield from PR({recv}.area, {fname}, T, "
-                   f"{span})")
+                   f"{loc})")
             w.dedent()
             w.emit("else:")
             w.indent()
-            w.emit(f"{res} = yield from FR({recv}, {fname}, T, {span})")
+            w.emit(f"{res} = yield from FR({recv}, {fname}, T, {loc})")
             w.dedent()
         w.emit(f"if isinstance({res}, ObjRef):")
         w.indent()
@@ -415,7 +416,7 @@ class _FaithfulEmitter:
         recv = self.emit_operand(e.target, rn)
         obj = self.tmp()
         what = f"call '{e.method_name}'"
-        w.emit(f"{obj} = REQ({recv}, {self.sp(e.span)}, {bake(what)})")
+        w.emit(f"{obj} = REQ({recv}, {self.lc(e.loc)}, {bake(what)})")
         owners = [self.owner_atom(o.name) for o in e.owner_args]
         args = [self.emit_operand(a, rn) for a in e.args]
         fact = self._invoke_fact(e)
@@ -623,7 +624,7 @@ class _FaithfulEmitter:
             w.emit("else:")
             w.indent()
             w.emit(f"yield from FW(F.this, {bake(s.name)}, {v}, T, "
-                   f"{self.sp(s.span)})")
+                   f"{self.lc(s.loc)})")
             w.dedent()
             return
         if t is ast.AssignField:
@@ -668,7 +669,7 @@ class _FaithfulEmitter:
     def emit_assign_field(self, s: ast.AssignField, rn: str) -> None:
         w = self.w
         fname = bake(s.field_name)
-        span = self.sp(s.span)
+        loc = self.lc(s.loc)
         self.preamble()
         v = self.emit_operand(s.value, rn)
         target = s.target
@@ -677,7 +678,7 @@ class _FaithfulEmitter:
             cls = bake(target.name)
             w.emit(f"if {cls} not in F.vars:")
             w.indent()
-            w.emit(f"yield from SW({cls}, {fname}, {v}, T, {span})")
+            w.emit(f"yield from SW({cls}, {fname}, {v}, T, {loc})")
             w.dedent()
             w.emit("else:")
             w.indent()
@@ -690,22 +691,22 @@ class _FaithfulEmitter:
             w.dedent()
             w.emit(f"if isinstance({recv}, RegionHandle):")
             w.indent()
-            w.emit(f"yield from PW({recv}.area, {fname}, {v}, T, {span})")
+            w.emit(f"yield from PW({recv}.area, {fname}, {v}, T, {loc})")
             w.dedent()
             w.emit("else:")
             w.indent()
-            w.emit(f"yield from FW({recv}, {fname}, {v}, T, {span})")
+            w.emit(f"yield from FW({recv}, {fname}, {v}, T, {loc})")
             w.dedent()
             w.dedent()
             return
         recv = self.emit_operand(target, rn)
         w.emit(f"if isinstance({recv}, RegionHandle):")
         w.indent()
-        w.emit(f"yield from PW({recv}.area, {fname}, {v}, T, {span})")
+        w.emit(f"yield from PW({recv}.area, {fname}, {v}, T, {loc})")
         w.dedent()
         w.emit("else:")
         w.indent()
-        w.emit(f"yield from FW({recv}, {fname}, {v}, T, {span})")
+        w.emit(f"yield from FW({recv}, {fname}, {v}, T, {loc})")
         w.dedent()
 
     def _flat_cond(self, cond: ast.Expr) -> Optional[ast.Binary]:
@@ -821,7 +822,7 @@ class _FaithfulEmitter:
         self.preamble()
         recv = self.emit_expr(call.target, rn)
         obj = self.tmp()
-        w.emit(f"{obj} = REQ({recv}, {self.sp(s.span)}, 'fork')")
+        w.emit(f"{obj} = REQ({recv}, {self.lc(s.loc)}, 'fork')")
         owners = [self.owner_atom(o.name) for o in call.owner_args]
         ar = self.tmp()
         w.emit(f"{ar} = []")
@@ -980,7 +981,7 @@ class _FaithfulEmitter:
                 ("RealtimeViolationError", "RealtimeViolationError"),
                 ("MemoryAccessError", "MemoryAccessError"),
                 ("SimThread", "SimThread"), ("YIELD", "YIELD"),
-                ("LT", "LT"), ("VT", "VT"), ("SP", "SPANS")):
+                ("LT", "LT"), ("VT", "VT"), ("LC", "LOCS")):
             w.emit(f"{alias} = ctx[{bake(key)}]")
         w.emit("def bind(M):")
         w.indent()
@@ -1037,7 +1038,7 @@ def _faithful_bind(analyzed: Any, lowered: LoweredProgram, active: bool,
         ns: Dict[str, Any] = {}
         exec(compile(src, "<repro-faithful>", "exec"), ns)
         ctx = dict(_BASE_CTX)
-        ctx["SPANS"] = tuple(emitter.spans)
+        ctx["LOCS"] = tuple(emitter.locs)
         return ns.pop("make")(ctx)  # acyclic: see codegen_py._fused_bind
     return memo(analyzed, ("py-faithful", bool(active), cost_key(cost)),
                 build)

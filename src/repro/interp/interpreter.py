@@ -57,6 +57,7 @@ from ..errors import (InterpreterError, MemoryAccessError,
                       ReproError, SimulatedNullPointerError,
                       ThreadSpawnError)
 from ..lang import ast
+from ..source import loc_span
 from ..rtsj.objects import ArrayStorage, ObjRef, make_array
 from ..rtsj.regions import LT, MemoryArea, VT, release_shared
 from ..rtsj.threads import SimThread, YIELD
@@ -306,14 +307,14 @@ class Interpreter:
                     f"owner '{name}' unbound at runtime")
         return resolve
 
-    def _require_object(self, value: Any, span, what: str) -> ObjRef:
+    def _require_object(self, value: Any, loc, what: str) -> ObjRef:
         if value is None:
             raise SimulatedNullPointerError(
-                f"{what} on null at {span}")
+                f"{what} on null at {loc_span(loc)}")
         assert isinstance(value, ObjRef), value
         if self._validate and not value.alive:
             raise InterpreterError(
-                f"dangling reference followed at {span}: {value!r} "
+                f"dangling reference followed at {loc_span(loc)}: {value!r} "
                 "(its region was deleted)")
         return value
 
@@ -598,7 +599,7 @@ class Interpreter:
         leaves of almost every hot expression; evaluating each through
         its own generator costs a frame creation plus one resume of the
         whole coroutine chain per yield.  Consumers therefore inline
-        them: the returned ``(kind, payload, span, code)`` tuple drives
+        them: the returned ``(kind, payload, loc, code)`` tuple drives
         a small compile-time-constant branch inside the consumer's own
         generator, reproducing the leaf's exact yield sequence and
         ``temps`` bookkeeping without a nested frame.
@@ -615,7 +616,7 @@ class Interpreter:
         if t is ast.NullLit:
             return 0, None, None, None
         if t is ast.VarRef:
-            return 1, expr.name, expr.span, None
+            return 1, expr.name, expr.loc, None
         if t is ast.ThisRef:
             return 2, None, None, None
         return 3, None, None, self._compile_expr(expr)
@@ -656,7 +657,7 @@ class Interpreter:
                 frame.vars[name] = None
             return run
         field_read = self._field_read
-        v_kind, v_val, v_span, v_code = self._operand(stmt.init)
+        v_kind, v_val, v_loc, v_code = self._operand(stmt.init)
 
         def run(frame, region, thread):
             stats.steps += 1
@@ -669,7 +670,7 @@ class Interpreter:
                     yield op_local
                 else:
                     value = yield from field_read(frame.this, v_val,
-                                                  thread, v_span)
+                                                  thread, v_loc)
                 if isinstance(value, ObjRef):
                     frame.temps.append(value)
             elif v_kind == 2:
@@ -686,10 +687,10 @@ class Interpreter:
         stats = self.stats
         op_local = self._c_local
         name = stmt.name
-        span = stmt.span
+        loc = stmt.loc
         field_read = self._field_read
         field_write = self._field_write
-        v_kind, v_val, v_span, v_code = self._operand(stmt.value)
+        v_kind, v_val, v_loc, v_code = self._operand(stmt.value)
 
         def run(frame, region, thread):
             stats.steps += 1
@@ -702,7 +703,7 @@ class Interpreter:
                     yield op_local
                 else:
                     value = yield from field_read(frame.this, v_val,
-                                                  thread, v_span)
+                                                  thread, v_loc)
                 if isinstance(value, ObjRef):
                     frame.temps.append(value)
             elif v_kind == 2:
@@ -716,19 +717,19 @@ class Interpreter:
                 frame.vars[name] = value
             else:
                 yield from field_write(frame.this, name, value,
-                                       thread, span)
+                                       thread, loc)
         return run
 
     def _build_assign_field(self, stmt: ast.AssignField):
         stats = self.stats
         fname = stmt.field_name
-        span = stmt.span
+        loc = stmt.loc
         op_local = self._c_local
         field_read = self._field_read
         field_write = self._field_write
         portal_write = self._portal_write
         target = stmt.target
-        v_kind, v_val, v_span, v_code = self._operand(stmt.value)
+        v_kind, v_val, v_loc, v_code = self._operand(stmt.value)
         if isinstance(target, ast.VarRef) \
                 and target.name in self.info.classes:
             # possibly a static field write — decided at runtime, since
@@ -747,7 +748,7 @@ class Interpreter:
                         yield op_local
                     else:
                         value = yield from field_read(frame.this, v_val,
-                                                      thread, v_span)
+                                                      thread, v_loc)
                     if isinstance(value, ObjRef):
                         frame.temps.append(value)
                 elif v_kind == 2:
@@ -758,7 +759,7 @@ class Interpreter:
                     value = yield from v_code(frame, region, thread)
                 if cls_name not in frame.vars:
                     yield from static_write(cls_name, fname, value,
-                                            thread, span)
+                                            thread, loc)
                     return
                 recv = frame.vars[cls_name]
                 yield op_local
@@ -766,13 +767,13 @@ class Interpreter:
                     frame.temps.append(recv)
                 if isinstance(recv, RegionHandle):
                     yield from portal_write(recv.area, fname, value,
-                                            thread, span)
+                                            thread, loc)
                 else:
                     yield from field_write(recv, fname, value,
-                                           thread, span)
+                                           thread, loc)
             return run
 
-        t_kind, t_val, t_span, t_code = self._operand(target)
+        t_kind, t_val, t_loc, t_code = self._operand(target)
 
         def run(frame, region, thread):
             stats.steps += 1
@@ -785,7 +786,7 @@ class Interpreter:
                     yield op_local
                 else:
                     value = yield from field_read(frame.this, v_val,
-                                                  thread, v_span)
+                                                  thread, v_loc)
                 if isinstance(value, ObjRef):
                     frame.temps.append(value)
             elif v_kind == 2:
@@ -800,7 +801,7 @@ class Interpreter:
                     yield op_local
                 else:
                     recv = yield from field_read(frame.this, t_val,
-                                                 thread, t_span)
+                                                 thread, t_loc)
                 if isinstance(recv, ObjRef):
                     frame.temps.append(recv)
             elif t_kind == 2:
@@ -813,9 +814,9 @@ class Interpreter:
                 recv = yield from t_code(frame, region, thread)
             if isinstance(recv, RegionHandle):
                 yield from portal_write(recv.area, fname, value,
-                                        thread, span)
+                                        thread, loc)
             else:
-                yield from field_write(recv, fname, value, thread, span)
+                yield from field_write(recv, fname, value, thread, loc)
         return run
 
     def _build_expr_stmt(self, stmt: ast.ExprStmt):
@@ -860,8 +861,8 @@ class Interpreter:
         flat = self._flat_cond(stmt.cond)
         if flat is not None:
             fn, left_op, right_op = flat
-            l_kind, l_val, l_span, _l = left_op
-            r_kind, r_val, r_span, _r = right_op
+            l_kind, l_val, l_loc, _l = left_op
+            r_kind, r_val, r_loc, _r = right_op
             op_local = self._c_local
             op_basic = self._c_basic
             field_read = self._field_read
@@ -877,7 +878,7 @@ class Interpreter:
                         yield op_local
                     else:
                         left = yield from field_read(frame.this, l_val,
-                                                     thread, l_span)
+                                                     thread, l_loc)
                     if isinstance(left, ObjRef):
                         frame.temps.append(left)
                 else:
@@ -892,7 +893,7 @@ class Interpreter:
                         yield op_local
                     else:
                         right = yield from field_read(frame.this, r_val,
-                                                      thread, r_span)
+                                                      thread, r_loc)
                     if isinstance(right, ObjRef):
                         frame.temps.append(right)
                 else:
@@ -928,8 +929,8 @@ class Interpreter:
         flat = self._flat_cond(stmt.cond)
         if flat is not None:
             fn, left_op, right_op = flat
-            l_kind, l_val, l_span, _l = left_op
-            r_kind, r_val, r_span, _r = right_op
+            l_kind, l_val, l_loc, _l = left_op
+            r_kind, r_val, r_loc, _r = right_op
             op_local = self._c_local
             op_basic = self._c_basic
             field_read = self._field_read
@@ -946,7 +947,7 @@ class Interpreter:
                             yield op_local
                         else:
                             left = yield from field_read(
-                                frame.this, l_val, thread, l_span)
+                                frame.this, l_val, thread, l_loc)
                         if isinstance(left, ObjRef):
                             frame.temps.append(left)
                     else:
@@ -961,7 +962,7 @@ class Interpreter:
                             yield op_local
                         else:
                             right = yield from field_read(
-                                frame.this, r_val, thread, r_span)
+                                frame.this, r_val, thread, r_loc)
                         if isinstance(right, ObjRef):
                             frame.temps.append(right)
                     else:
@@ -994,7 +995,7 @@ class Interpreter:
         op_return = self.cost.op_return
         op_local = self._c_local
         field_read = self._field_read
-        v_kind, v_val, v_span, v_code = (
+        v_kind, v_val, v_loc, v_code = (
             self._operand(stmt.value) if stmt.value is not None
             else (0, None, None, None))
 
@@ -1009,7 +1010,7 @@ class Interpreter:
                     yield op_local
                 else:
                     value = yield from field_read(frame.this, v_val,
-                                                  thread, v_span)
+                                                  thread, v_loc)
                 if isinstance(value, ObjRef):
                     frame.temps.append(value)
             elif v_kind == 2:
@@ -1124,7 +1125,7 @@ class Interpreter:
         region_name = stmt.region_name
         handle_name = stmt.handle_name
         fresh = stmt.fresh
-        h_kind, h_val, h_span, h_code = self._operand(stmt.parent_handle)
+        h_kind, h_val, h_loc, h_code = self._operand(stmt.parent_handle)
 
         def run(frame, region, thread):
             stats.steps += 1
@@ -1135,7 +1136,7 @@ class Interpreter:
                     yield op_local
                 else:
                     handle = yield from field_read(frame.this, h_val,
-                                                   thread, h_span)
+                                                   thread, h_loc)
                 if isinstance(handle, ObjRef):
                     frame.temps.append(handle)
             elif h_kind == 2:
@@ -1230,15 +1231,15 @@ class Interpreter:
         return None
 
     def _field_write_checked(self, recv: Any, field_name: str, value: Any,
-                             thread: SimThread, span):
-        obj = self._require_object(recv, span,
+                             thread: SimThread, loc):
+        obj = self._require_object(recv, loc,
                                    f"field write '{field_name}'")
         fields = obj.fields
         if field_name not in fields:
             raise InterpreterError(
                 f"{obj!r} has no field '{field_name}'")
         old = fields[field_name]
-        line = span.start.line
+        line = loc[0]
         cycles = self._c_field_write
         checks = self.checks
         value_is_ref = isinstance(value, ObjRef)
@@ -1252,10 +1253,10 @@ class Interpreter:
         fields[field_name] = value
 
     def _field_write_unchecked(self, recv: Any, field_name: str,
-                               value: Any, thread: SimThread, span):
+                               value: Any, thread: SimThread, loc):
         if recv is None:
             raise SimulatedNullPointerError(
-                f"field write '{field_name}' on null at {span}")
+                f"field write '{field_name}' on null at {loc_span(loc)}")
         fields = recv.fields
         if field_name not in fields:
             raise InterpreterError(
@@ -1264,8 +1265,8 @@ class Interpreter:
         fields[field_name] = value
 
     def _field_read_checked(self, recv: Any, field_name: str,
-                            thread: SimThread, span):
-        obj = self._require_object(recv, span,
+                            thread: SimThread, loc):
+        obj = self._require_object(recv, loc,
                                    f"field read '{field_name}'")
         fields = obj.fields
         if field_name not in fields:
@@ -1274,16 +1275,16 @@ class Interpreter:
         cycles = self._c_field_read
         if isinstance(value, ObjRef):
             cycles += self.checks.read_cost(thread.realtime, value,
-                                            line=span.start.line,
+                                            line=loc[0],
                                             thread=thread.name)
         yield cycles
         return value
 
     def _field_read_unchecked(self, recv: Any, field_name: str,
-                              thread: SimThread, span):
+                              thread: SimThread, loc):
         if recv is None:
             raise SimulatedNullPointerError(
-                f"field read '{field_name}' on null at {span}")
+                f"field read '{field_name}' on null at {loc_span(loc)}")
         fields = recv.fields
         if field_name not in fields:
             raise InterpreterError(
@@ -1292,11 +1293,11 @@ class Interpreter:
         return fields[field_name]
 
     def _static_write_checked(self, class_name: str, field_name: str,
-                              value: Any, thread: SimThread, span):
+                              value: Any, thread: SimThread, loc):
         key = (class_name, field_name)
         statics = self.machine.statics
         old = statics.get(key)
-        line = span.start.line
+        line = loc[0]
         cycles = self._c_field_write
         checks = self.checks
         value_is_ref = isinstance(value, ObjRef)
@@ -1311,34 +1312,34 @@ class Interpreter:
         statics[key] = value
 
     def _static_write_unchecked(self, class_name: str, field_name: str,
-                                value: Any, thread: SimThread, span):
+                                value: Any, thread: SimThread, loc):
         yield self._c_field_write
         self.machine.statics[(class_name, field_name)] = value
 
     def _static_read_checked(self, class_name: str, field_name: str,
-                             thread: SimThread, span):
+                             thread: SimThread, loc):
         value = self.machine.statics.get((class_name, field_name))
         cycles = self._c_field_read
         if isinstance(value, ObjRef):
             cycles += self.checks.read_cost(thread.realtime, value,
-                                            line=span.start.line,
+                                            line=loc[0],
                                             thread=thread.name)
         yield cycles
         return value
 
     def _static_read_unchecked(self, class_name: str, field_name: str,
-                               thread: SimThread, span):
+                               thread: SimThread, loc):
         yield self._c_field_read
         return self.machine.statics.get((class_name, field_name))
 
     def _portal_write_checked(self, area: MemoryArea, field_name: str,
-                              value: Any, thread: SimThread, span):
+                              value: Any, thread: SimThread, loc):
         portals = area.portals
         if field_name not in portals:
             raise InterpreterError(
                 f"region '{area.name}' has no portal '{field_name}'")
         old = portals[field_name]
-        line = span.start.line
+        line = loc[0]
         cycles = self._c_portal_write
         checks = self.checks
         value_is_ref = isinstance(value, ObjRef)
@@ -1352,7 +1353,7 @@ class Interpreter:
         portals[field_name] = value
 
     def _portal_write_unchecked(self, area: MemoryArea, field_name: str,
-                                value: Any, thread: SimThread, span):
+                                value: Any, thread: SimThread, loc):
         portals = area.portals
         if field_name not in portals:
             raise InterpreterError(
@@ -1361,7 +1362,7 @@ class Interpreter:
         portals[field_name] = value
 
     def _portal_read_checked(self, area: MemoryArea, field_name: str,
-                             thread: SimThread, span):
+                             thread: SimThread, loc):
         portals = area.portals
         if field_name not in portals:
             raise InterpreterError(
@@ -1370,13 +1371,13 @@ class Interpreter:
         cycles = self._c_portal_read
         if isinstance(value, ObjRef):
             cycles += self.checks.read_cost(thread.realtime, value,
-                                            line=span.start.line,
+                                            line=loc[0],
                                             thread=thread.name)
         yield cycles
         return value
 
     def _portal_read_unchecked(self, area: MemoryArea, field_name: str,
-                               thread: SimThread, span):
+                               thread: SimThread, loc):
         portals = area.portals
         if field_name not in portals:
             raise InterpreterError(
@@ -1548,7 +1549,7 @@ class Interpreter:
         backoff = self._backoff
         stats = self.stats
 
-        def wrapped(area, field_name, value, thread, span):
+        def wrapped(area, field_name, value, thread, loc):
             attempt = 0
             while True:
                 try:
@@ -1562,7 +1563,7 @@ class Interpreter:
                     yield from backoff(attempt, thread.name)
                     attempt += 1
             return (yield from inner(area, field_name, value, thread,
-                                     span))
+                                     loc))
         return wrapped
 
     def _wrap_portal_record(self, inner, kind: str):
@@ -1575,7 +1576,7 @@ class Interpreter:
 
         def wrapped(area, field_name, *rest):
             result = yield from inner(area, field_name, *rest)
-            # both portal helpers end with (thread, span)
+            # both portal helpers end with (thread, loc)
             thread = rest[-2]
             rec.record(kind, f"{area.name}.{field_name}",
                        cycle=stats.cycles, thread=thread.name,
@@ -1614,7 +1615,7 @@ class Interpreter:
         call = stmt.call
         receiver = yield from self.eval_expr(call.target, frame, region,
                                              thread)
-        obj = self._require_object(receiver, stmt.span, "fork")
+        obj = self._require_object(receiver, stmt.loc, "fork")
         owner_values = tuple(self.owner_value(o.name, frame)
                              for o in call.owner_args)
         args = []
@@ -1674,7 +1675,7 @@ class Interpreter:
 
     def _build_var_ref(self, expr: ast.VarRef):
         name = expr.name
-        span = expr.span
+        loc = expr.loc
         op_local = self._c_local
         field_read = self._field_read
 
@@ -1684,7 +1685,7 @@ class Interpreter:
                 yield op_local
             else:
                 value = yield from field_read(frame.this, name, thread,
-                                              span)
+                                              loc)
             if isinstance(value, ObjRef):
                 frame.temps.append(value)
             return value
@@ -1703,7 +1704,7 @@ class Interpreter:
         do_profile = not profile.null
         rec = self._recorder
         class_name = expr.class_name
-        line = expr.span.start.line
+        line = expr.loc[0]
         injector = self._injector
         alloc_recover = self._alloc_with_recovery
         resolvers = tuple(self._owner_resolver(o.name)
@@ -1779,7 +1780,7 @@ class Interpreter:
 
     def _build_field_read(self, expr: ast.FieldRead):
         fname = expr.field_name
-        span = expr.span
+        loc = expr.loc
         op_local = self._c_local
         field_read = self._field_read
         portal_read = self._portal_read
@@ -1792,7 +1793,7 @@ class Interpreter:
             def run(frame, region, thread):
                 if cls_name not in frame.vars:
                     value = yield from static_read(cls_name, fname,
-                                                   thread, span)
+                                                   thread, loc)
                 else:
                     recv = frame.vars[cls_name]
                     yield op_local
@@ -1800,16 +1801,16 @@ class Interpreter:
                         frame.temps.append(recv)
                     if isinstance(recv, RegionHandle):
                         value = yield from portal_read(recv.area, fname,
-                                                       thread, span)
+                                                       thread, loc)
                     else:
                         value = yield from field_read(recv, fname,
-                                                      thread, span)
+                                                      thread, loc)
                 if isinstance(value, ObjRef):
                     frame.temps.append(value)
                 return value
             return run
 
-        t_kind, t_val, t_span, t_code = self._operand(target)
+        t_kind, t_val, t_loc, t_code = self._operand(target)
 
         def run(frame, region, thread):
             if t_kind == 1:
@@ -1818,7 +1819,7 @@ class Interpreter:
                     yield op_local
                 else:
                     recv = yield from field_read(frame.this, t_val,
-                                                 thread, t_span)
+                                                 thread, t_loc)
                 if isinstance(recv, ObjRef):
                     frame.temps.append(recv)
             elif t_kind == 2:
@@ -1831,9 +1832,9 @@ class Interpreter:
                 recv = yield from t_code(frame, region, thread)
             if isinstance(recv, RegionHandle):
                 value = yield from portal_read(recv.area, fname, thread,
-                                               span)
+                                               loc)
             else:
-                value = yield from field_read(recv, fname, thread, span)
+                value = yield from field_read(recv, fname, thread, loc)
             if isinstance(value, ObjRef):
                 frame.temps.append(value)
             return value
@@ -1844,13 +1845,13 @@ class Interpreter:
 
     def _make_invoke(self, expr: ast.Invoke, preamble: bool):
         stats = self.stats
-        t_kind, t_val, t_span, t_code = self._operand(expr.target)
+        t_kind, t_val, t_loc, t_code = self._operand(expr.target)
         arg_parts = tuple(self._operand(a) for a in expr.args)
         resolvers = tuple(self._owner_resolver(o.name)
                           for o in expr.owner_args)
         method_name = expr.method_name
         what = f"call '{method_name}'"
-        span = expr.span
+        loc = expr.loc
         op_invoke = self.cost.op_invoke
         op_local = self._c_local
         field_read = self._field_read
@@ -1868,7 +1869,7 @@ class Interpreter:
                     yield op_local
                 else:
                     recv = yield from field_read(frame.this, t_val,
-                                                 thread, t_span)
+                                                 thread, t_loc)
                 if isinstance(recv, ObjRef):
                     frame.temps.append(recv)
             elif t_kind == 2:
@@ -1879,11 +1880,11 @@ class Interpreter:
                 recv = t_val
             else:
                 recv = yield from t_code(frame, region, thread)
-            obj = require(recv, span, what)
+            obj = require(recv, loc, what)
             owner_values = (tuple(r(frame) for r in resolvers)
                             if resolvers else ())
             args = []
-            for a_kind, a_val, a_span, a_code in arg_parts:
+            for a_kind, a_val, a_loc, a_code in arg_parts:
                 if a_kind == 0:
                     value = a_val
                 elif a_kind == 1:
@@ -1892,7 +1893,7 @@ class Interpreter:
                         yield op_local
                     else:
                         value = yield from field_read(frame.this, a_val,
-                                                      thread, a_span)
+                                                      thread, a_loc)
                     if isinstance(value, ObjRef):
                         frame.temps.append(value)
                 elif a_kind == 2:
@@ -1953,8 +1954,8 @@ class Interpreter:
 
         op_local = self._c_local
         field_read = self._field_read
-        l_kind, l_val, l_span, l_code = self._operand(expr.left)
-        r_kind, r_val, r_span, r_code = self._operand(expr.right)
+        l_kind, l_val, l_loc, l_code = self._operand(expr.left)
+        r_kind, r_val, r_loc, r_code = self._operand(expr.right)
 
         def run(frame, region, thread):
             if l_kind == 0:
@@ -1965,7 +1966,7 @@ class Interpreter:
                     yield op_local
                 else:
                     left = yield from field_read(frame.this, l_val,
-                                                 thread, l_span)
+                                                 thread, l_loc)
                 if isinstance(left, ObjRef):
                     frame.temps.append(left)
             elif l_kind == 2:
@@ -1982,7 +1983,7 @@ class Interpreter:
                     yield op_local
                 else:
                     right = yield from field_read(frame.this, r_val,
-                                                  thread, r_span)
+                                                  thread, r_loc)
                 if isinstance(right, ObjRef):
                     frame.temps.append(right)
             elif r_kind == 2:
@@ -2000,7 +2001,7 @@ class Interpreter:
         op_local = self._c_local
         field_read = self._field_read
         negate = expr.op == "!"
-        v_kind, v_val, v_span, v_code = self._operand(expr.operand)
+        v_kind, v_val, v_loc, v_code = self._operand(expr.operand)
 
         def run(frame, region, thread):
             if v_kind == 0:
@@ -2011,7 +2012,7 @@ class Interpreter:
                     yield op_local
                 else:
                     operand = yield from field_read(frame.this, v_val,
-                                                    thread, v_span)
+                                                    thread, v_loc)
                 if isinstance(operand, ObjRef):
                     frame.temps.append(operand)
             elif v_kind == 2:
@@ -2041,11 +2042,11 @@ class Interpreter:
         op_basic = self._c_basic
         op_local = self._c_local
         field_read = self._field_read
-        span = expr.span
+        loc = expr.loc
 
         bi = self._BUILTIN_IDS.get(name)
         if bi is not None and len(expr.args) == 1:
-            v_kind, v_val, v_span, v_code = self._operand(expr.args[0])
+            v_kind, v_val, v_loc, v_code = self._operand(expr.args[0])
 
             def run(frame, region, thread):
                 if preamble:
@@ -2059,7 +2060,7 @@ class Interpreter:
                         yield op_local
                     else:
                         value = yield from field_read(frame.this, v_val,
-                                                      thread, v_span)
+                                                      thread, v_loc)
                     if isinstance(value, ObjRef):
                         frame.temps.append(value)
                 elif v_kind == 2:
@@ -2093,7 +2094,7 @@ class Interpreter:
                 yield op_basic
                 if not value:
                     raise InterpreterError(
-                        f"program assertion failed at {span}")
+                        f"program assertion failed at {loc_span(loc)}")
                 return None
             return run
 

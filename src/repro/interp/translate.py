@@ -127,7 +127,7 @@ class _CollectingChecker(Checker):
         owner = Owner(expr.owners[0].name)
         strategy, handle = self._strategy_for(env, owner, rcr)
         self.sites.append(AllocSite(expr.class_name, owner.name, strategy,
-                                    handle, expr.span.start.line))
+                                    handle, expr.loc[0]))
 
     def _strategy_for(self, env: Env, owner: Owner,
                       rcr: Owner) -> Tuple[AllocStrategy, Optional[str]]:
@@ -369,7 +369,7 @@ def allocation_strategies(
 
     def index_expr(e: ast.Expr) -> None:
         if isinstance(e, ast.NewExpr):
-            site = site_by_line.get(e.span.start.line)
+            site = site_by_line.get(e.loc[0])
             if site is not None:
                 sites_by_id[id(e)] = site
         for child in _expr_children(e):

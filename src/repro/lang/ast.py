@@ -1,8 +1,11 @@
 """Abstract syntax for the core language (Figures 3, 7, 9 and 13).
 
 The AST keeps owners and kinds as *syntactic* names; the semantic layer in
-:mod:`repro.core` interprets them against a typing environment.  Nodes carry
-:class:`~repro.source.Span` for diagnostics.
+:mod:`repro.core` interprets them against a typing environment.  Every node
+stores its source location as ``loc``, an exact tuple the collector untracks
+(:data:`~repro.source.Loc`); ``node.span`` is the :class:`~repro.source.Span`
+view of it, built on read for diagnostics.  Synthesized nodes default to the
+shared :data:`~repro.source.UNKNOWN_LOC`.
 
 Beyond the paper's expression core we include the statement sugar (blocks,
 ``if``/``while``, local declarations, returns, arithmetic) needed to write
@@ -15,7 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..source import Span
+from ..source import UNKNOWN_LOC, Loc, Span, loc_span
+
+
+class Node:
+    """Base of every located node: ``loc`` is stored, ``span`` is a
+    view."""
+
+    __slots__ = ()
+    loc: Loc
+
+    @property
+    def span(self) -> Span:
+        return loc_span(self.loc)
+
 
 # ---------------------------------------------------------------------------
 # Owners and kinds (syntactic)
@@ -27,25 +43,25 @@ SPECIAL_OWNERS = ("this", "heap", "immortal", "initialRegion", "RT")
 
 
 @dataclass(frozen=True)
-class OwnerAst:
+class OwnerAst(Node):
     """A syntactic owner: a formal, region name, or special owner."""
 
     name: str
-    span: Span = field(default_factory=Span.unknown, compare=False)
+    loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
     def __str__(self) -> str:
         return self.name
 
 
 @dataclass(frozen=True)
-class KindAst:
+class KindAst(Node):
     """A syntactic owner kind: built-in kind name or user region kind
     ``srkn<owners>``, optionally refined with ``:LT`` (Figure 9)."""
 
     name: str
     args: Tuple[OwnerAst, ...] = ()
     lt: bool = False
-    span: Span = field(default_factory=Span.unknown, compare=False)
+    loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
     def __str__(self) -> str:
         base = self.name
@@ -58,10 +74,10 @@ class KindAst:
 # Types (syntactic)
 # ---------------------------------------------------------------------------
 
-class TypeAst:
+class TypeAst(Node):
     """Base class of syntactic types."""
 
-    span: Span
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -69,7 +85,7 @@ class PrimTypeAst(TypeAst):
     """``int``, ``float``, ``boolean`` or ``void``."""
 
     name: str
-    span: Span = field(default_factory=Span.unknown, compare=False)
+    loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
     def __str__(self) -> str:
         return self.name
@@ -82,7 +98,7 @@ class ClassTypeAst(TypeAst):
 
     name: str
     owners: Tuple[OwnerAst, ...]
-    span: Span = field(default_factory=Span.unknown, compare=False)
+    loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
     def __str__(self) -> str:
         if not self.owners:
@@ -95,7 +111,7 @@ class HandleTypeAst(TypeAst):
     """``RHandle<r>`` — the runtime handle of region ``r``."""
 
     region: OwnerAst
-    span: Span = field(default_factory=Span.unknown, compare=False)
+    loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
     def __str__(self) -> str:
         return f"RHandle<{self.region}>"
@@ -106,26 +122,26 @@ class HandleTypeAst(TypeAst):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConstraintAst:
+class ConstraintAst(Node):
     """A ``where`` constraint: ``left owns right`` or ``left outlives
     right`` [24]."""
 
     relation: str  # 'owns' | 'outlives'
     left: OwnerAst
     right: OwnerAst
-    span: Span = field(default_factory=Span.unknown, compare=False)
+    loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
     def __str__(self) -> str:
         return f"{self.left} {self.relation} {self.right}"
 
 
 @dataclass(frozen=True)
-class PolicyAst:
+class PolicyAst(Node):
     """Region allocation policy: ``LT(size)`` or ``VT`` (Section 2.3)."""
 
     kind: str  # 'LT' | 'VT'
     size: int = 0
-    span: Span = field(default_factory=Span.unknown, compare=False)
+    loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
     def __str__(self) -> str:
         return f"LT({self.size})" if self.kind == "LT" else "VT"
@@ -135,31 +151,31 @@ class PolicyAst:
 # Expressions
 # ---------------------------------------------------------------------------
 
-class Expr:
-    span: Span
+class Expr(Node):
+    __slots__ = ()
 
 
 @dataclass
 class IntLit(Expr):
     value: int
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
 class FloatLit(Expr):
     value: float
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
 class BoolLit(Expr):
     value: bool
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
 class NullLit(Expr):
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
@@ -168,12 +184,12 @@ class VarRef(Expr):
     name used for static access."""
 
     name: str
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
 class ThisRef(Expr):
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
@@ -185,7 +201,7 @@ class NewExpr(Expr):
     class_name: str
     owners: Tuple[OwnerAst, ...]
     args: Tuple[Expr, ...] = ()
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
@@ -195,7 +211,7 @@ class FieldRead(Expr):
 
     target: Expr
     field_name: str
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
@@ -206,7 +222,7 @@ class Invoke(Expr):
     method_name: str
     owner_args: Tuple[OwnerAst, ...]
     args: Tuple[Expr, ...]
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
@@ -214,14 +230,14 @@ class Binary(Expr):
     op: str
     left: Expr
     right: Expr
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
 class Unary(Expr):
     op: str
     operand: Expr
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
@@ -231,21 +247,21 @@ class BuiltinCall(Expr):
 
     name: str
     args: Tuple[Expr, ...]
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 # ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------
 
-class Stmt:
-    span: Span
+class Stmt(Node):
+    __slots__ = ()
 
 
 @dataclass
 class Block(Stmt):
     stmts: List[Stmt]
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
@@ -256,14 +272,14 @@ class LocalDecl(Stmt):
     declared_type: TypeAst
     name: str
     init: Optional[Expr]
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
 class AssignLocal(Stmt):
     name: str
     value: Expr
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
@@ -273,13 +289,13 @@ class AssignField(Stmt):
     target: Expr
     field_name: str
     value: Expr
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
 class ExprStmt(Stmt):
     expr: Expr
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
@@ -287,20 +303,20 @@ class If(Stmt):
     cond: Expr
     then_body: Block
     else_body: Optional[Block]
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
 class While(Stmt):
     cond: Expr
     body: Block
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
 class Return(Stmt):
     value: Optional[Expr]
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
@@ -309,7 +325,7 @@ class Fork(Stmt):
 
     call: Invoke
     realtime: bool
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
@@ -323,7 +339,7 @@ class RegionStmt(Stmt):
     region_name: str
     handle_name: str
     body: Block
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
@@ -339,7 +355,7 @@ class SubregionStmt(Stmt):
     subregion_name: str
     fresh: bool
     body: Block
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +363,19 @@ class SubregionStmt(Stmt):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FormalAst:
+class FormalAst(Node):
     """An owner formal ``k fn`` of a class, method, or region kind."""
 
     kind: KindAst
     name: str
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
     def __str__(self) -> str:
         return f"{self.kind} {self.name}"
 
 
 @dataclass
-class FieldDecl:
+class FieldDecl(Node):
     """An instance or static field; in a ``regionKind`` body, a portal
     field."""
 
@@ -367,11 +383,11 @@ class FieldDecl:
     name: str
     static: bool = False
     init: Optional[Expr] = None
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
-class MethodDecl:
+class MethodDecl(Node):
     return_type: TypeAst
     name: str
     formals: List[FormalAst]
@@ -381,33 +397,33 @@ class MethodDecl:
     effects: Optional[List[OwnerAst]]
     constraints: List[ConstraintAst]
     body: Block
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
-class SubregionDecl:
+class SubregionDecl(Node):
     """A subregion member of a region kind: ``srkind : rpol tt rsub``."""
 
     kind: KindAst
     policy: PolicyAst
     realtime: bool  # True = RT subregion, False = NoRT (Section 2.3)
     name: str
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
-class ClassDecl:
+class ClassDecl(Node):
     name: str
     formals: List[FormalAst]
     superclass: Optional[ClassTypeAst]
     constraints: List[ConstraintAst]
     fields: List[FieldDecl]
     methods: List[MethodDecl]
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass
-class RegionKindDecl:
+class RegionKindDecl(Node):
     """``regionKind srkn<formals> extends srkind where ... { portals
     subregions }`` (Figure 7)."""
 
@@ -417,7 +433,7 @@ class RegionKindDecl:
     constraints: List[ConstraintAst]
     portals: List[FieldDecl]
     subregions: List[SubregionDecl]
-    span: Span = field(default_factory=Span.unknown)
+    loc: Loc = UNKNOWN_LOC
 
 
 @dataclass

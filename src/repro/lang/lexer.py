@@ -3,24 +3,29 @@
 ``tokenize`` is a single-pass scanner driven by one master regular
 expression (one ``re.match`` per token instead of one Python-level loop
 iteration per *character*, which made the old hand-written scanner the
-dominant cost of ``analyze()``).  The token stream, spans, and error
-behavior are identical to the original character-at-a-time
-:class:`Lexer`, which is kept below as the executable specification and
-for callers that want incremental ``next_token`` scanning.
+dominant cost of ``analyze()``).  It must produce the same tokens,
+locations included, and raise the same :class:`~repro.errors.LexError`
+messages and spans as the character-at-a-time :class:`Lexer` kept below
+as the executable specification of the token grammar;
+``tests/property/test_lexer_differential.py`` compares the two.
+
+Each token stores its location as an exact tuple (see
+:mod:`repro.source`); a :class:`~repro.source.Span` is built only for a
+``LexError``.
 
 ``tokenize`` also accepts a start line/column so a *slice* of a larger
 file (a class-declaration chunk, as cut by
-:mod:`repro.core.cache`) can be lexed with spans expressed in the
+:mod:`repro.core.cache`) can be lexed with locations expressed in the
 coordinates of the enclosing file.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import List, Tuple
 
 from ..errors import LexError
-from ..source import Position, Span
+from ..source import Loc, Position, Span, loc_span
 from .tokens import KEYWORDS, Token, TokenKind
 
 _PUNCT2 = {
@@ -123,20 +128,24 @@ def tokenize(text: str, filename: str = "<input>",
             kind = TokenKind.FLOAT_LIT
         elif group == "p1":
             if tok_text == "/" and end < n and text[end] == "*":
-                # a terminated comment would have matched above
-                start_p = Position(line, col)
+                # a terminated comment would have matched above; the
+                # error runs from the opener to the end of input
+                rest = text[pos:]
+                newlines = rest.count("\n")
+                end_col = (len(rest) - rest.rindex("\n") if newlines
+                           else n - line_start + 1)
                 raise LexError(
                     "unterminated block comment",
-                    Span(start_p, Position(line, col + 2), filename))
+                    Span(Position(line, col),
+                         Position(line + newlines, end_col), filename))
             kind = _PUNCT1[tok_text]
         else:
             kind = _PUNCT2[tok_text]
-        span = Span(Position(line, col),
-                    Position(line, col + end - pos), filename)
-        append(Token(kind, tok_text, span))
+        append(Token(kind, tok_text,
+                     (line, col, line, col + end - pos, filename)))
         pos = end
-    here = Position(line, n - line_start + 1)
-    append(Token(TokenKind.EOF, "", Span(here, here, filename)))
+    col = n - line_start + 1
+    append(Token(TokenKind.EOF, "", (line, col, line, col, filename)))
     return tokens
 
 
@@ -153,10 +162,10 @@ def _is_digit(ch: str) -> bool:
 class Lexer:
     """Character-at-a-time reference scanner.
 
-    Kept as the executable specification of the token grammar (the
-    regex-driven :func:`tokenize` above must stay behaviorally
-    identical — the property tests compare the two) and for incremental
-    ``next_token`` use."""
+    Kept as the executable specification of the token grammar — the
+    regex-driven :func:`tokenize` above must build the same tokens, and
+    the differential property test compares the two — and for
+    incremental ``next_token`` use."""
 
     def __init__(self, text: str, filename: str = "<input>"):
         self.text = text
@@ -181,11 +190,14 @@ class Lexer:
             self.col += 1
         return ch
 
-    def _here(self) -> Position:
-        return Position(self.line, self.col)
+    def _here(self) -> Tuple[int, int]:
+        return self.line, self.col
 
-    def _span(self, start: Position) -> Span:
-        return Span(start, self._here(), self.filename)
+    def _loc(self, start: Tuple[int, int]) -> Loc:
+        return (start[0], start[1], self.line, self.col, self.filename)
+
+    def _error(self, message: str, start: Tuple[int, int]) -> LexError:
+        return LexError(message, loc_span(self._loc(start)))
 
     # -- scanning -----------------------------------------------------------
 
@@ -203,8 +215,8 @@ class Lexer:
                 self._advance()
                 while not (self._peek() == "*" and self._peek(1) == "/"):
                     if self.pos >= len(self.text):
-                        raise LexError("unterminated block comment",
-                                       self._span(start))
+                        raise self._error("unterminated block comment",
+                                          start)
                     self._advance()
                 self._advance()
                 self._advance()
@@ -233,7 +245,7 @@ class Lexer:
                 self._advance()
         text = self.text[begin:self.pos]
         kind = TokenKind.FLOAT_LIT if is_float else TokenKind.INT_LIT
-        return Token(kind, text, self._span(start))
+        return Token(kind, text, self._loc(start))
 
     def _lex_word(self) -> Token:
         start = self._here()
@@ -242,13 +254,13 @@ class Lexer:
             self._advance()
         text = self.text[begin:self.pos]
         kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, self._span(start))
+        return Token(kind, text, self._loc(start))
 
     def next_token(self) -> Token:
         self._skip_trivia()
         start = self._here()
         if self.pos >= len(self.text):
-            return Token(TokenKind.EOF, "", self._span(start))
+            return Token(TokenKind.EOF, "", self._loc(start))
         ch = self._peek()
         if _is_digit(ch):
             return self._lex_number()
@@ -258,11 +270,11 @@ class Lexer:
         if two in _PUNCT2:
             self._advance()
             self._advance()
-            return Token(_PUNCT2[two], two, self._span(start))
+            return Token(_PUNCT2[two], two, self._loc(start))
         if ch in _PUNCT1:
             self._advance()
-            return Token(_PUNCT1[ch], ch, self._span(start))
-        raise LexError(f"unexpected character {ch!r}", self._span(start))
+            return Token(_PUNCT1[ch], ch, self._loc(start))
+        raise self._error(f"unexpected character {ch!r}", start)
 
     def tokens(self) -> List[Token]:
         out: List[Token] = []

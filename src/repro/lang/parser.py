@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..errors import ParseError
-from ..source import Span
+from ..source import Loc, loc_span, merge_locs
 from . import ast
 from .lexer import tokenize
 from .tokens import BUILTIN_KIND_NAMES, Token, TokenKind
@@ -98,11 +98,12 @@ class Parser:
             return self._advance()
         tok = self._peek()
         wanted = what or kind.name
-        raise ParseError(f"expected {wanted}, found {tok.text!r}", tok.span)
+        raise ParseError(f"expected {wanted}, found {tok.text!r}",
+                         tok.span)
 
-    def _span_from(self, start: Span) -> Span:
+    def _loc_from(self, start: Loc) -> Loc:
         prev = self.tokens[max(self.index - 1, 0)]
-        return start.merge(prev.span)
+        return merge_locs(start, prev.loc)
 
     # ------------------------------------------------------------------
     # program / declarations
@@ -112,7 +113,7 @@ class Parser:
         classes: List[ast.ClassDecl] = []
         region_kinds: List[ast.RegionKindDecl] = []
         main_stmts: List[ast.Stmt] = []
-        main_span = self._peek().span
+        main_loc = self._peek().loc
         while not self._at(TokenKind.EOF):
             if self._at(TokenKind.CLASS):
                 classes.append(self.parse_class_decl())
@@ -120,13 +121,13 @@ class Parser:
                 region_kinds.append(self.parse_region_kind_decl())
             else:
                 main_stmts.append(self.parse_stmt())
-        main = ast.Block(main_stmts, main_span) if main_stmts else None
+        main = ast.Block(main_stmts, main_loc) if main_stmts else None
         return ast.Program(classes, region_kinds, main,
                            filename=self.filename,
                            source_text=self.source_text)
 
     def parse_class_decl(self) -> ast.ClassDecl:
-        start = self._expect(TokenKind.CLASS).span
+        start = self._expect(TokenKind.CLASS).loc
         name = self._expect(TokenKind.IDENT, "class name").text
         # owner formals are optional: Section 2.5 defaults supply a single
         # `Owner` formal for unannotated classes
@@ -148,10 +149,10 @@ class Parser:
                 methods.append(member)
         self._expect(TokenKind.RBRACE)
         return ast.ClassDecl(name, formals, superclass, constraints,
-                             fields, methods, self._span_from(start))
+                             fields, methods, self._loc_from(start))
 
     def _parse_class_member(self):
-        start = self._peek().span
+        start = self._peek().loc
         static = self._accept(TokenKind.STATIC) is not None
         declared_type = self.parse_type()
         name = self._expect(TokenKind.IDENT, "member name").text
@@ -163,10 +164,10 @@ class Parser:
             init = self.parse_expr()
         self._expect(TokenKind.SEMI)
         return ast.FieldDecl(declared_type, name, static, init,
-                             self._span_from(start))
+                             self._loc_from(start))
 
     def _parse_method_rest(self, return_type: ast.TypeAst, name: str,
-                           start: Span) -> ast.MethodDecl:
+                           start: Loc) -> ast.MethodDecl:
         formals: List[ast.FormalAst] = []
         if self._at(TokenKind.LANGLE):
             formals = self._parse_formal_list()
@@ -187,10 +188,10 @@ class Parser:
         constraints = self._parse_where_clause()
         body = self.parse_block()
         return ast.MethodDecl(return_type, name, formals, params, effects,
-                              constraints, body, self._span_from(start))
+                              constraints, body, self._loc_from(start))
 
     def parse_region_kind_decl(self) -> ast.RegionKindDecl:
-        start = self._expect(TokenKind.REGION_KIND).span
+        start = self._expect(TokenKind.REGION_KIND).loc
         name = self._expect(TokenKind.IDENT, "region kind name").text
         formals: List[ast.FormalAst] = []
         if self._at(TokenKind.LANGLE):
@@ -210,7 +211,7 @@ class Parser:
         self._expect(TokenKind.RBRACE)
         return ast.RegionKindDecl(name, formals, superkind, constraints,
                                   portals, subregions,
-                                  self._span_from(start))
+                                  self._loc_from(start))
 
     def _parse_region_member(self):
         """A portal field ``t fd;`` or a subregion declaration
@@ -231,7 +232,7 @@ class Parser:
         (program table construction) reclassifies portal fields whose type
         names a region kind.
         """
-        start = self._peek().span
+        start = self._peek().loc
         declared_type = self.parse_type()
         if (self._at(TokenKind.COLON) or self._at(TokenKind.RT)
                 or self._at(TokenKind.NORT)):
@@ -239,8 +240,8 @@ class Parser:
                 raise ParseError("subregion declaration requires a region "
                                  "kind name", self._peek().span)
             kind = ast.KindAst(declared_type.name, declared_type.owners,
-                               False, declared_type.span)
-            policy = ast.PolicyAst("VT", span=start)
+                               False, declared_type.loc)
+            policy = ast.PolicyAst("VT", loc=start)
             if self._accept(TokenKind.COLON):
                 policy = self._parse_policy()
             realtime = False
@@ -251,11 +252,11 @@ class Parser:
             name = self._expect(TokenKind.IDENT, "subregion name").text
             self._expect(TokenKind.SEMI)
             return ast.SubregionDecl(kind, policy, realtime, name,
-                                     self._span_from(start))
+                                     self._loc_from(start))
         name = self._expect(TokenKind.IDENT, "portal or subregion name").text
         self._expect(TokenKind.SEMI)
         return ast.FieldDecl(declared_type, name, False, None,
-                             self._span_from(start))
+                             self._loc_from(start))
 
     def _parse_formal_list(self) -> List[ast.FormalAst]:
         self._expect(TokenKind.LANGLE)
@@ -266,15 +267,15 @@ class Parser:
         return formals
 
     def _parse_formal(self) -> ast.FormalAst:
-        start = self._peek().span
+        start = self._peek().loc
         kind = self.parse_kind()
         name = self._expect(TokenKind.IDENT, "owner formal name").text
-        return ast.FormalAst(kind, name, self._span_from(start))
+        return ast.FormalAst(kind, name, self._loc_from(start))
 
     def parse_kind(self) -> ast.KindAst:
         """``Owner | ObjOwner | Region | ... | srkn<owners>``, with an
         optional ``:LT`` refinement."""
-        start = self._peek().span
+        start = self._peek().loc
         name = self._expect(TokenKind.IDENT, "owner kind").text
         args: Tuple[ast.OwnerAst, ...] = ()
         if name not in BUILTIN_KIND_NAMES and self._at(TokenKind.LANGLE):
@@ -284,17 +285,17 @@ class Parser:
             self._advance()
             self._advance()
             lt = True
-        return ast.KindAst(name, args, lt, self._span_from(start))
+        return ast.KindAst(name, args, lt, self._loc_from(start))
 
     def _parse_policy(self) -> ast.PolicyAst:
-        start = self._peek().span
+        start = self._peek().loc
         if self._accept(TokenKind.VT):
-            return ast.PolicyAst("VT", span=start)
+            return ast.PolicyAst("VT", loc=start)
         self._expect(TokenKind.LT, "'LT' or 'VT'")
         self._expect(TokenKind.LPAREN)
         size = int(self._expect(TokenKind.INT_LIT, "LT region size").text)
         self._expect(TokenKind.RPAREN)
-        return ast.PolicyAst("LT", size, self._span_from(start))
+        return ast.PolicyAst("LT", size, self._loc_from(start))
 
     def _parse_where_clause(self) -> List[ast.ConstraintAst]:
         constraints: List[ast.ConstraintAst] = []
@@ -305,7 +306,7 @@ class Parser:
         return constraints
 
     def _parse_constraint(self) -> ast.ConstraintAst:
-        start = self._peek().span
+        start = self._peek().loc
         left = self.parse_owner()
         if self._accept(TokenKind.OWNS):
             relation = "owns"
@@ -314,7 +315,7 @@ class Parser:
             relation = "outlives"
         right = self.parse_owner()
         return ast.ConstraintAst(relation, left, right,
-                                 self._span_from(start))
+                                 self._loc_from(start))
 
     # ------------------------------------------------------------------
     # types and owners
@@ -324,13 +325,13 @@ class Parser:
         tok = self._peek()
         if tok.kind in _PRIM_TYPE_TOKENS:
             self._advance()
-            return ast.PrimTypeAst(_PRIM_TYPE_TOKENS[tok.kind], tok.span)
+            return ast.PrimTypeAst(_PRIM_TYPE_TOKENS[tok.kind], tok.loc)
         if tok.kind is TokenKind.RHANDLE:
             self._advance()
             self._expect(TokenKind.LANGLE)
             region = self.parse_owner()
             self._expect(TokenKind.RANGLE)
-            return ast.HandleTypeAst(region, tok.span)
+            return ast.HandleTypeAst(region, tok.loc)
         return self._parse_class_type()
 
     def _parse_class_type(self) -> ast.ClassTypeAst:
@@ -338,7 +339,7 @@ class Parser:
         owners: Tuple[ast.OwnerAst, ...] = ()
         if self._at(TokenKind.LANGLE):
             owners = tuple(self._parse_owner_args())
-        return ast.ClassTypeAst(tok.text, owners, tok.span)
+        return ast.ClassTypeAst(tok.text, owners, tok.loc)
 
     def _parse_owner_args(self) -> List[ast.OwnerAst]:
         self._expect(TokenKind.LANGLE)
@@ -352,21 +353,21 @@ class Parser:
         tok = self._peek()
         if tok.kind in _SPECIAL_OWNER_TOKENS:
             self._advance()
-            return ast.OwnerAst(_SPECIAL_OWNER_TOKENS[tok.kind], tok.span)
+            return ast.OwnerAst(_SPECIAL_OWNER_TOKENS[tok.kind], tok.loc)
         ident = self._expect(TokenKind.IDENT, "owner")
-        return ast.OwnerAst(ident.text, ident.span)
+        return ast.OwnerAst(ident.text, ident.loc)
 
     # ------------------------------------------------------------------
     # statements
     # ------------------------------------------------------------------
 
     def parse_block(self) -> ast.Block:
-        start = self._expect(TokenKind.LBRACE).span
+        start = self._expect(TokenKind.LBRACE).loc
         stmts: List[ast.Stmt] = []
         while not self._at(TokenKind.RBRACE):
             stmts.append(self.parse_stmt())
         self._expect(TokenKind.RBRACE)
-        return ast.Block(stmts, self._span_from(start))
+        return ast.Block(stmts, self._loc_from(start))
 
     def parse_stmt(self) -> ast.Stmt:
         tok = self._peek()
@@ -381,7 +382,7 @@ class Parser:
         if tok.kind is TokenKind.FORK:
             return self._parse_fork(realtime=False)
         if tok.kind is TokenKind.RT:
-            start = self._advance().span
+            start = self._advance().loc
             self._expect(TokenKind.FORK, "'fork' after 'RT'")
             return self._parse_fork_rest(realtime=True, start=start)
         if tok.kind is TokenKind.LPAREN:
@@ -395,7 +396,7 @@ class Parser:
         return self._parse_expr_or_assign_stmt()
 
     def _parse_if(self) -> ast.If:
-        start = self._expect(TokenKind.IF).span
+        start = self._expect(TokenKind.IF).loc
         self._expect(TokenKind.LPAREN)
         cond = self.parse_expr()
         self._expect(TokenKind.RPAREN)
@@ -404,38 +405,38 @@ class Parser:
         if self._accept(TokenKind.ELSE):
             if self._at(TokenKind.IF):
                 nested = self._parse_if()
-                else_body = ast.Block([nested], nested.span)
+                else_body = ast.Block([nested], nested.loc)
             else:
                 else_body = self.parse_block()
-        return ast.If(cond, then_body, else_body, self._span_from(start))
+        return ast.If(cond, then_body, else_body, self._loc_from(start))
 
     def _parse_while(self) -> ast.While:
-        start = self._expect(TokenKind.WHILE).span
+        start = self._expect(TokenKind.WHILE).loc
         self._expect(TokenKind.LPAREN)
         cond = self.parse_expr()
         self._expect(TokenKind.RPAREN)
         body = self.parse_block()
-        return ast.While(cond, body, self._span_from(start))
+        return ast.While(cond, body, self._loc_from(start))
 
     def _parse_return(self) -> ast.Return:
-        start = self._expect(TokenKind.RETURN).span
+        start = self._expect(TokenKind.RETURN).loc
         value = None
         if not self._at(TokenKind.SEMI):
             value = self.parse_expr()
         self._expect(TokenKind.SEMI)
-        return ast.Return(value, self._span_from(start))
+        return ast.Return(value, self._loc_from(start))
 
     def _parse_fork(self, realtime: bool) -> ast.Fork:
-        start = self._expect(TokenKind.FORK).span
+        start = self._expect(TokenKind.FORK).loc
         return self._parse_fork_rest(realtime, start)
 
-    def _parse_fork_rest(self, realtime: bool, start: Span) -> ast.Fork:
+    def _parse_fork_rest(self, realtime: bool, start: Loc) -> ast.Fork:
         call = self.parse_expr()
         if not isinstance(call, ast.Invoke):
             raise ParseError("fork requires a method invocation",
-                             self._span_from(start))
+                             loc_span(self._loc_from(start)))
         self._expect(TokenKind.SEMI)
-        return ast.Fork(call, realtime, self._span_from(start))
+        return ast.Fork(call, realtime, self._loc_from(start))
 
     def _parse_region_stmt(self) -> ast.Stmt:
         """Region creation or subregion entry:
@@ -444,7 +445,7 @@ class Parser:
         * ``(RHandle<Kind : LT(100) r> h) { ... }``
         * ``(RHandle<[Kind] r2> h2 = [new] h.sub) { ... }``
         """
-        start = self._expect(TokenKind.LPAREN).span
+        start = self._expect(TokenKind.LPAREN).loc
         self._expect(TokenKind.RHANDLE, "'RHandle'")
         self._expect(TokenKind.LANGLE)
         kind: Optional[ast.KindAst] = None
@@ -458,7 +459,7 @@ class Parser:
                 args = tuple(self._parse_owner_args())
             if self._accept(TokenKind.COLON):
                 policy = self._parse_policy()
-            kind = ast.KindAst(first.text, args, False, first.span)
+            kind = ast.KindAst(first.text, args, False, first.loc)
             region_name = self._expect(TokenKind.IDENT, "region name").text
         self._expect(TokenKind.RANGLE)
         handle_name = self._expect(TokenKind.IDENT, "handle name").text
@@ -468,19 +469,19 @@ class Parser:
             if not isinstance(parent, ast.FieldRead):
                 raise ParseError(
                     "subregion entry requires 'handle.subregion'",
-                    self._span_from(start))
+                    loc_span(self._loc_from(start)))
             self._expect(TokenKind.RPAREN)
             body = self.parse_block()
             return ast.SubregionStmt(kind, region_name, handle_name,
                                      parent.target, parent.field_name,
-                                     fresh, body, self._span_from(start))
+                                     fresh, body, self._loc_from(start))
         self._expect(TokenKind.RPAREN)
         body = self.parse_block()
         return ast.RegionStmt(kind, policy, region_name, handle_name, body,
-                              self._span_from(start))
+                              self._loc_from(start))
 
     def _parse_local_decl(self) -> ast.LocalDecl:
-        start = self._peek().span
+        start = self._peek().loc
         declared_type = self.parse_type()
         name = self._expect(TokenKind.IDENT, "variable name").text
         init = None
@@ -488,7 +489,7 @@ class Parser:
             init = self.parse_expr()
         self._expect(TokenKind.SEMI)
         return ast.LocalDecl(declared_type, name, init,
-                             self._span_from(start))
+                             self._loc_from(start))
 
     def _try_parse_local_decl(self) -> Optional[ast.LocalDecl]:
         """Backtracking disambiguation of ``T<o> v = e;`` vs expressions."""
@@ -504,20 +505,20 @@ class Parser:
             return None
 
     def _parse_expr_or_assign_stmt(self) -> ast.Stmt:
-        start = self._peek().span
+        start = self._peek().loc
         expr = self.parse_expr()
         if self._accept(TokenKind.ASSIGN):
             value = self.parse_expr()
             self._expect(TokenKind.SEMI)
-            span = self._span_from(start)
+            loc = self._loc_from(start)
             if isinstance(expr, ast.VarRef):
-                return ast.AssignLocal(expr.name, value, span)
+                return ast.AssignLocal(expr.name, value, loc)
             if isinstance(expr, ast.FieldRead):
                 return ast.AssignField(expr.target, expr.field_name, value,
-                                       span)
-            raise ParseError("invalid assignment target", span)
+                                       loc)
+            raise ParseError("invalid assignment target", loc_span(loc))
         self._expect(TokenKind.SEMI)
-        return ast.ExprStmt(expr, self._span_from(start))
+        return ast.ExprStmt(expr, self._loc_from(start))
 
     # ------------------------------------------------------------------
     # expressions
@@ -546,18 +547,18 @@ class Parser:
                     break
                 right = self._parse_binary_rhs(right, nxt[0])
             left = ast.Binary(op, left, right,
-                              left.span.merge(right.span))
+                              merge_locs(left.loc, right.loc))
 
     def _parse_unary(self) -> ast.Expr:
         tok = self._peek()
         if tok.kind is TokenKind.BANG:
             self._advance()
             operand = self._parse_unary()
-            return ast.Unary("!", operand, tok.span.merge(operand.span))
+            return ast.Unary("!", operand, merge_locs(tok.loc, operand.loc))
         if tok.kind is TokenKind.MINUS:
             self._advance()
             operand = self._parse_unary()
-            return ast.Unary("-", operand, tok.span.merge(operand.span))
+            return ast.Unary("-", operand, merge_locs(tok.loc, operand.loc))
         return self._parse_postfix(self._parse_primary())
 
     def _parse_postfix(self, expr: ast.Expr) -> ast.Expr:
@@ -567,16 +568,16 @@ class Parser:
             if self._at(TokenKind.LPAREN):
                 args = self._parse_call_args()
                 expr = ast.Invoke(expr, name, (), args,
-                                  self._span_from(expr.span))
+                                  self._loc_from(expr.loc))
             elif self._at(TokenKind.LANGLE):
                 owner_args = self._try_parse_owner_call(expr, name)
                 if owner_args is None:
                     expr = ast.FieldRead(expr, name,
-                                         self._span_from(expr.span))
+                                         self._loc_from(expr.loc))
                     return expr  # '<' is a comparison; stop postfix chain
                 expr = owner_args
             else:
-                expr = ast.FieldRead(expr, name, self._span_from(expr.span))
+                expr = ast.FieldRead(expr, name, self._loc_from(expr.loc))
         return expr
 
     def _try_parse_owner_call(self, target: ast.Expr,
@@ -594,7 +595,7 @@ class Parser:
             return None
         args = self._parse_call_args()
         return ast.Invoke(target, name, owners, args,
-                          self._span_from(target.span))
+                          self._loc_from(target.loc))
 
     def _parse_call_args(self) -> Tuple[ast.Expr, ...]:
         self._expect(TokenKind.LPAREN)
@@ -610,22 +611,22 @@ class Parser:
         tok = self._peek()
         if tok.kind is TokenKind.INT_LIT:
             self._advance()
-            return ast.IntLit(int(tok.text), tok.span)
+            return ast.IntLit(int(tok.text), tok.loc)
         if tok.kind is TokenKind.FLOAT_LIT:
             self._advance()
-            return ast.FloatLit(float(tok.text), tok.span)
+            return ast.FloatLit(float(tok.text), tok.loc)
         if tok.kind is TokenKind.TRUE:
             self._advance()
-            return ast.BoolLit(True, tok.span)
+            return ast.BoolLit(True, tok.loc)
         if tok.kind is TokenKind.FALSE:
             self._advance()
-            return ast.BoolLit(False, tok.span)
+            return ast.BoolLit(False, tok.loc)
         if tok.kind is TokenKind.NULL:
             self._advance()
-            return ast.NullLit(tok.span)
+            return ast.NullLit(tok.loc)
         if tok.kind is TokenKind.THIS:
             self._advance()
-            return ast.ThisRef(tok.span)
+            return ast.ThisRef(tok.loc)
         if tok.kind is TokenKind.NEW:
             return self._parse_new()
         if tok.kind is TokenKind.LPAREN:
@@ -638,13 +639,13 @@ class Parser:
             if tok.text in BUILTIN_FUNCTIONS and self._at(TokenKind.LPAREN):
                 args = self._parse_call_args()
                 return ast.BuiltinCall(tok.text, args,
-                                       self._span_from(tok.span))
-            return ast.VarRef(tok.text, tok.span)
+                                       self._loc_from(tok.loc))
+            return ast.VarRef(tok.text, tok.loc)
         raise ParseError(f"unexpected token {tok.text!r} in expression",
                          tok.span)
 
     def _parse_new(self) -> ast.NewExpr:
-        start = self._expect(TokenKind.NEW).span
+        start = self._expect(TokenKind.NEW).loc
         name = self._expect(TokenKind.IDENT, "class name").text
         owners: Tuple[ast.OwnerAst, ...] = ()
         if self._at(TokenKind.LANGLE):
@@ -652,7 +653,7 @@ class Parser:
         args: Tuple[ast.Expr, ...] = ()
         if self._at(TokenKind.LPAREN):
             args = self._parse_call_args()
-        return ast.NewExpr(name, owners, args, self._span_from(start))
+        return ast.NewExpr(name, owners, args, self._loc_from(start))
 
 
 def parse_program(text: str, filename: str = "<input>",
@@ -662,6 +663,6 @@ def parse_program(text: str, filename: str = "<input>",
 
     ``start_line``/``start_col`` place the first character of ``text``
     at that position — used by the incremental analysis cache to parse
-    a class-declaration *slice* of a file with full-file spans."""
+    a class-declaration *slice* of a file with full-file locations."""
     tokens = tokenize(text, filename, start_line, start_col)
     return Parser(tokens, filename, text).parse_program()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from enum import Enum, auto, unique
 from typing import NamedTuple
 
-from ..source import Span
+from ..source import Loc, Span, loc_span
 
 
 @unique
@@ -120,12 +120,17 @@ BUILTIN_KIND_NAMES = frozenset({
 
 
 class Token(NamedTuple):
-    """A NamedTuple (not a dataclass) — the lexer allocates one per
-    token, and tuple construction is several times cheaper."""
+    """One lexed token.  ``loc`` is its stored location (an untracked
+    exact tuple, see :mod:`repro.source`); ``span`` is the diagnostic
+    view, built on read."""
 
     kind: TokenKind
     text: str
-    span: Span
+    loc: Loc
+
+    @property
+    def span(self) -> Span:
+        return loc_span(self.loc)
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r})"

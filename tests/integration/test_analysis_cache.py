@@ -91,6 +91,7 @@ def test_disk_tier_round_trip(source, tmp_path):
     fresh = AnalysisCache(path)            # new process, empty memory
     replayed = analyze(source, cache=fresh)
     assert errors_key(replayed) == errors_key(cold)
+    assert replayed.program == cold.program
     assert replayed.info == cold.info
     if replayed.cache_stats is not None and "class" in source:
         # disk tier re-parses but replays inference + diagnostics
