@@ -90,15 +90,17 @@ class Worker{i}<Owner o> {{
     return "\n".join(parts)
 
 
-def edit_one_class(source: str) -> str:
-    """The canonical one-class edit: change one method-body constant.
+def edit_one_class(source: str, step: int = 1) -> str:
+    """The canonical one-class edit: change one method-body constant
+    (to ``step``; distinct steps give distinct texts).
 
     The edit alters a single class's chunk text without touching any
-    signature, so a correct incremental cache re-analyses exactly one
-    class.
+    signature or line, so a correct incremental cache re-analyses
+    exactly one class.
     """
     needle = "scratch.v = local.v + 0;"
-    edited = source.replace(needle, "scratch.v = local.v + 0 + 1;", 1)
+    edited = source.replace(needle, f"scratch.v = local.v + 0 + {step};",
+                            1)
     if edited == source:
         raise ValueError("edit needle not found in synthetic program")
     return edited
@@ -118,30 +120,25 @@ def measure_size(size: int, repeats: int = 3,
                  cache_path: Optional[str] = None) -> Dict[str, Any]:
     """Cold and warm-incremental analysis times for one program size."""
     source = synth_program(size)
-    edited = edit_one_class(source)
-
     cold_result = analyze(source)
     n_errors = len(cold_result.errors)
     cold_s = _best_of(lambda: analyze(source), repeats)
 
-    # warm: alternate between the original and the edited text so every
-    # timed run analyses a program that differs from the previous one by
-    # exactly one class body — the steady-state keystroke cost.  The
-    # prepopulation ends on `source` so the first timed run (edited)
-    # already has its one-class miss.
+    # warm: every timed run analyses a new edit of the same class body,
+    # so it differs from everything the cache holds by exactly one
+    # class — the steady-state keystroke cost.  (Alternating between
+    # two texts would replay both from the fingerprint-keyed table.)
     cache = AnalysisCache(cache_path)
-    analyze(edited, cache=cache)
     analyze(source, cache=cache)
-    sources = [source, edited]
-    state = {"i": 0}
+    edits = iter([edit_one_class(source, step)
+                  for step in range(1, max(repeats, 1) + 2)])
 
     def warm_run():
-        state["i"] ^= 1
-        result = analyze(sources[state["i"]], cache=cache)
+        result = analyze(next(edits), cache=cache)
         assert len(result.errors) == n_errors
 
     warm_s = _best_of(warm_run, repeats)
-    stats = analyze(edited, cache=cache).cache_stats or {}
+    stats = analyze(next(edits), cache=cache).cache_stats or {}
     if cache_path is not None:
         cache.save()
     return {

@@ -12,9 +12,10 @@ AST, the semantic tables, and the list of ownership type errors; the
 interpreter in :mod:`repro.interp` consumes it directly.
 
 Pass ``cache=AnalysisCache(...)`` to make repeated analyses incremental:
-unchanged class declarations are neither re-parsed nor re-checked (see
-:mod:`repro.core.cache`).  The cached and uncached paths produce
-identical errors and identical semantic tables.
+an unchanged class declaration is not re-checked, nor re-parsed when it
+sits where it sat before (see :mod:`repro.core.cache`).  The cached and
+uncached paths produce identical errors, identical semantic tables and
+identical node locations.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..errors import LexError, OwnershipTypeError, ParseError
 from ..lang import ast, parse_program
-from .cache import (AnalysisCache, deserialize_errors, fingerprints,
-                    first_token_loc, serialize_errors, split_chunks)
+from .cache import (AnalysisCache, apply_annotations, deserialize_errors,
+                    fingerprints, first_token_loc, serialize_errors,
+                    split_chunks)
 from .checker import Checker
 from .inference import (DefaultPolicy, PAPER_DEFAULTS, _MethodInference,
                         apply_signature_defaults)
@@ -163,22 +165,30 @@ def _analyze_cached(source: str, filename: str, policy: DefaultPolicy,
     shas = {c.name: hashlib.sha256(c.text.encode("utf-8")).hexdigest()
             for c in class_chunks}
     fps = fingerprints(class_chunks, policy_key, rk_digest, shas,
-                       cache.text_cache)
+                       cache.table.texts)
 
     decls: List[ast.ClassDecl] = []
     live: set = set()
     replay: Dict[str, List[OwnershipTypeError]] = {}
-    chunk_by_name = {c.name: c for c in class_chunks}
+    #: re-parsed classes whose analysis was replayed: name -> (errors,
+    #: annotations), recorded at their new position after the check
+    reparsed: Dict[str, tuple] = {}
     try:
         for c in class_chunks:
-            entry = cache.mem_entry(c.name, shas[c.name], policy_key,
-                                    fps[c.name])
-            if entry is not None:
+            name, fp = c.name, fps[c.name]
+            entry = cache.table.entries.get(fp)
+            if entry is not None and entry.where == (c.line, c.col,
+                                                     filename):
+                # the stored decl carries exactly this chunk's
+                # locations: reuse it, parse nothing
                 cache.stats.bump("ast_hits")
+                cache.stats.bump("memory_hits")
                 cache.stats.bump("replay_hits")
                 decls.append(entry.decl)
-                replay[c.name] = deserialize_errors(entry.errors, c.line,
-                                                    filename)
+                replay[name] = deserialize_errors(entry.errors, c.line,
+                                                  filename)
+                cache.keep_in_shard(name, shas[name], policy_key, fp,
+                                    entry.errors, entry.annotations)
                 continue
             cache.stats.bump("ast_misses")
             sub = parse_program(c.text, filename, c.line, c.col)
@@ -187,16 +197,24 @@ def _analyze_cached(source: str, filename: str, policy: DefaultPolicy,
                 return None
             decl = sub.classes[0]
             decls.append(decl)
-            disk = cache.disk_entry(c.name, shas[c.name], policy_key,
-                                    fps[c.name])
-            if disk is not None:
-                from .cache import apply_annotations
-                if apply_annotations(decl, disk["ann"]):
-                    cache.stats.bump("replay_hits")
-                    replay[c.name] = deserialize_errors(
-                        disk["errors"], c.line, filename)
-                    continue
-            live.add(c.name)
+            # a table hit elsewhere replays like a disk hit, so no node
+            # carries another program's locations
+            recorded = ((entry.errors, entry.annotations)
+                        if entry is not None else None)
+            if recorded is None:
+                disk = cache.disk_entry(name, shas[name], policy_key, fp)
+                if disk is not None:
+                    recorded = (disk["errors"], disk["ann"])
+            if recorded is not None and apply_annotations(decl,
+                                                          recorded[1]):
+                if entry is not None:
+                    cache.stats.bump("memory_hits")
+                cache.stats.bump("replay_hits")
+                replay[name] = deserialize_errors(recorded[0], c.line,
+                                                  filename)
+                reparsed[name] = recorded
+                continue
+            live.add(name)
 
         region_kinds: List[ast.RegionKindDecl] = []
         main_stmts: List[ast.Stmt] = []
@@ -249,16 +267,19 @@ def _analyze_cached(source: str, filename: str, policy: DefaultPolicy,
     # record what this run learned (per_class is empty when the
     # wellformed phase aborted checking — record nothing then, so the
     # next run re-checks everything live)
-    decl_by_name = {d.name: d for d in decls}
-    for name in live:
-        cache.stats.bump("check_misses")
-        errs = per_class.get(name)
-        if errs is None:
+    for c, decl in zip(class_chunks, decls):
+        if c.name in live:
+            cache.stats.bump("check_misses")
+            if c.name not in per_class:
+                continue
+            errs = serialize_errors(per_class[c.name], c.line)
+            ann = None
+        elif c.name in reparsed and c.name in per_class:
+            errs, ann = reparsed[c.name]
+        else:
             continue
-        chunk = chunk_by_name[name]
-        cache.record(name, shas[name], policy_key, fps[name],
-                     decl_by_name[name],
-                     serialize_errors(errs, chunk.line))
+        cache.record(c.name, shas[c.name], policy_key, fps[c.name],
+                     decl, errs, ann, where=(c.line, c.col, filename))
 
     result = AnalyzedProgram(program, info, errors)
     result.cache_stats = dict(cache.stats.last)

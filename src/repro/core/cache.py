@@ -28,18 +28,31 @@ touch.  Whole-program phases that the cache cannot scope — wellformed
 checks, region kinds, and the main block — always run live; they are a
 fraction of a percent of frontend time.
 
-Two tiers:
+Two tiers, looked up in this order:
 
-* **in-memory** — keeps the annotated (post-inference) ``ClassDecl``
-  object, so a hit skips lexing *and* parsing of that chunk;
-* **disk (JSON)** — survives processes; a hit re-parses the pristine
-  chunk but replays the inferred owner annotations and the recorded
-  diagnostics, skipping inference and checking.
+* **in-memory** — a :class:`ClassTable` of class analyses keyed by
+  fingerprint: the annotated (post-inference) ``ClassDecl``, its
+  class-relative diagnostics and its inferred owner annotations.  A
+  table outlives the analyses that fill it and may be shared by many
+  programs (the serve worker keeps one per process), because a
+  fingerprint names everything a class's analysis observes — except
+  where the class sits.  So a hit at the same ``(line, col, filename)``
+  reuses the stored decl and skips lexing *and* parsing of that chunk;
+  a hit anywhere else re-parses the chunk and replays the entry's
+  annotations and diagnostics, as the disk tier does, so no node ever
+  carries another program's (or an earlier edit's) locations;
+* **disk (JSON)** — one shard per program, surviving processes; a hit
+  re-parses the pristine chunk but replays the inferred owner
+  annotations and the recorded diagnostics, skipping inference and
+  checking.  A shard holds only its own program's classes.
 
-Stale entries can never leak: an in-memory AST whose fingerprint no
-longer matches is discarded and the chunk is re-parsed pristine
-(inference only fills *empty* owner slots, so re-using a stale annotated
-AST would silently pin old owners — re-parsing makes that impossible).
+A shared decl is never written again: inference fills only the chunks
+analyzed live, and the signature defaults write only slots that omit
+their owners, which an annotated decl no longer has.  Stale entries
+cannot leak either: a changed class has a new fingerprint, so its old
+entry is simply never found again (inference only fills *empty* owner
+slots, so re-using a stale annotated AST would silently pin old owners
+— a fresh parse makes that impossible).
 
 If the source cannot be split into chunks (unbalanced braces, duplicate
 class names, a parse error inside a chunk), the caller falls back to the
@@ -53,6 +66,7 @@ import hashlib
 import json
 import os
 import re
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -230,22 +244,23 @@ def _entries_digest(entries: Dict[str, dict]) -> str:
 
 def fingerprints(class_chunks: Sequence[Chunk], policy_key: str,
                  rk_digest: str, shas: Dict[str, str],
-                 text_cache: Optional[Dict[str, Tuple[str, frozenset]]]
+                 text_cache: Optional[Dict[str, Tuple[str, Tuple[str, ...]]]]
                  = None) -> Dict[str, str]:
     """Per-class content fingerprints (see the module docstring).
 
     ``shas`` maps class name -> chunk SHA.  ``text_cache`` (chunk SHA ->
-    ``(signature digest, identifier set)``) lets warm runs skip the
+    ``(signature digest, distinct identifiers)``) lets warm runs skip the
     signature/identifier scans for unchanged chunks — the scans are pure
-    functions of the chunk text."""
+    functions of the chunk text.  Its values are tuples of strings,
+    which the collector untracks: a long-lived cache keeps them."""
     sigs: Dict[str, str] = {}
-    words: Dict[str, frozenset] = {}
+    words: Dict[str, Tuple[str, ...]] = {}
     for c in class_chunks:
         sha = shas[c.name]
         cached = None if text_cache is None else text_cache.get(sha)
         if cached is None:
             cached = (_sha(signature_text(c.text)),
-                      frozenset(_WORD_RE.findall(c.text)))
+                      tuple(set(_WORD_RE.findall(c.text))))
             if text_cache is not None:
                 text_cache[sha] = cached
         sigs[c.name], words[c.name] = cached
@@ -270,7 +285,7 @@ def fingerprints(class_chunks: Sequence[Chunk], policy_key: str,
             # programs) share the expensive part of the payload
             absent: Set[str] = set()
             for name in closure:
-                absent |= words[name]
+                absent.update(words[name])
             absent -= class_names
             digests = (
                 _sha(json.dumps([[d, sigs[d]] for d in sorted(closure)],
@@ -331,6 +346,11 @@ def deserialize_errors(records: Sequence[dict], chunk_line: int,
 # ---------------------------------------------------------------------------
 # inferred-annotation record / replay (disk tier)
 # ---------------------------------------------------------------------------
+
+#: the owner names of each inference-fillable slot of a class, in walk
+#: order (lists once a disk shard round-trips them)
+Annotations = Sequence[Sequence[str]]
+
 
 def _walk_slots(decl: ast.ClassDecl):
     """Deterministic pre-order over the owner slots Section 2.5
@@ -398,21 +418,24 @@ def _walk_slots(decl: ast.ClassDecl):
         yield from stmt(meth.body)
 
 
-def collect_annotations(decl: ast.ClassDecl) -> List[List[str]]:
-    """Owner names of every inference-fillable slot, in walk order."""
-    out: List[List[str]] = []
+def collect_annotations(decl: ast.ClassDecl) -> Annotations:
+    """Owner names of every inference-fillable slot, in walk order, as
+    tuples, which the collector untracks (a class table keeps them for
+    as long as it lives)."""
+    out = []
     for kind, node in _walk_slots(decl):
         if kind == "local":
-            out.append([o.name for o in node.declared_type.owners])
+            owners = node.declared_type.owners
         elif kind == "new":
-            out.append([o.name for o in node.owners])
+            owners = node.owners
         else:
-            out.append([o.name for o in node.owner_args])
-    return out
+            owners = node.owner_args
+        out.append(tuple(o.name for o in owners))
+    return tuple(out)
 
 
 def apply_annotations(decl: ast.ClassDecl,
-                      annotations: Sequence[Sequence[str]]) -> bool:
+                      annotations: Annotations) -> bool:
     """Replay recorded owners onto a pristine parse of the same chunk.
     Slots whose parsed owners already match are left untouched (so
     explicit annotations keep their parser locations); filled slots
@@ -459,15 +482,21 @@ def shard_path(root: str, fingerprint: str) -> str:
     fingerprint = fingerprint.lower()
     return os.path.join(root, fingerprint[:2], f"{fingerprint}.json")
 
+
 @dataclass
 class CacheStats:
     """Cumulative counters plus the per-run deltas of the last
-    ``analyze`` call (``last``), which the metrics exporter consumes."""
+    ``analyze`` call (``last``), which the metrics exporter consumes.
+    ``replay_hits`` counts every class whose inference and check were
+    replayed; ``memory_hits`` the share of them the :class:`ClassTable`
+    answered (the rest came from the disk shard), and ``ast_hits`` the
+    table hits whose stored decl was reused without a parse."""
 
     runs: int = 0
     fallbacks: int = 0
     ast_hits: int = 0
     ast_misses: int = 0
+    memory_hits: int = 0
     replay_hits: int = 0
     check_misses: int = 0
     quarantines: int = 0
@@ -475,7 +504,7 @@ class CacheStats:
 
     def begin_run(self) -> None:
         self.runs += 1
-        self.last = {"ast_hits": 0, "ast_misses": 0,
+        self.last = {"ast_hits": 0, "ast_misses": 0, "memory_hits": 0,
                      "replay_hits": 0, "check_misses": 0}
 
     def bump(self, key: str) -> None:
@@ -486,37 +515,80 @@ class CacheStats:
     def as_dict(self) -> Dict[str, int]:
         return {"runs": self.runs, "fallbacks": self.fallbacks,
                 "ast_hits": self.ast_hits, "ast_misses": self.ast_misses,
+                "memory_hits": self.memory_hits,
                 "replay_hits": self.replay_hits,
                 "check_misses": self.check_misses,
                 "quarantines": self.quarantines}
 
 
+#: where a chunk was parsed: ``(line, col, filename)`` of its first
+#: character — with the chunk text, it fixes every node location
+Where = Tuple[int, int, str]
+
+
 @dataclass
-class _MemEntry:
-    chunk_sha: str
-    policy_key: str
-    fingerprint: str
+class ClassEntry:
+    """One class analysis in a :class:`ClassTable`."""
+
+    where: Optional[Where]
     decl: ast.ClassDecl                 # annotated (post-inference)
-    errors: Optional[List[dict]]        # class-relative records
-    annotations: List[List[str]]
+    errors: List[dict]                  # class-relative records
+    annotations: Annotations
+
+
+class _Lru(OrderedDict):
+    """A dict of at most ``capacity`` keys (``None``: no bound) that
+    evicts the least recently read or written one."""
+
+    def __init__(self, capacity: Optional[int] = None) -> None:
+        super().__init__()
+        self.capacity = capacity
+
+    def get(self, key, default=None):
+        if key not in self:
+            return default
+        self.move_to_end(key)
+        return self[key]
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        if self.capacity is not None and len(self) > self.capacity:
+            self.popitem(last=False)
+
+
+class ClassTable:
+    """The in-memory tier: class analyses keyed by class fingerprint
+    (``entries``), plus the text scans :func:`fingerprints` memoizes by
+    chunk SHA (``texts``), each an LRU of at most ``capacity`` keys
+    (``None``: no bound).  It holds no :class:`AnalysisCache`, so one
+    table can outlive and serve any number of analyses."""
+
+    def __init__(self, capacity: Optional[int] = None) -> None:
+        self.entries: Dict[str, ClassEntry] = _Lru(capacity)
+        self.texts: Dict[str, Tuple[str, Tuple[str, ...]]] = \
+            _Lru(capacity)
 
 
 class AnalysisCache:
-    """Two-tier (memory + optional JSON file) analysis cache.
+    """The two tiers one analysis reads: a :class:`ClassTable` and an
+    optional JSON shard.
 
     Pass the same instance to successive :func:`repro.core.api.analyze`
-    calls for in-process incrementality; give it a ``path`` and call
-    :meth:`save` to persist the disk tier between processes (the CLI's
-    ``--analysis-cache DIR`` does both).
+    calls for in-process incrementality, or pass a longer-lived
+    ``table`` to share class analyses across caches; give it a ``path``
+    and call :meth:`save` to persist the disk tier between processes
+    (the CLI's ``--analysis-cache DIR`` does both).
     """
 
-    def __init__(self, path: Optional[str] = None) -> None:
+    def __init__(self, path: Optional[str] = None,
+                 table: Optional[ClassTable] = None) -> None:
         self.path = path
-        self.mem: Dict[str, _MemEntry] = {}
+        self.table = table if table is not None else ClassTable()
         self.disk: Dict[str, dict] = {}
-        #: chunk SHA -> (signature digest, identifier set); memoizes the
-        #: pure text scans behind :func:`fingerprints`
-        self.text_cache: Dict[str, Tuple[str, frozenset]] = {}
+        #: class name -> disk record of a class the analyses through
+        #: this cache used but its shard lacks; :meth:`save` writes them
+        self.unsaved: Dict[str, dict] = {}
         self.stats = CacheStats()
         if path:
             self.load()
@@ -567,7 +639,8 @@ class AnalysisCache:
             pass  # a racing quarantine already moved it
 
     def save(self) -> None:
-        """Persist the disk tier atomically.
+        """Persist the disk tier atomically: the loaded shard plus
+        every record in :attr:`unsaved`.
 
         The payload lands in a private temp file first and is moved into
         place with :func:`os.replace`, so a concurrent reader sees either
@@ -580,12 +653,7 @@ class AnalysisCache:
         if not self.path:
             return
         merged = dict(self.disk)
-        for name, entry in self.mem.items():
-            merged[name] = {"sha": entry.chunk_sha,
-                            "policy": entry.policy_key,
-                            "fp": entry.fingerprint,
-                            "errors": entry.errors,
-                            "ann": entry.annotations}
+        merged.update(self.unsaved)
         payload = {"schema": SCHEMA,
                    "digest": _entries_digest(merged),
                    "entries": merged}
@@ -604,18 +672,10 @@ class AnalysisCache:
             except OSError:
                 pass
             raise
+        self.disk = merged
+        self.unsaved = {}
 
     # -- lookups --------------------------------------------------------
-
-    def mem_entry(self, name: str, chunk_sha: str, policy_key: str,
-                  fingerprint: str) -> Optional[_MemEntry]:
-        entry = self.mem.get(name)
-        if (entry is not None and entry.chunk_sha == chunk_sha
-                and entry.policy_key == policy_key
-                and entry.fingerprint == fingerprint
-                and entry.errors is not None):
-            return entry
-        return None
 
     def disk_entry(self, name: str, chunk_sha: str, policy_key: str,
                    fingerprint: str) -> Optional[dict]:
@@ -628,9 +688,32 @@ class AnalysisCache:
             return entry
         return None
 
+    def keep_in_shard(self, name: str, chunk_sha: str, policy_key: str,
+                      fingerprint: str, errors: List[dict],
+                      annotations: Annotations) -> None:
+        """Note that this cache's program has class ``name``: queue its
+        disk record when the shard lacks it."""
+        if self.path and self.disk_entry(name, chunk_sha, policy_key,
+                                         fingerprint) is None:
+            self.unsaved[name] = {"sha": chunk_sha, "policy": policy_key,
+                                  "fp": fingerprint, "errors": errors,
+                                  "ann": annotations}
+
     def record(self, name: str, chunk_sha: str, policy_key: str,
                fingerprint: str, decl: ast.ClassDecl,
-               errors: Optional[List[dict]]) -> None:
-        self.mem[name] = _MemEntry(chunk_sha, policy_key, fingerprint,
-                                   decl, errors,
-                                   collect_annotations(decl))
+               errors: Optional[List[dict]],
+               annotations: Optional[Annotations] = None,
+               where: Optional[Where] = None) -> None:
+        """Learn one class analysis: into the table, and into the shard
+        when it lacks it.  ``where`` is the chunk's position; an entry
+        without one is only ever replayed onto a fresh parse.
+        ``errors`` of ``None`` (a diagnostic the cache cannot replay)
+        records nothing: the class stays live."""
+        if errors is None:
+            return
+        if annotations is None:
+            annotations = collect_annotations(decl)
+        self.table.entries[fingerprint] = ClassEntry(where, decl, errors,
+                                                     annotations)
+        self.keep_in_shard(name, chunk_sha, policy_key, fingerprint,
+                           errors, annotations)

@@ -139,10 +139,14 @@ _NULL = RefPattern("<null>", [])
 # defaults
 # ---------------------------------------------------------------------------
 
+def _omits_owners(type_ast: ast.TypeAst) -> bool:
+    return isinstance(type_ast, ast.ClassTypeAst) and not type_ast.owners
+
+
 def _fill(type_ast: ast.TypeAst, program: ast.Program,
           default: str) -> ast.TypeAst:
     """Return ``type_ast`` with omitted owners replaced by ``default``."""
-    if not isinstance(type_ast, ast.ClassTypeAst) or type_ast.owners:
+    if not _omits_owners(type_ast):
         return type_ast
     decl = program.class_named(type_ast.name)
     arity = len(decl.formals) if decl is not None else 1
@@ -155,7 +159,9 @@ def apply_signature_defaults(
         program: ast.Program,
         policy: DefaultPolicy = PAPER_DEFAULTS) -> None:
     """Fill owner defaults for fields, method signatures, portal fields,
-    and missing ``accesses`` clauses."""
+    and missing ``accesses`` clauses.  Only slots that omit their owners
+    are written, so a class that is already annotated (one shared from
+    the analysis cache's class table) is left untouched."""
     for cls in program.classes:
         if not cls.formals:
             # default class parameterization: one plain Owner formal
@@ -173,15 +179,19 @@ def apply_signature_defaults(
                       for _ in range(arity)),
                 cls.superclass.loc)
         for fld in cls.fields:
-            default = (policy.static_field_owner if fld.static
-                       else this_owner)
-            fld.declared_type = _fill(fld.declared_type, program, default)
+            if _omits_owners(fld.declared_type):
+                default = (policy.static_field_owner if fld.static
+                           else this_owner)
+                fld.declared_type = _fill(fld.declared_type, program,
+                                          default)
         for meth in cls.methods:
-            meth.return_type = _fill(meth.return_type, program,
-                                     policy.signature_owner)
-            meth.params = [(_fill(t, program, policy.signature_owner),
-                            name)
-                           for t, name in meth.params]
+            if _omits_owners(meth.return_type):
+                meth.return_type = _fill(meth.return_type, program,
+                                         policy.signature_owner)
+            if any(_omits_owners(t) for t, _ in meth.params):
+                meth.params = [(_fill(t, program, policy.signature_owner),
+                                name)
+                               for t, name in meth.params]
             if meth.effects is None:
                 names = ([f.name for f in cls.formals]
                          + [f.name for f in meth.formals])

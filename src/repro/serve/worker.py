@@ -1,21 +1,35 @@
-"""The warm worker: one forked process, one in-memory tier.
+"""The warm worker: one forked process, two in-memory tiers.
 
-Each serve fact has one in-memory home, and the worker holds only one
-of them: the post-inference :class:`AnalyzedProgram`, keyed by program
-sha in an LRU of ``MAX_PROGRAMS``.  A repeat of a program skips the
-frontend entirely, and since a program carries its lowered and bound
-compiled forms (``analyzed.compiled``), the same bound caps compiled
-code.  The other two facts live elsewhere:
+Each serve fact has one in-memory home, and the worker holds two of
+them, each bounded by a module constant:
+
+* the post-inference :class:`AnalyzedProgram`, keyed by program sha in
+  an LRU of ``MAX_PROGRAMS``.  A repeat of a program skips the
+  frontend entirely, and since a program carries its lowered and bound
+  compiled forms (``analyzed.compiled``), the same bound caps compiled
+  code;
+* class analyses, in one :class:`~repro.core.cache.ClassTable` of
+  ``MAX_CLASSES`` entries keyed by class fingerprint that lasts as long
+  as the worker.  Every analysis looks a class up there first, so a
+  first-sight program re-infers and re-checks only the classes no
+  earlier program had, and re-parses only those and the ones that
+  moved (paper §2.5: inference is intra-procedural, so a class's
+  analysis depends only on what its fingerprint names).
+
+The other facts live elsewhere:
 
 * finished bodies live in the frontend's hot tier
   (:mod:`repro.serve.server`), which answers a 2xx repeat without
   reaching the pool;
-* class analyses live in the shared content-addressed disk tree
+* the durable copy of class analyses lives in the shared
+  content-addressed disk tree, one shard per program
   (``shard_path(root, sha)``), so a program analyzed by one worker is
   a warm disk hit on every sibling.  Each analysis builds one
   transient :class:`~repro.core.cache.AnalysisCache` over its shard
-  (a memory-only worker builds one over no path, so ``/v1/analyze``
-  bodies always carry ``cache`` stats) and drops it with the reply.
+  and the worker's table (a memory-only worker builds one over no
+  path, so ``/v1/analyze`` bodies always carry ``cache`` stats),
+  publishes the shard when it lacks one of the program's classes, and
+  drops the cache with the reply.
 
 So two kinds of repeat reach a worker: a 4xx, which the hot tier does
 not hold, and a fingerprint the hot tier has evicted.  A program that
@@ -51,7 +65,7 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
-from ..core.cache import AnalysisCache, shard_path
+from ..core.cache import AnalysisCache, ClassTable, shard_path
 from ..errors import ReproError
 from ..obs.trace import end_span, instant_span, start_span
 from .protocol import error_body
@@ -60,6 +74,15 @@ from .protocol import error_body
 #: program churn: an AnalyzedProgram carries its lowered and bound
 #: compiled forms (``analyzed.compiled``), so evicting it frees them too
 MAX_PROGRAMS = 128
+
+#: class-table bound, per worker, in entries (an annotated ClassDecl with
+#: its diagnostics and annotations each).  Measured on one worker's
+#: 500-request share of perfbench ``cold``: 16 to 128 entries replay the
+#: same 1,121 of 1,639 classes at almost no cost, because the decls they
+#: hold belong to programs the analyzed-program LRU keeps alive anyway;
+#: 256 replay no more, and hold 50k more tracked objects (9 MB) of
+#: programs that LRU already dropped
+MAX_CLASSES = 128
 
 #: flight-recorder ring capacity for served /v1/inspect jobs
 INSPECT_CAPACITY = 1 << 14
@@ -75,6 +98,7 @@ class WarmWorker:
         #: record here (side channel — never in the body)
         self.flight_dir = flight_dir
         self._analyzed: "OrderedDict[str, Any]" = OrderedDict()
+        self._classes = ClassTable(MAX_CLASSES)
 
     # -- the analyzed-program tier ---------------------------------------
 
@@ -95,26 +119,28 @@ class WarmWorker:
         span = (start_span("analyze", "worker", parent)
                 if spans is not None else None)
         cache = AnalysisCache(shard_path(self.cache_root, sha)
-                              if self.cache_root else None)
+                              if self.cache_root else None,
+                              table=self._classes)
         try:
             analyzed = analyze(source, cache=cache)
         except Exception:
             if span is not None:
                 spans.append(end_span(span, outcome="raised"))
             raise
-        stats = analyzed.cache_stats or {}
-        if cache.path and stats.get("check_misses", 0) > 0:
-            # something was genuinely re-checked: publish the shard so
-            # siblings warm from it (atomic rename, last-write-wins)
+        if cache.unsaved:
+            # the shard lacks one of this program's classes: publish it
+            # so siblings warm from it (atomic rename, last-write-wins)
             cache.save()
         self._analyzed[sha] = analyzed
         while len(self._analyzed) > MAX_PROGRAMS:
             self._analyzed.popitem(last=False)
         if span is not None:
-            replayed = stats.get("replay_hits", 0)
+            stats = analyzed.cache_stats or {}
+            tier = ("memory" if stats.get("memory_hits") else
+                    "disk" if stats.get("replay_hits") else "computed")
             spans.append(end_span(
-                span, tier="disk" if replayed else "computed",
-                replay_hits=replayed,
+                span, tier=tier, ast_hits=stats.get("ast_hits", 0),
+                replay_hits=stats.get("replay_hits", 0),
                 check_misses=stats.get("check_misses", 0)))
         return analyzed, True
 

@@ -9,6 +9,7 @@ input must fall back to the whole-program path so diagnostics never
 change shape.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from repro.core.cache import AnalysisCache, signature_text, split_chunks
 from repro.core.owners import Owner
 from repro.core.types import ClassType, HandleType, PrimType
 from repro.errors import LexError
+from repro.lang import ast
 
 # load the shared sources by path — a bare `import conftest` resolves
 # to whichever conftest.py pytest put on sys.path first
@@ -113,6 +115,74 @@ def test_one_class_edit_rechecks_only_that_class():
     assert warm.cache_stats["ast_misses"] == 1
     assert warm.cache_stats["check_misses"] == 1
     assert warm.cache_stats["ast_hits"] == 8  # Cell + 8 workers − edited
+
+
+#: a null call in class B, below class A: an edit that adds a line to
+#: A moves every node of the unchanged B one line down
+MOVED_CLASS_SOURCE = """class A<Owner o> {
+    int f() {
+        return 1;
+    }
+}
+class B<Owner o> {
+    IntArray<o> arr;
+    int g() {
+        return arr.get(0);
+    }
+}
+(RHandle<r> h) {
+    B<r> b = new B<r>;
+    print(b.g());
+}
+"""
+
+
+def node_locs(root):
+    """``(node type, loc)`` of every AST node under ``root``, in walk
+    order."""
+    out = []
+
+    def walk(obj):
+        if isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
+        elif isinstance(obj, ast.Node):
+            out.append((type(obj).__name__, obj.loc))
+            for f in dataclasses.fields(obj):
+                if f.name != "loc":
+                    walk(getattr(obj, f.name))
+
+    walk(root)
+    return out
+
+
+def runtime_error(analyzed):
+    with pytest.raises(Exception) as err:
+        run_source(analyzed, RunOptions(backend="interp", validate=False))
+    return f"{type(err.value).__name__}: {err.value}"
+
+
+def test_a_moved_class_carries_its_new_locations():
+    """An unchanged class whose chunk moved is not served with its old
+    locations: its runtime errors and every node location match a cold
+    analysis of the edited text."""
+    edited = MOVED_CLASS_SOURCE.replace(
+        "        return 1;", "        int z = 2;\n        return 1;")
+    cache = AnalysisCache()
+    analyze(MOVED_CLASS_SOURCE, cache=cache)
+    warm = analyze(edited, cache=cache)
+    cold = analyze(edited)
+    assert warm.cache_stats["replay_hits"] == 1   # B: not re-checked
+    assert runtime_error(warm) == runtime_error(cold)
+    assert "<input>:10:" in runtime_error(cold)
+    assert node_locs(warm.program.classes) == \
+        node_locs(cold.program.classes)
+    assert warm.program == cold.program
+    # the table now holds B where it sits in the edited text
+    again = analyze(edited, cache=cache)
+    assert again.cache_stats["ast_hits"] == 2
+    assert node_locs(again.program.classes) == \
+        node_locs(cold.program.classes)
 
 
 def test_signature_edit_invalidates_dependents():

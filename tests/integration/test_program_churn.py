@@ -5,8 +5,9 @@ each bound backend form — is memoized on that program, so a second run
 reuses it and dropping the program frees it: at once, by reference
 counting, because no form refers back to its program.  That is what
 lets the serve worker's ``MAX_PROGRAMS`` LRU bound a worker's memory
-under a stream of first-sight programs — the one LRU it keeps: class
-analyses live in the disk shards, not in worker memory.
+under a stream of first-sight programs.  Class analyses live in the
+worker's class table (entries, never an ``AnalysisCache``) and in the
+disk shards.
 """
 
 import gc
@@ -104,8 +105,10 @@ def test_worker_lru_bounds_live_programs(monkeypatch):
 
 @pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
 def test_worker_keeps_no_analysis_cache(monkeypatch, tmp_path, disk):
-    # class analyses live in the disk shards; the worker builds one
-    # AnalysisCache per analysis and drops it with the reply
+    # the worker builds one AnalysisCache per analysis and drops it
+    # with the reply; only its class table outlives the analysis, and
+    # every program's shard is published even when the table answered
+    # all of its classes
     caches = []
     real_cache = worker_mod.AnalysisCache
 

@@ -350,3 +350,41 @@ def test_worker_analyze_span_names_the_disk_tier(tmp_path):
     assert attrs["tier"] == "disk"
     assert attrs["replay_hits"] == cache["replay_hits"]
     assert first["body"]["classes"] == second["body"]["classes"]
+
+
+def test_worker_analyze_span_names_the_memory_tier():
+    """A worker that takes classes from its own class table says so:
+    tier ``memory`` with the body's ``ast_hits``, and only the renamed
+    class re-checked."""
+    import re
+
+    from repro.bench.suite import BENCHMARKS
+    from repro.serve.protocol import Job, job_fingerprint, program_sha
+    from repro.serve.worker import WarmWorker
+
+    source = BENCHMARKS["Tree"].source(fast=True)
+    last = re.findall(r"\bclass\s+(\w+)", source)[-1]
+    variant = re.sub(rf"\b{last}\b", f"{last}_s1", source)
+
+    def job(text):
+        sha = program_sha(text)
+        return Job("analyze", text, sha,
+                   job_fingerprint("analyze", sha, "static", "py"),
+                   trace_id="cd" * 16).to_wire()
+
+    def analyze_span(reply):
+        (span,) = [s for s in reply["spans"] if s["name"] == "analyze"]
+        return span["attrs"]
+
+    worker = WarmWorker()
+    first = worker.handle(job(source))
+    assert analyze_span(first)["tier"] == "computed"
+    assert analyze_span(first)["ast_hits"] == 0
+    second = worker.handle(job(variant))
+    cache = second["body"]["cache"]
+    assert cache["ast_hits"] == cache["memory_hits"] == 1
+    assert cache["check_misses"] == 1
+    attrs = analyze_span(second)
+    assert attrs["tier"] == "memory"
+    assert attrs["ast_hits"] == cache["ast_hits"]
+    assert attrs["replay_hits"] == cache["replay_hits"]
