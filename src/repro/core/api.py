@@ -101,7 +101,7 @@ def analyze(source: Union[str, ast.Program],
     if cache is not None and infer and isinstance(source, str):
         result = _analyze_cached(source, filename, policy, cache, clock)
         if result is None:
-            cache.stats.bump("fallbacks")
+            cache.stats.fallbacks += 1
             clock.restart()
     if result is None:
         result = _analyze_plain(source, filename, infer, policy, clock)

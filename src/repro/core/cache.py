@@ -184,6 +184,16 @@ def first_token_loc(chunks: Sequence[Chunk], filename: str
     return None
 
 
+#: one pass over a class chunk: comments (an unterminated ``/*`` runs
+#: to the end), a brace, or a run of anything else (a ``/`` that opens
+#: no comment is a run of its own)
+_SIG_RE = re.compile(r"//[^\n]*|/\*.*?(?:\*/|\Z)|([{}])|([^{}/]+|/)", re.S)
+
+#: the units of a run: identifier-or-number words (``\w`` is
+#: ``str.isalnum()`` plus ``_``) and single non-space characters
+_UNIT_RE = re.compile(r"\w+|\S")
+
+
 def signature_text(chunk_text: str) -> str:
     """The class chunk with method bodies (and all comments/whitespace
     runs) stripped: the textual interface other classes can observe.
@@ -191,42 +201,18 @@ def signature_text(chunk_text: str) -> str:
     depth 0 (the ``class ... {`` header) and depth 1 (fields, method
     headers, ``where`` clauses) are kept, joined by single spaces."""
     units: List[str] = []
-    i, n = 0, len(chunk_text)
     depth = 0
-    while i < n:
-        ch = chunk_text[i]
-        if ch == "/" and chunk_text.startswith("//", i):
-            j = chunk_text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if ch == "/" and chunk_text.startswith("/*", i):
-            j = chunk_text.find("*/", i + 2)
-            i = n if j < 0 else j + 2
-            continue
-        if ch == "{":
+    for brace, run in _SIG_RE.findall(chunk_text):
+        if brace == "{":
             if depth < 2:
                 units.append("{")
             depth += 1
-            i += 1
-            continue
-        if ch == "}":
+        elif brace:
             depth -= 1
             if depth < 2:
                 units.append("}")
-            i += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i + 1
-            while j < n and (chunk_text[j].isalnum()
-                             or chunk_text[j] == "_"):
-                j += 1
-            if depth < 2:
-                units.append(chunk_text[i:j])
-            i = j
-            continue
-        if depth < 2 and not ch.isspace():
-            units.append(ch)
-        i += 1
+        elif run and depth < 2:
+            units.extend(_UNIT_RE.findall(run))
     return " ".join(units)
 
 
@@ -485,40 +471,25 @@ def shard_path(root: str, fingerprint: str) -> str:
 
 @dataclass
 class CacheStats:
-    """Cumulative counters plus the per-run deltas of the last
-    ``analyze`` call (``last``), which the metrics exporter consumes.
-    ``replay_hits`` counts every class whose inference and check were
-    replayed; ``memory_hits`` the share of them the :class:`ClassTable`
-    answered (the rest came from the disk shard), and ``ast_hits`` the
-    table hits whose stored decl was reused without a parse."""
+    """The per-class counts of the last ``analyze`` call (``last``),
+    which ``/v1/analyze`` bodies and the metrics exporter read, plus
+    cumulative ``fallbacks`` (to the whole-program path) and
+    ``quarantines`` (of corrupt shards).  ``replay_hits`` counts every
+    class whose inference and check were replayed; ``memory_hits`` the
+    share of them the :class:`ClassTable` answered (the rest came from
+    the disk shard), and ``ast_hits`` the table hits whose stored decl
+    was reused without a parse."""
 
-    runs: int = 0
     fallbacks: int = 0
-    ast_hits: int = 0
-    ast_misses: int = 0
-    memory_hits: int = 0
-    replay_hits: int = 0
-    check_misses: int = 0
     quarantines: int = 0
     last: Dict[str, int] = field(default_factory=dict)
 
     def begin_run(self) -> None:
-        self.runs += 1
         self.last = {"ast_hits": 0, "ast_misses": 0, "memory_hits": 0,
                      "replay_hits": 0, "check_misses": 0}
 
     def bump(self, key: str) -> None:
-        setattr(self, key, getattr(self, key) + 1)
-        if key in self.last:
-            self.last[key] += 1
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"runs": self.runs, "fallbacks": self.fallbacks,
-                "ast_hits": self.ast_hits, "ast_misses": self.ast_misses,
-                "memory_hits": self.memory_hits,
-                "replay_hits": self.replay_hits,
-                "check_misses": self.check_misses,
-                "quarantines": self.quarantines}
+        self.last[key] += 1
 
 
 #: where a chunk was parsed: ``(line, col, filename)`` of its first
@@ -630,7 +601,7 @@ class AnalysisCache:
     def _quarantine(self) -> None:
         """Move a corrupt shard to ``<shard>.corrupt-<pid>`` so the
         bytes survive for diagnosis while the path heals."""
-        self.stats.bump("quarantines")
+        self.stats.quarantines += 1
         if not self.path:
             return
         try:

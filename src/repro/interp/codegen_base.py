@@ -60,9 +60,8 @@ def memo(analyzed: Any, key: Any, build: Callable[[], Any]) -> Any:
     analyzed program reuses them.  No form may refer back to the
     program (the lowered program keeps the AST and tables, not the
     ``AnalyzedProgram``), so a program and its forms stay acyclic and
-    reference counting frees them the moment the last reference goes —
-    a serve worker's LRU eviction frees them at once, leaving no work
-    for the cyclic collector.
+    reference counting frees them the moment the last reference goes,
+    leaving no work for the cyclic collector.
     """
     forms = analyzed.compiled
     form = forms.get(key)

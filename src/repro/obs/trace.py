@@ -24,8 +24,7 @@ coalesce-wait    frontend  a follower adopting the leader's in-flight
 queue-wait       pool      submit → dispatcher pickup (one per attempt)
 dispatch         pool      pipe send → reply (``worker``, ``attempt``)
 batch-wait       worker    batch receipt → this job's turn
-cache-lru        worker    an analyzed-program LRU hit (no frontend)
-analyze          worker    the real frontend pass (cache-stats attrs)
+analyze          worker    the frontend pass (cache-stats attrs)
 execute          worker    machine/back-end execution
 serialize        worker    body construction (inspect report build)
 ===============  ========  ============================================
@@ -79,7 +78,7 @@ QUEUE_SPAN_NAMES = frozenset({
     "admission", "coalesce-wait", "queue-wait", "batch-wait",
     "backoff"})
 COMPUTE_SPAN_NAMES = frozenset({
-    "analyze", "execute", "serialize", "cache-hot", "cache-lru"})
+    "analyze", "execute", "serialize", "cache-hot"})
 
 #: how many duration samples feed the slow-tail (p99) estimate, and how
 #: many offers between re-estimates (sorting amortized off the hot path)

@@ -62,9 +62,10 @@ class PendingJob:
     #: frontend uses it to fill the coalescing slot and hot cache
     on_resolve: Optional[Callable[["PendingJob"], None]] = None
     outcome: Optional[JobOutcome] = None
-    #: True when the pool cancelled the job before execution
+    #: True when the pool or worker cancelled the job before execution
     cancelled: bool = False
-    #: True when a worker actually computed (ran frontend/machine)
+    #: True when a worker ran the job (every worker reply but a
+    #: deadline cancellation)
     computed: bool = False
     #: True once the job has been transparently resubmitted after a
     #: worker failure — a second failure is answered 500, not retried
@@ -369,11 +370,11 @@ class WorkerPool:
                     p.dspan = None
                 if isinstance(reply, dict):
                     p.spans.extend(reply.pop("spans", None) or [])
+                cancelled = reply.get("cancelled", False)
                 self._finish(
                     p,
                     JobOutcome(reply["status"], reply["body"]),
-                    cancelled=reply.get("cancelled", False),
-                    computed=reply.get("computed", False))
+                    cancelled=cancelled, computed=not cancelled)
 
     def _heal(self, index: int, live: List[PendingJob],
               reason: str) -> None:

@@ -11,7 +11,11 @@ content addresses:
   backend).  The simulated machine is deterministic, so two jobs with
   equal fingerprints have byte-identical results — which is what makes
   request coalescing and result memoization *correct*, not merely
-  fast.
+  fast.  One key is exempt: a ``/v1/analyze`` body's ``cache`` stats
+  describe the analysis that answered it, which depends on what its
+  worker's class table and the disk shard held, so two bodies of one
+  fingerprint may differ there, even from one worker (chaos replay
+  identity drops that key).
 
 Jobs travel to the worker pool as plain dicts (they cross a ``Pipe``),
 with deadlines as absolute ``time.monotonic()`` instants — on Linux

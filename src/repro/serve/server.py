@@ -14,8 +14,8 @@ spends anything):
    body is exact forever; warm traffic is answered here without
    touching the pool (this tier is why warm throughput is thousands
    of req/s on one core).  A 4xx repeat, or a fingerprint evicted
-   from here, goes to a worker, which answers it from its
-   analyzed-program LRU (:mod:`repro.serve.worker`);
+   from here, goes to a worker, which analyzes it again through its
+   class table (:mod:`repro.serve.worker`);
 4. **coalescing** — an identical job already in flight adopts that
    job's outcome instead of queueing a duplicate (N concurrent cold
    requests for one program ⇒ exactly one analysis);

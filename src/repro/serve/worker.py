@@ -1,20 +1,14 @@
-"""The warm worker: one forked process, two in-memory tiers.
+"""The warm worker: one forked process, one in-memory tier.
 
-Each serve fact has one in-memory home, and the worker holds two of
-them, each bounded by a module constant:
-
-* the post-inference :class:`AnalyzedProgram`, keyed by program sha in
-  an LRU of ``MAX_PROGRAMS``.  A repeat of a program skips the
-  frontend entirely, and since a program carries its lowered and bound
-  compiled forms (``analyzed.compiled``), the same bound caps compiled
-  code;
-* class analyses, in one :class:`~repro.core.cache.ClassTable` of
-  ``MAX_CLASSES`` entries keyed by class fingerprint that lasts as long
-  as the worker.  Every analysis looks a class up there first, so a
-  first-sight program re-infers and re-checks only the classes no
-  earlier program had, and re-parses only those and the ones that
-  moved (paper §2.5: inference is intra-procedural, so a class's
-  analysis depends only on what its fingerprint names).
+Each serve fact has one in-memory home.  The worker's is class
+analyses, in one :class:`~repro.core.cache.ClassTable` of
+``MAX_CLASSES`` entries keyed by class fingerprint that lasts as long
+as the worker.  Every analysis looks a class up there first, so a
+program re-infers and re-checks only the classes no earlier program
+had, and re-parses only those and the ones that moved (paper §2.5:
+inference is intra-procedural, so a class's analysis depends only on
+what its fingerprint names).  The :class:`AnalyzedProgram` and the
+compiled forms it carries (``analyzed.compiled``) die with the reply.
 
 The other facts live elsewhere:
 
@@ -31,29 +25,30 @@ The other facts live elsewhere:
   publishes the shard when it lacks one of the program's classes, and
   drops the cache with the reply.
 
-So two kinds of repeat reach a worker: a 4xx, which the hot tier does
-not hold, and a fingerprint the hot tier has evicted.  A program that
-parsed is answered from the LRU, with a byte-identical body and
-``computed: false``; a program that does not parse never enters the
-LRU, so its repeat is parsed again and counts as an analysis.
+So a repeat that reaches a worker (a 4xx, which the hot tier does not
+hold, a fingerprint the hot tier has evicted, or the same program in
+another mode, backend or endpoint) is analyzed again through the
+table: each class the table still holds sits where it sat, so its
+stored decl is reused without a parse and only the whole-program
+phases run live; a run builds its compiled forms again.
 
 The worker talks to the pool over a ``multiprocessing.Pipe``: the
 parent sends a micro-batch (list of job dicts), the worker replies
 with one result dict per job, order-preserving.  A ``None`` message is
 the shutdown sentinel.  Deadlines are re-checked here before each job
 starts: a job whose deadline passed while queued is answered 504
-*without executing* (``computed: false`` in the reply lets the
+*without executing* (``cancelled: true`` in the reply lets the
 frontend count real analyses exactly).
 
 Tracing: a job carrying a ``trace_id`` gets worker-side spans
-(``batch-wait``, ``cache-lru``, ``analyze``, ``execute``,
-``serialize``) returned in the reply's top-level ``spans`` list —
-*never* in the body, so replayed and fresh bodies stay byte-identical
-and chaos replay digests are unaffected.  When the pool was built with
-a ``flight_dir``, each ``/v1/inspect`` job additionally dumps its
-flight record there with the trace id stamped into the header meta —
-the join key ``repro inspect --trace`` stitches service spans to
-runtime events with.
+(``batch-wait``, ``analyze``, ``execute``, ``serialize``) returned in
+the reply's top-level ``spans`` list — *never* in the body, so
+replayed and fresh bodies stay byte-identical and chaos replay digests
+are unaffected.  When the pool was built with a ``flight_dir``, each
+``/v1/inspect`` job additionally dumps its flight record there with
+the trace id stamped into the header meta — the join key
+``repro inspect --trace`` stitches service spans to runtime events
+with.
 """
 
 from __future__ import annotations
@@ -62,26 +57,21 @@ import hashlib
 import os
 import signal
 import time
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
 from ..core.cache import AnalysisCache, ClassTable, shard_path
 from ..errors import ReproError
-from ..obs.trace import end_span, instant_span, start_span
+from ..obs.trace import end_span, start_span
 from .protocol import error_body
-
-#: analyzed-program LRU bound, per worker, so memory stays flat under
-#: program churn: an AnalyzedProgram carries its lowered and bound
-#: compiled forms (``analyzed.compiled``), so evicting it frees them too
-MAX_PROGRAMS = 128
 
 #: class-table bound, per worker, in entries (an annotated ClassDecl with
 #: its diagnostics and annotations each).  Measured on one worker's
-#: 500-request share of perfbench ``cold``: 16 to 128 entries replay the
-#: same 1,121 of 1,639 classes at almost no cost, because the decls they
-#: hold belong to programs the analyzed-program LRU keeps alive anyway;
-#: 256 replay no more, and hold 50k more tracked objects (9 MB) of
-#: programs that LRU already dropped
+#: 500-request share of perfbench ``cold`` (seed 7, in process): 16 to
+#: 256 entries all replay 1,120-1,121 of its 1,625 classes, and the share
+#: ends with 30.9k/37.6k/51.0k/77.8k/131.5k tracked objects and a
+#: 38.9/40.5/43.5/48.3/59.0 MB peak RSS at 16/32/64/128/256 entries.
+#: Those programs draw on the registry's 25 classes only; 128 leaves room
+#: for a wider mix, where a bound sized to 25 would thrash
 MAX_CLASSES = 128
 
 #: flight-recorder ring capacity for served /v1/inspect jobs
@@ -97,24 +87,13 @@ class WarmWorker:
         #: when set, inspect jobs dump their trace-id-stamped flight
         #: record here (side channel — never in the body)
         self.flight_dir = flight_dir
-        self._analyzed: "OrderedDict[str, Any]" = OrderedDict()
         self._classes = ClassTable(MAX_CLASSES)
-
-    # -- the analyzed-program tier ---------------------------------------
 
     def _analyze(self, source: str, sha: str,
                  spans: Optional[List[Dict[str, Any]]] = None,
                  parent: Optional[str] = None):
-        """The frontend behind the analyzed-program LRU; returns
-        ``(analyzed, computed)`` where ``computed`` says whether any
-        real frontend work ran (vs an LRU hit)."""
-        hit = self._analyzed.get(sha)
-        if hit is not None:
-            self._analyzed.move_to_end(sha)
-            if spans is not None:
-                spans.append(instant_span("cache-lru", "worker",
-                                          parent, tier="analyzed-lru"))
-            return hit, False
+        """The frontend over the worker's class table and the program's
+        disk shard."""
         from ..core.api import analyze
         span = (start_span("analyze", "worker", parent)
                 if spans is not None else None)
@@ -131,9 +110,6 @@ class WarmWorker:
             # the shard lacks one of this program's classes: publish it
             # so siblings warm from it (atomic rename, last-write-wins)
             cache.save()
-        self._analyzed[sha] = analyzed
-        while len(self._analyzed) > MAX_PROGRAMS:
-            self._analyzed.popitem(last=False)
         if span is not None:
             stats = analyzed.cache_stats or {}
             tier = ("memory" if stats.get("memory_hits") else
@@ -142,7 +118,7 @@ class WarmWorker:
                 span, tier=tier, ast_hits=stats.get("ast_hits", 0),
                 replay_hits=stats.get("replay_hits", 0),
                 check_misses=stats.get("check_misses", 0)))
-        return analyzed, True
+        return analyzed
 
     # -- job execution --------------------------------------------------
 
@@ -166,15 +142,14 @@ class WarmWorker:
         if deadline is not None and time.monotonic() >= deadline:
             return {"status": 504,
                     "body": error_body("deadline exceeded"),
-                    "computed": False, "cancelled": True,
+                    "cancelled": True,
                     "spans": spans or []}
         try:
             reply = self._execute(job, spans, parent)
         except Exception as err:  # a job must never kill the worker
             reply = {"status": 500,
                      "body": error_body(
-                         f"{type(err).__name__}: {err}"),
-                     "computed": True}
+                         f"{type(err).__name__}: {err}")}
         reply["spans"] = spans or []
         return reply
 
@@ -184,16 +159,14 @@ class WarmWorker:
         endpoint = job["endpoint"]
         sha = job["source_sha"]
         try:
-            analyzed, computed = self._analyze(job["source"], sha,
-                                               spans, parent)
+            analyzed = self._analyze(job["source"], sha, spans, parent)
         except ReproError as err:
             # lexer/parser rejections raise instead of populating
             # .errors — still the client's fault, so 422, never a 500
             return {"status": 422,
                     "body": error_body("program does not parse",
                                        errors=[str(err)],
-                                       source_sha=sha),
-                    "computed": True}
+                                       source_sha=sha)}
         errors = [str(e) for e in analyzed.errors]
         if endpoint == "analyze":
             stats = analyzed.cache_stats or {}
@@ -202,13 +175,11 @@ class WarmWorker:
                              "well_typed": not errors,
                              "errors": errors,
                              "classes": len(analyzed.program.classes),
-                             "cache": dict(stats)},
-                    "computed": computed}
+                             "cache": dict(stats)}}
         if errors:
             return {"status": 422,
                     "body": error_body("program is not well-typed",
-                                       errors=errors, source_sha=sha),
-                    "computed": computed}
+                                       errors=errors, source_sha=sha)}
         from ..interp.machine import RunOptions, execute
         options = RunOptions(
             checks_enabled=(job["mode"] == "dynamic"),
@@ -250,7 +221,7 @@ class WarmWorker:
             self._dump_flight(recorder, job, sha)
         if ser_span is not None:
             spans.append(end_span(ser_span))
-        return {"status": 200, "body": body, "computed": computed}
+        return {"status": 200, "body": body}
 
     def _dump_flight(self, recorder: Any, job: Dict[str, Any],
                      sha: str) -> None:

@@ -81,10 +81,10 @@ def test_two_live_programs_share_a_class(name):
     base = BENCHMARKS[name].source(fast=True)
     first_src, second_src = salted(base, "1"), salted(base, "2")
     worker = WarmWorker()
-    first, _ = worker._analyze(first_src, program_sha(first_src))
+    first = worker._analyze(first_src, program_sha(first_src))
     snapshot = (dump(first.program.classes),
                 identities(first.program.classes))
-    second, _ = worker._analyze(second_src, program_sha(second_src))
+    second = worker._analyze(second_src, program_sha(second_src))
     assert not first.errors and not second.errors
 
     # every class but the renamed one is the very same decl object

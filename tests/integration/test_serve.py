@@ -249,23 +249,33 @@ class TestCacheTiers:
     @pytest.mark.parametrize("source,status", [
         (SOURCE, 200), (BROKEN_SOURCE, 422)],
         ids=["well-typed", "ill-typed"])
-    def test_worker_repeat_replays_from_the_analyzed_lru(self, source,
-                                                         status):
-        # a repeat the hot tier does not hold (a 4xx, or an evicted
-        # fingerprint) reaches the worker, whose analyzed-program LRU
-        # answers it with the same bytes and no frontend work
+    def test_worker_repeat_reanalyzes_through_the_class_table(
+            self, source, status):
+        # a repeat the hot tier does not hold (a 4xx, an evicted
+        # fingerprint, or the same program on another endpoint) reaches
+        # the worker, which analyzes it again through its class table:
+        # the same bytes, and every class answered from the table
+        # without a parse or a check
         from repro.serve.protocol import Job, job_fingerprint, program_sha
         from repro.serve.worker import WarmWorker
         sha = program_sha(source)
-        job = Job("run", source, sha,
-                  job_fingerprint("run", sha, "static", "py")).to_wire()
+
+        def job(endpoint):
+            fingerprint = job_fingerprint(endpoint, sha, "static", "py")
+            return Job(endpoint, source, sha, fingerprint).to_wire()
+
         worker = WarmWorker()
-        first = worker.handle(dict(job))
-        second = worker.handle(dict(job))
+        first = worker.handle(job("run"))
+        second = worker.handle(job("run"))
         assert first["status"] == second["status"] == status
-        assert first["computed"] is True and second["computed"] is False
         assert (json.dumps(second["body"], sort_keys=True)
                 == json.dumps(first["body"], sort_keys=True))
+        reply = worker.handle(job("analyze"))
+        assert reply["status"] == 200, reply
+        classes = len(analyze(source).program.classes)
+        cache = reply["body"]["cache"]
+        assert cache["ast_hits"] == cache["memory_hits"] == classes
+        assert cache["check_misses"] == 0
 
 
 class TestTrafficMechanics:
