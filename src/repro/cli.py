@@ -22,7 +22,7 @@ Commands
                serve frontend's HTTP server
 ``serve``      analysis-as-a-service: POST programs to
                ``/v1/analyze``, ``/v1/run``, ``/v1/inspect`` on a
-               pre-forked pool of warm workers (coalescing, batching,
+               pre-forked pool of warm workers (coalescing,
                admission control, per-tenant quotas, deadlines)
 ``report``     cross-run regression observatory: judge the recorded
                bench history against the committed baselines
@@ -167,7 +167,8 @@ def _analyze_or_report(source: str, path: str, cache=None,
     analyzed = analyze(source, filename=path, cache=cache,
                        metrics=metrics)
     if cache is not None:
-        cache.save()
+        with _writing(cache.path):
+            cache.save()
     for err in analyzed.errors:
         print(f"error: {err}", file=sys.stderr)
     return analyzed
@@ -777,7 +778,7 @@ def cmd_serve(args) -> int:
     signal.signal(signal.SIGTERM, _graceful)
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
-        queue_depth=args.queue_depth, batch_max=args.batch,
+        queue_depth=args.queue_depth,
         quota_rate=args.quota_rate, quota_burst=args.quota_burst,
         cache_dir=args.cache_dir,
         default_backend=args.backend or "py",
@@ -788,7 +789,15 @@ def cmd_serve(args) -> int:
         access_log=args.access_log,
         flight_dir=args.flight_dir)
     injector = FaultInjector(plan) if plan.rate > 0 else None
-    service = ServeService(config, fault_injector=injector)
+    try:
+        service = ServeService(config, fault_injector=injector)
+    except OSError as err:
+        if not config.access_log or err.filename != config.access_log:
+            raise
+        # the access log is the one file the service opens, before any
+        # worker forks: report it as every other unwritable path
+        with _writing(config.access_log):
+            raise
     # workers are forked and the socket is listening: connections are
     # already queueing in the backlog, so this ready line is accurate
     # (and, for --port 0, the only place the real port appears)
@@ -796,7 +805,7 @@ def cmd_serve(args) -> int:
           f"workers={config.workers}", flush=True)
     print(f"repro serve: http://{service.host}:{service.port} "
           f"(workers={config.workers}, queue={config.queue_depth}, "
-          f"batch<={config.batch_max}, cache={config.cache_dir}, "
+          f"cache={config.cache_dir}, "
           f"tracing={'on' if config.tracing else 'off'})",
           file=sys.stderr)
     print("routes: POST /v1/analyze /v1/run /v1/inspect; "
@@ -807,7 +816,7 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:
         print("repro serve: shutting down", file=sys.stderr)
     finally:
-        if args.trace_out and service.traces is not None:
+        if args.trace_out:
             from .obs.trace import dump_traces
             try:
                 n = dump_traces(service.traces.snapshot(),
@@ -1276,9 +1285,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="admission bound: queued+in-flight jobs "
                             "past N shed with 429 (default 64)")
-    p_srv.add_argument("--batch", type=int, default=8, metavar="N",
-                       help="max jobs per worker dispatch "
-                            "(micro-batching; default 8)")
     p_srv.add_argument("--quota-rate", type=float, default=0.0,
                        metavar="R",
                        help="per-tenant token-bucket refill rate, "
@@ -1299,10 +1305,11 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MS",
                        help="default per-request deadline when a "
                             "request names none (default: unbounded)")
-    p_srv.add_argument("--no-trace", action="store_true",
-                       help="disable request tracing (span trees, "
-                            "tail sampling, X-Repro-Trace-Id; on by "
-                            "default)")
+    trace_switch = p_srv.add_mutually_exclusive_group()
+    trace_switch.add_argument("--no-trace", action="store_true",
+                              help="disable request tracing (span "
+                                   "trees, tail sampling, "
+                                   "X-Repro-Trace-Id; on by default)")
     p_srv.add_argument("--trace-sample", type=int, default=16,
                        metavar="N",
                        help="retain 1-in-N healthy fast traces; the "
@@ -1312,9 +1319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--trace-capacity", type=int, default=512,
                        metavar="N",
                        help="retained-trace ring size (default 512)")
-    p_srv.add_argument("--trace-out", metavar="FILE",
-                       help="dump retained traces as JSONL at "
-                            "shutdown (repro trace reads this)")
+    trace_switch.add_argument("--trace-out", metavar="FILE",
+                              help="dump retained traces as JSONL at "
+                                   "shutdown (repro trace reads this)")
     p_srv.add_argument("--access-log", metavar="FILE",
                        help="append one JSON line per request (trace "
                             "id, tenant, status, rung, queue/compute "

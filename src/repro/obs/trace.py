@@ -23,7 +23,6 @@ coalesce-wait    frontend  a follower adopting the leader's in-flight
                            job (``leader_trace`` attr)
 queue-wait       pool      submit → dispatcher pickup (one per attempt)
 dispatch         pool      pipe send → reply (``worker``, ``attempt``)
-batch-wait       worker    batch receipt → this job's turn
 analyze          worker    the frontend pass (cache-stats attrs)
 execute          worker    machine/back-end execution
 serialize        worker    body construction (inspect report build)
@@ -73,10 +72,9 @@ __all__ = [
 TRACE_SCHEMA = "repro-trace/1"
 
 #: span names that are time spent *waiting* (admission machinery,
-#: queues, batching) vs *working* — the queue-vs-compute decomposition
+#: queues, retries) vs *working* — the queue-vs-compute decomposition
 QUEUE_SPAN_NAMES = frozenset({
-    "admission", "coalesce-wait", "queue-wait", "batch-wait",
-    "backoff"})
+    "admission", "coalesce-wait", "queue-wait", "backoff"})
 COMPUTE_SPAN_NAMES = frozenset({
     "analyze", "execute", "serialize", "cache-hot"})
 

@@ -3,8 +3,8 @@
 A long-lived stdlib-only HTTP service that runs analyze→run→inspect
 jobs on a pre-forked pool of warm workers over the shared
 content-addressed :class:`~repro.core.cache.AnalysisCache` tree, with
-request coalescing, micro-batching, bounded-queue admission control,
-per-tenant token-bucket quotas, and deadline propagation.  See
+request coalescing, bounded-queue admission control, per-tenant
+token-bucket quotas, and deadline propagation.  See
 ``docs/SERVING.md`` for the architecture and tuning guide.
 
 The resilience plane lives alongside: deterministic service-fault

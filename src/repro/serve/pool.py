@@ -1,20 +1,20 @@
-"""The pre-forked worker pool and its micro-batching dispatchers.
+"""The pre-forked worker pool and its dispatchers.
 
 Topology: N forked worker processes (fork start method on Linux — the
 pool is constructed *before* the HTTP threads start, so forking is
 safe), each wired to the parent by one ``Pipe`` and fed by one
 dispatcher thread.  All dispatchers pull from a single shared queue:
 
-* a dispatcher blocks for the next pending job, then **drains up to
-  ``batch_max - 1`` more without blocking** — under load, queued jobs
-  ride along in one pipe round-trip (micro-batching), while an idle
-  service degenerates to batch size 1 and minimum latency;
-* jobs whose deadline passed while queued are answered ``504`` right
-  here and never cross the pipe (cancellation before execution — the
-  worker re-checks per item for deadlines that expire mid-batch);
-* a worker that dies or wedges mid-batch fails only that batch: each
-  job is **requeued once, transparently** (the retry is invisible to
-  the client — a single crash costs latency, not an error) or answered
+* a dispatcher takes **one job**, sends it down its worker's pipe as
+  one message and waits for the one reply, so a second queued job goes
+  to the next idle worker instead of waiting behind the first;
+* a job whose deadline passed while queued is answered ``504`` right
+  here and never crosses the pipe (cancellation before execution — the
+  worker re-checks the deadline for one that passes during an injected
+  delay or the pipe hop);
+* a worker that dies or wedges fails only its job: the job is
+  **requeued once, transparently** (the retry is invisible to the
+  client — a single crash costs latency, not an error) or answered
   ``500`` honestly if it already rode a dead worker, and the
   dispatcher forks a fresh replacement before pulling more work — the
   pool heals itself;
@@ -102,7 +102,6 @@ class WorkerPool:
 
     def __init__(self, workers: int = 2,
                  cache_root: Optional[str] = None,
-                 batch_max: int = 8,
                  metrics: Optional[Any] = None,
                  fault_injector: Optional[FaultInjector] = None,
                  stall_timeout_s: float = STALL_TIMEOUT_S,
@@ -117,7 +116,6 @@ class WorkerPool:
         #: handed to each worker: traced inspect jobs dump their flight
         #: record here, keyed by trace id (see WarmWorker._dump_flight)
         self.flight_dir = flight_dir
-        self.batch_max = max(1, batch_max)
         #: a serve-target FaultInjector, seeded or replaying (None in
         #: prod)
         self.faults = fault_injector
@@ -134,10 +132,6 @@ class WorkerPool:
         self._restarts = 0
         self._metrics = metrics
         if metrics is not None:
-            self._batch_hist = metrics.histogram(
-                "repro_serve_batch_size",
-                "jobs per worker dispatch (micro-batching)",
-                buckets=tuple(range(1, self.batch_max + 1)))
             self._restart_ctr = metrics.counter(
                 "repro_serve_worker_restarts_total",
                 "worker processes replaced after a crash")
@@ -146,8 +140,7 @@ class WorkerPool:
                 "jobs transparently resubmitted after a worker "
                 "failure")
         else:
-            self._batch_hist = self._restart_ctr = None
-            self._requeue_ctr = None
+            self._restart_ctr = self._requeue_ctr = None
         for i in range(workers):
             self._spawn(i)
         self._threads = [
@@ -228,7 +221,7 @@ class WorkerPool:
 
     # -- fault consultation (chaos campaigns only; no-op in prod) -------
 
-    def _consult_faults(self, index: int, live: List[PendingJob]
+    def _consult_faults(self, index: int, pending: PendingJob
                         ) -> tuple:
         """Consult every service fault site exactly once for this
         dispatch — the fixed per-dispatch consult pattern is what makes
@@ -241,27 +234,26 @@ class WorkerPool:
         # identity (replay compares fault_key/statuses/digests only),
         # so stamping it keeps chaos schedules replayable while giving
         # `repro chaos` a join key into retained traces
-        detail = (f"worker={index} "
-                  f"job={live[0].job.fingerprint[:12]}")
-        if live[0].job.trace_id:
-            detail += f" trace={live[0].job.trace_id[:16]}"
+        job = pending.job
+        detail = f"worker={index} job={job.fingerprint[:12]}"
+        if job.trace_id:
+            detail += f" trace={job.trace_id[:16]}"
         kill = injector.fire("worker_crash", detail)
         stall = injector.fire("worker_stall", detail)
         spike = injector.fire("latency_spike", detail)
         pipe_fail = injector.fire("pipe_write", detail)
         corrupt = injector.fire("cache_corrupt", detail)
         if corrupt:
-            self._corrupt_shard(live[0].job.source_sha)
+            self._corrupt_shard(job.source_sha)
         delay_ms: Optional[float] = None
         if stall:
             delay_ms = injector.plan.magnitudes["stall_ms"]
         elif spike:
             delay_ms = injector.plan.magnitudes["spike_ms"]
         if kill or stall or spike or pipe_fail or corrupt:
-            # any fired fault taints every job riding this dispatch —
-            # the tail sampler retains their traces unconditionally
-            for p in live:
-                p.faulted = True
+            # the tail sampler retains a faulted job's trace
+            # unconditionally
+            pending.faulted = True
         return kill, delay_ms, pipe_fail
 
     def _corrupt_shard(self, sha: str) -> None:
@@ -282,73 +274,45 @@ class WorkerPool:
 
     # -- the dispatcher -------------------------------------------------
 
-    def _take_batch(self) -> Optional[List[PendingJob]]:
-        head = self._queue.get()
-        if head is _SHUTDOWN:
-            return None
-        batch = [head]
-        while len(batch) < self.batch_max:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SHUTDOWN:
-                # keep the sentinel moving so every dispatcher stops
-                self._queue.put(item)
-                break
-            batch.append(item)
-        return batch
-
     def _dispatch(self, index: int) -> None:
         while True:
-            batch = self._take_batch()
-            if batch is None:
+            pending = self._queue.get()
+            if pending is _SHUTDOWN:
                 return
-            now = time.monotonic()
-            live: List[PendingJob] = []
-            for p in batch:
-                if (p.job.deadline is not None
-                        and now >= p.job.deadline):
-                    if p.qspan is not None:
-                        p.spans.append(end_span(p.qspan,
-                                                outcome="deadline"))
-                        p.qspan = None
-                    self._finish(p, JobOutcome(
-                        504, error_body("deadline exceeded")),
-                        cancelled=True)
-                else:
-                    live.append(p)
-            if not live:
+            if (pending.job.deadline is not None
+                    and time.monotonic() >= pending.job.deadline):
+                if pending.qspan is not None:
+                    pending.spans.append(end_span(pending.qspan,
+                                                  outcome="deadline"))
+                    pending.qspan = None
+                self._finish(pending, JobOutcome(
+                    504, error_body("deadline exceeded")),
+                    cancelled=True)
                 continue
-            if self._batch_hist is not None:
-                self._batch_hist.observe(len(live))
             kill, delay_ms, pipe_fail = self._consult_faults(index,
-                                                             live)
+                                                             pending)
             if kill:
                 proc = self._procs[index]
                 if proc is not None:
                     proc.kill()
                     proc.join(timeout=2.0)
-            for p in live:
-                if p.qspan is not None:
-                    p.spans.append(end_span(p.qspan))
-                    p.qspan = None
-                if p.job.trace_id:
-                    p.dspan = start_span(
-                        "dispatch", "pool", parent=p.job.root_span,
-                        attrs={"worker": index, "batch": len(live),
-                               "attempt": 2 if p.requeued else 1})
-            wire = [p.job.to_wire() for p in live]
-            for w, p in zip(wire, live):
-                if p.dspan is not None:
-                    # worker spans parent under this dispatch attempt,
-                    # so a requeued job shows two distinct subtrees
-                    w["parent_span"] = p.dspan["span"]
+            if pending.qspan is not None:
+                pending.spans.append(end_span(pending.qspan))
+                pending.qspan = None
+            wire = pending.job.to_wire()
+            if pending.job.trace_id:
+                pending.dspan = start_span(
+                    "dispatch", "pool", parent=pending.job.root_span,
+                    attrs={"worker": index,
+                           "attempt": 2 if pending.requeued else 1})
+                # worker spans parent under this dispatch attempt, so
+                # a requeued job shows two distinct subtrees
+                wire["parent_span"] = pending.dspan["span"]
             if delay_ms is not None:
                 # ride the delay on the wire: the worker sleeps before
                 # handling, which is what a slow or stuck analysis
                 # looks like from this side of the pipe
-                wire[0]["_delay_ms"] = delay_ms
+                wire["_delay_ms"] = delay_ms
             conn = self._conns[index]
             try:
                 if pipe_fail:
@@ -357,31 +321,28 @@ class WorkerPool:
                 if not conn.poll(self.stall_timeout_s):
                     # the worker is wedged, not dead: the watchdog
                     # turns a missed deadline into the healing path
-                    self._heal(index, live, "stall")
+                    self._heal(index, pending, "stall")
                     continue
-                replies = conn.recv()
+                reply = conn.recv()
             except (EOFError, OSError, ValueError):
-                self._heal(index, live,
+                self._heal(index, pending,
                            "pipe_write" if pipe_fail else "crash")
                 continue
-            for p, reply in zip(live, replies):
-                if p.dspan is not None:
-                    p.spans.append(end_span(p.dspan))
-                    p.dspan = None
-                if isinstance(reply, dict):
-                    p.spans.extend(reply.pop("spans", None) or [])
-                cancelled = reply.get("cancelled", False)
-                self._finish(
-                    p,
-                    JobOutcome(reply["status"], reply["body"]),
-                    cancelled=cancelled, computed=not cancelled)
+            if pending.dspan is not None:
+                pending.spans.append(end_span(pending.dspan))
+                pending.dspan = None
+            pending.spans.extend(reply.pop("spans"))
+            cancelled = reply.get("cancelled", False)
+            self._finish(pending,
+                         JobOutcome(reply["status"], reply["body"]),
+                         cancelled=cancelled, computed=not cancelled)
 
-    def _heal(self, index: int, live: List[PendingJob],
+    def _heal(self, index: int, pending: PendingJob,
               reason: str) -> None:
-        """Replace a dead or wedged worker and re-route its batch:
-        first failure per job is requeued transparently, a repeat is
-        answered ``500`` honestly — an admitted request is never
-        silently dropped."""
+        """Replace a dead or wedged worker and re-route its job: a
+        first failure is requeued transparently, a repeat is answered
+        ``500`` honestly — an admitted request is never silently
+        dropped."""
         proc = self._procs[index]
         if proc is not None and proc.is_alive():
             proc.kill()  # a stalled worker must die before respawn
@@ -391,27 +352,25 @@ class WorkerPool:
         except OSError:
             pass
         self._event(reason)
-        for p in live:
-            p.faulted = True
-            if p.dspan is not None:
-                p.spans.append(end_span(p.dspan, outcome=reason))
-                p.dspan = None
-            if not self._closed and not p.requeued:
-                p.requeued = True
-                if self._requeue_ctr is not None:
-                    self._requeue_ctr.inc()
-                if p.job.trace_id:
-                    # the retry waits in queue again: a fresh
-                    # queue-wait span keeps the tree honest about
-                    # where the second attempt's time went
-                    p.qspan = start_span("queue-wait", "pool",
-                                         parent=p.job.root_span,
-                                         attrs={"requeued": True})
-                self._queue.put(p)  # outstanding stays counted
-            else:
-                self._finish(p, JobOutcome(
-                    500, error_body("worker process died",
-                                    reason=reason)))
+        pending.faulted = True
+        if pending.dspan is not None:
+            pending.spans.append(end_span(pending.dspan, outcome=reason))
+            pending.dspan = None
+        if not self._closed and not pending.requeued:
+            pending.requeued = True
+            if self._requeue_ctr is not None:
+                self._requeue_ctr.inc()
+            if pending.job.trace_id:
+                # the retry waits in queue again: a fresh queue-wait
+                # span keeps the tree honest about where the second
+                # attempt's time went
+                pending.qspan = start_span("queue-wait", "pool",
+                                           parent=pending.job.root_span,
+                                           attrs={"requeued": True})
+            self._queue.put(pending)  # outstanding stays counted
+        else:
+            self._finish(pending, JobOutcome(
+                500, error_body("worker process died", reason=reason)))
         if not self._closed:
             self._restarts += 1
             if self._restart_ctr is not None:

@@ -21,7 +21,7 @@ spends anything):
    requests for one program ⇒ exactly one analysis);
 5. **bounded queue** — ``pool.outstanding`` at the queue depth is
    ``429 + Retry-After`` (load shedding), never silent queue growth;
-6. **the pool** — micro-batched dispatch to pre-forked warm workers
+6. **the pool** — one job per dispatch to pre-forked warm workers
    (:mod:`repro.serve.pool`), deadline re-checked at every hop.
 
 The HTTP server underneath, :class:`HTTPEdge`, is the repo's one HTTP
@@ -76,6 +76,10 @@ HOT_RESULTS = 1024
 #: how long a request without a deadline waits for its job
 REQUEST_TIMEOUT_S = 60.0
 
+#: per-connection socket timeout for header/body reads — a slow-loris
+#: client times out instead of pinning a handler thread
+READ_TIMEOUT_S = 30.0
+
 #: queue-pressure ratio (outstanding / queue_depth) that counts as
 #: trouble for the degradation ladder
 BROWNOUT_RATIO = 0.9
@@ -94,8 +98,6 @@ class ServeConfig:
     workers: int = 2
     #: admission bound: queued + in-flight jobs past this shed with 429
     queue_depth: int = 64
-    #: max jobs per worker dispatch (micro-batching)
-    batch_max: int = 8
     #: per-tenant token-bucket refill rate (req/s); 0 disables quotas
     quota_rate: float = 0.0
     #: bucket capacity (burst); defaults to max(rate, 1)
@@ -109,9 +111,6 @@ class ServeConfig:
     #: pool stall watchdog: a worker that doesn't reply within this is
     #: killed and replaced
     stall_timeout_s: float = STALL_TIMEOUT_S
-    #: per-connection socket timeout for header/body reads — a
-    #: slow-loris client times out instead of pinning a handler thread
-    read_timeout_s: float = 30.0
     #: calm seconds before the ladder steps down one rung
     heal_after_s: float = 0.5
     #: request tracing (span trees + tail-based sampling); per-request
@@ -122,8 +121,9 @@ class ServeConfig:
     #: 1-in-N retention for healthy fast traces (the tail — errors,
     #: faults, degradation, slower-than-p99 — is always kept)
     trace_sample: int = 16
-    #: structured JSONL access-log path (None disables); writes happen
-    #: on a dedicated thread, never on the response path
+    #: structured JSONL access-log path (None disables), opened when
+    #: the service is built; writes happen on a dedicated thread, never
+    #: on the response path
     access_log: Optional[str] = None
     #: directory where traced /v1/inspect jobs dump their flight
     #: records, keyed by trace id (None disables)
@@ -142,7 +142,9 @@ class _AccessLog:
     _CLOSE = object()
 
     def __init__(self, path: str) -> None:
-        self.path = path
+        # opened here, not on the writer thread: an unwritable path
+        # fails the service's construction, before any worker forks
+        self._handle = open(path, "a", encoding="utf-8")
         self._queue: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
         self._thread = threading.Thread(
             target=self._run, name="repro-serve-accesslog",
@@ -153,29 +155,23 @@ class _AccessLog:
         self._queue.put(entry)
 
     def _run(self) -> None:
-        try:
-            handle = open(self.path, "a", encoding="utf-8")
-        except OSError:
-            handle = None  # an unwritable path disables, not crashes
+        handle = self._handle
         try:
             while True:
                 entry = self._queue.get()
                 if entry is self._CLOSE:
                     break
-                if handle is None:
-                    continue
                 try:
                     handle.write(json.dumps(entry, sort_keys=True)
                                  + "\n")
                     handle.flush()  # each line lands whole, promptly
                 except (OSError, ValueError):
-                    pass
+                    pass  # a full disk must not stop the writer
         finally:
-            if handle is not None:
-                try:
-                    handle.close()
-                except OSError:
-                    pass
+            try:
+                handle.close()
+            except OSError:
+                pass
 
     def close(self, timeout: float = 2.0) -> None:
         self._queue.put(self._CLOSE)
@@ -184,7 +180,7 @@ class _AccessLog:
 
 class HTTPEdge:
     """The one HTTP server, tuned as the module docstring says, with a
-    per-connection read timeout.
+    per-connection read timeout of ``READ_TIMEOUT_S``.
 
     It serves a table of GET ``routes``: each key is an exact path,
     and a key ending in ``/`` is the prefix of a path family
@@ -194,10 +190,9 @@ class HTTPEdge:
     """
 
     def __init__(self, host: str, port: int, routes: Dict[str, Route],
-                 service: Optional[ServeService] = None,
-                 read_timeout_s: float = 30.0) -> None:
+                 service: Optional[ServeService] = None) -> None:
         self._httpd = _EdgeHTTPServer(
-            (host, port), _make_handler(routes, service, read_timeout_s))
+            (host, port), _make_handler(routes, service))
         self.host = self._httpd.server_address[0]
         #: the bound port (resolves port 0 to the kernel's choice);
         #: the listen backlog queues connections from here on, so
@@ -294,8 +289,7 @@ class ServeService(HTTPEdge):
         # the pool forks before any HTTP thread exists
         self.pool = WorkerPool(
             workers=self.config.workers,
-            cache_root=self.config.cache_dir,
-            batch_max=self.config.batch_max, metrics=m,
+            cache_root=self.config.cache_dir, metrics=m,
             fault_injector=fault_injector,
             stall_timeout_s=self.config.stall_timeout_s,
             on_worker_event=self.ladder.worker_event,
@@ -307,8 +301,7 @@ class ServeService(HTTPEdge):
         self._hot: "OrderedDict[str, Tuple[int, Dict[str, Any]]]" = \
             OrderedDict()
         super().__init__(self.config.host, self.config.port,
-                         self._routes(), service=self,
-                         read_timeout_s=self.config.read_timeout_s)
+                         self._routes(), service=self)
 
     # -- degradation ---------------------------------------------------
 
@@ -616,7 +609,7 @@ def _retry_after(seconds: float) -> str:
 
 
 def _make_handler(routes: Dict[str, Route],
-                  service: Optional[ServeService], read_timeout_s: float):
+                  service: Optional[ServeService]):
     class Handler(BaseHTTPRequestHandler):
         #: keep-alive is the throughput contract: closed-loop clients
         #: reuse one connection per thread
@@ -628,7 +621,7 @@ def _make_handler(routes: Dict[str, Route],
         #: per-connection socket timeout (slow-loris defence): header
         #: and body reads that stall past this drop the connection
         #: instead of pinning a handler thread forever
-        timeout = read_timeout_s
+        timeout = READ_TIMEOUT_S
 
         def log_message(self, fmt: str, *args: Any) -> None:
             pass  # request logging is the metrics registry's job

@@ -33,15 +33,15 @@ stored decl is reused without a parse and only the whole-program
 phases run live; a run builds its compiled forms again.
 
 The worker talks to the pool over a ``multiprocessing.Pipe``: the
-parent sends a micro-batch (list of job dicts), the worker replies
-with one result dict per job, order-preserving.  A ``None`` message is
-the shutdown sentinel.  Deadlines are re-checked here before each job
-starts: a job whose deadline passed while queued is answered 504
-*without executing* (``cancelled: true`` in the reply lets the
-frontend count real analyses exactly).
+parent sends one job dict, the worker replies with one result dict.  A
+``None`` message is the shutdown sentinel.  The deadline is re-checked
+here before the job starts: a job whose deadline passed during an
+injected delay or the pipe hop is answered 504 *without executing*
+(``cancelled: true`` in the reply lets the frontend count real
+analyses exactly).
 
 Tracing: a job carrying a ``trace_id`` gets worker-side spans
-(``batch-wait``, ``analyze``, ``execute``, ``serialize``) returned in
+(``analyze``, ``execute``, ``serialize``) returned in
 the reply's top-level ``spans`` list — *never* in the body, so
 replayed and fresh bodies stay byte-identical and chaos replay digests
 are unaffected.  When the pool was built with a ``flight_dir``, each
@@ -109,7 +109,10 @@ class WarmWorker:
         if cache.unsaved:
             # the shard lacks one of this program's classes: publish it
             # so siblings warm from it (atomic rename, last-write-wins)
-            cache.save()
+            try:
+                cache.save()
+            except OSError:
+                pass  # a failed write costs the shard, not the reply
         if span is not None:
             stats = analyzed.cache_stats or {}
             tier = ("memory" if stats.get("memory_hits") else
@@ -122,9 +125,7 @@ class WarmWorker:
 
     # -- job execution --------------------------------------------------
 
-    def handle(self, job: Dict[str, Any],
-               batch_received: Optional[float] = None
-               ) -> Dict[str, Any]:
+    def handle(self, job: Dict[str, Any]) -> Dict[str, Any]:
         delay_ms = job.get("_delay_ms")
         if delay_ms:
             # fault-injected slow analysis (latency spike) or wedge
@@ -133,11 +134,6 @@ class WarmWorker:
         parent = job.get("parent_span")
         spans: Optional[List[Dict[str, Any]]] = (
             [] if job.get("trace_id") else None)
-        if spans is not None and batch_received is not None:
-            # time this job spent waiting behind earlier batch members
-            wait = start_span("batch-wait", "worker", parent)
-            wait["start"] = batch_received
-            spans.append(end_span(wait, pid=os.getpid()))
         deadline = job.get("deadline")
         if deadline is not None and time.monotonic() >= deadline:
             return {"status": 504,
@@ -248,7 +244,8 @@ class WarmWorker:
 
 def worker_main(conn, cache_root: Optional[str] = None,
                 unwanted=(), flight_dir: Optional[str] = None) -> None:
-    """Child-process entry: serve micro-batches until the sentinel."""
+    """Child-process entry: serve one job per message until the
+    sentinel."""
     # the parent owns shutdown; a terminal Ctrl-C must not race it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # fork-inherited parent-side pipe ends (this worker's own and any
@@ -263,13 +260,11 @@ def worker_main(conn, cache_root: Optional[str] = None,
     try:
         while True:
             try:
-                batch = conn.recv()
+                job = conn.recv()
             except (EOFError, OSError):
                 break
-            if batch is None:
+            if job is None:
                 break
-            received = time.monotonic()
-            conn.send([worker.handle(job, batch_received=received)
-                       for job in batch])
+            conn.send(worker.handle(job))
     finally:
         conn.close()

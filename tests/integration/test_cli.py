@@ -1,12 +1,17 @@
 """Integration tests for the command-line front end."""
 
 import io
+import os
+import pathlib
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from repro.cli import main
+
+REPO_ROOT = pathlib.Path(__file__).parent.parent.parent
 
 GOOD = """
 class Cell<Owner o> { int v; Cell<o> next; }
@@ -277,6 +282,49 @@ class TestCommandFiles:
         assert err.splitlines() == [
             f"chaos: skipping {script} (no embedded PROGRAM)",
             f"error: cannot read {missing}: No such file or directory"]
+
+
+class TestFileFlags:
+    """Cache and serve file flags fail loudly: a path that cannot be
+    written is one ``error:`` line and exit 1, never a traceback, and a
+    file that would never be written is a usage error."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "blocker"
+        path.write_text("")
+        return path
+
+    def test_run_analysis_cache_over_a_file(self, good_file, blocker):
+        code, out, err = run_cli("run", "--analysis-cache", str(blocker),
+                                 good_file)
+        assert code == 1 and out == ""
+        assert err == (f"error: cannot write {blocker}/analysis-cache.json:"
+                       f" File exists\n")
+
+    @staticmethod
+    def _serve(*argv):
+        # a subprocess with a deadline: a service that started anyway
+        # fails the test instead of serving forever
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             *argv], capture_output=True, text=True, env=env, timeout=60)
+
+    def test_serve_access_log_fails_before_any_fork(self, blocker,
+                                                   tmp_path):
+        log = str(blocker / "access.jsonl")
+        proc = self._serve("--access-log", log,
+                           "--cache-dir", str(tmp_path / "cache"))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: cannot write {log}: Not a directory\n"
+
+    def test_serve_trace_out_without_tracing_is_a_usage_error(
+            self, tmp_path):
+        proc = self._serve("--no-trace",
+                           "--trace-out", str(tmp_path / "traces.jsonl"))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "not allowed with argument --no-trace" in proc.stderr
 
 
 class TestAnalysisCache:

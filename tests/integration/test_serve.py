@@ -228,8 +228,7 @@ class TestRequestHygiene:
         text = data.decode("utf-8")
         for family in ("repro_serve_requests_total",
                        "repro_serve_request_seconds",
-                       "repro_serve_coalesced_total",
-                       "repro_serve_batch_size"):
+                       "repro_serve_coalesced_total"):
             assert family in text
 
 
@@ -276,6 +275,59 @@ class TestCacheTiers:
         cache = reply["body"]["cache"]
         assert cache["ast_hits"] == cache["memory_hits"] == classes
         assert cache["check_misses"] == 0
+
+    @pytest.mark.parametrize("endpoint", ["run", "analyze"])
+    def test_a_failed_shard_write_costs_the_shard_not_the_reply(
+            self, endpoint, tmp_path):
+        # a cache tree the worker cannot write (its root is a regular
+        # file) answers as if the worker had no tree
+        from repro.bench.suite import BENCHMARKS
+        from repro.serve.protocol import Job, job_fingerprint, program_sha
+        from repro.serve.worker import WarmWorker
+        root = tmp_path / "not-a-directory"
+        root.write_text("")
+        source = BENCHMARKS["Array"].source(fast=True)
+        sha = program_sha(source)
+        job = Job(endpoint, source, sha,
+                  job_fingerprint(endpoint, sha, "static", "py")).to_wire()
+        blocked = WarmWorker(cache_root=str(root)).handle(dict(job))
+        assert blocked["status"] == 200, blocked["body"]
+        assert blocked == WarmWorker().handle(dict(job))
+
+
+class TestDispatch:
+
+    def test_back_to_back_jobs_run_on_both_workers(self):
+        # a dispatcher takes one job, so the second of two jobs queued
+        # back to back goes to the idle worker, not behind the first
+        from repro.bench.suite import BENCHMARKS
+        from repro.obs.trace import new_span_id, new_trace_id
+        from repro.serve import PendingJob, WorkerPool
+        from repro.serve.protocol import Job, job_fingerprint, program_sha
+        source = BENCHMARKS["Barnes"].source()
+        sha = program_sha(source)
+        fingerprint = job_fingerprint("run", sha, "static", "interp")
+        reference, _machine = execute(analyze(source), RunOptions(
+            checks_enabled=False, validate=False, instrument=False,
+            backend="interp"))
+        expect = (reference.stats.cycles, hashlib.sha256(
+            "\n".join(reference.output).encode()).hexdigest())
+        with WorkerPool(workers=2) as pool:
+            for pair in range(5):
+                pendings = [pool.submit(PendingJob(Job(
+                    "run", source, sha, fingerprint, backend="interp",
+                    trace_id=new_trace_id(), root_span=new_span_id())))
+                    for _ in range(2)]
+                workers = []
+                for pending in pendings:
+                    assert pending.done.wait(timeout=120)
+                    body = pending.outcome.body
+                    assert pending.outcome.status == 200, body
+                    assert (body["cycles"], body["output_sha256"]) == expect
+                    (dispatch,) = [span for span in pending.spans
+                                   if span["name"] == "dispatch"]
+                    workers.append(dispatch["attrs"]["worker"])
+                assert sorted(workers) == [0, 1], f"pair {pair}"
 
 
 class TestTrafficMechanics:

@@ -29,7 +29,7 @@ import pytest
 from repro.core.cache import AnalysisCache, _entries_digest
 from repro.faults import FaultInjector, FaultPlan
 from repro.serve import (ClientPolicy, ResilientClient, ServeConfig,
-                         ServeService)
+                         ServeService, server)
 
 SOURCE = """\
 class Cell<Owner o> {
@@ -222,9 +222,11 @@ class TestBodyHygiene:
 
     @pytest.fixture(scope="class")
     def service(self):
-        config = ServeConfig(workers=1, read_timeout_s=1.0)
-        with ServeService(config).serve_background() as svc:
-            yield svc
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(server, "READ_TIMEOUT_S", 1.0)
+            with ServeService(ServeConfig(workers=1)) \
+                    .serve_background() as svc:
+                yield svc
 
     def test_chunked_bodies_are_411(self, service):
         reply = self._raw(service, (

@@ -116,7 +116,7 @@ class TestSpanTreeAcrossFork:
         assert by_name["execute"][0]["process"] == "worker"
         # worker spans parent the dispatch span they rode
         dispatch = by_name["dispatch"][0]
-        assert by_name["batch-wait"][0]["parent"] == dispatch["span"]
+        assert by_name["analyze"][0]["parent"] == dispatch["span"]
         # and the tree is temporally sane: monotonic clocks agree
         # across the fork, so the worker span nests inside dispatch
         analyze = by_name["analyze"][0]
@@ -313,15 +313,23 @@ class TestAccessLog:
         assert lines[0]["trace"] == headers["X-Repro-Trace-Id"]
         assert all(len(e["trace"]) == 32 for e in lines)
 
-    def test_logging_never_blocks_responses(self, tmp_path):
-        # a directory path cannot be opened for append: the log is
-        # disabled, the service still answers
-        config = ServeConfig(workers=1, access_log=str(tmp_path))
+    def test_logging_never_blocks_responses(self):
+        # every write to /dev/full fails (ENOSPC), as on a full disk:
+        # the writer thread drops the line, the service still answers
+        config = ServeConfig(workers=1, access_log="/dev/full")
         with ServeService(config).serve_background() as svc:
             status, headers, _ = _post(
                 svc, "run", {"program": _variant("log-bad")})
             assert status == 200
             assert headers.get("X-Repro-Trace-Id")
+
+    def test_an_unwritable_path_fails_before_any_fork(self, tmp_path):
+        import multiprocessing
+        children = set(multiprocessing.active_children())
+        config = ServeConfig(workers=1, access_log=str(tmp_path))
+        with pytest.raises(IsADirectoryError):
+            ServeService(config)
+        assert set(multiprocessing.active_children()) <= children
 
 
 def test_worker_analyze_span_names_the_disk_tier(tmp_path):
