@@ -315,8 +315,11 @@ def cmd_profile(args) -> int:
                                   cache=_open_cache(args))
     if analyzed.errors:
         return 1
+    # the report reads only the recorder's exact aggregates, so a
+    # one-record ring is enough
     options = RunOptions(checks_enabled=not args.static_checks,
-                         backend=args.backend or "interp")
+                         backend=args.backend or "interp",
+                         record=True, record_capacity=1)
     try:
         _result, machine = execute(analyzed, options)
     except ReproError as err:
@@ -792,12 +795,15 @@ def cmd_serve(args) -> int:
     try:
         service = ServeService(config, fault_injector=injector)
     except OSError as err:
-        if not config.access_log or err.filename != config.access_log:
-            raise
-        # the access log is the one file the service opens, before any
-        # worker forks: report it as every other unwritable path
-        with _writing(config.access_log):
-            raise
+        if config.access_log and err.filename == config.access_log:
+            # the access log is the one file the service opens, before
+            # any worker forks: report it as every other unwritable path
+            with _writing(config.access_log):
+                raise
+        # otherwise the bind failed (the service has reaped its pool)
+        print(f"error: cannot bind {config.host}:{config.port}: "
+              f"{err.strerror or err}", file=sys.stderr)
+        return 1
     # workers are forked and the socket is listening: connections are
     # already queueing in the backlog, so this ready line is accurate
     # (and, for --port 0, the only place the real port appears)
@@ -1080,7 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="profile the statically-checked build "
                              "(dynamic checks are on by default, so "
                              "their cost is visible)")
-    p_prof.add_argument("--top", type=int, default=10,
+    p_prof.add_argument("--top", type=_count, default=10,
                         help="call sites to list (default 10)")
     p_prof.add_argument("--json", action="store_true",
                         help="emit the profile as JSON")
@@ -1135,8 +1141,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "latency/parity gates), or the serve "
                               "resilience gate (a seeded chaos "
                               "campaign with bit-for-bit replay)")
-    p_bench.add_argument("--serve-workers", type=int, default=2,
-                         metavar="N",
+    p_bench.add_argument("--serve-workers", type=_positive_int,
+                         default=2, metavar="N",
                          help="serve suite: worker processes behind "
                               "the benched service (default 2)")
     p_bench.add_argument("--serve-clients", type=int, default=4,
@@ -1197,8 +1203,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="serve target: campaign traffic "
                               "(default 32; topped up until the "
                               "schedule minima are met)")
-    p_chaos.add_argument("--serve-workers", type=int, default=2,
-                         metavar="N",
+    p_chaos.add_argument("--serve-workers", type=_positive_int,
+                         default=2, metavar="N",
                          help="serve target: worker processes behind "
                               "the campaigned service (default 2)")
     p_chaos.add_argument("--seeds", type=int, default=5,
@@ -1278,7 +1284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=8750,
                        help="port (default 8750; 0 = ephemeral, "
                             "reported on the READY line)")
-    p_srv.add_argument("--workers", type=int, default=2, metavar="N",
+    p_srv.add_argument("--workers", type=_positive_int, default=2,
+                       metavar="N",
                        help="pre-forked warm worker processes "
                             "(default 2)")
     p_srv.add_argument("--queue-depth", type=int, default=64,

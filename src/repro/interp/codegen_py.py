@@ -931,7 +931,7 @@ def _machine_gate(machine: Any) -> None:
     compiled form compiles out."""
     _program_gate(machine.analyzed)
     stats = machine.stats
-    if not (stats.metrics.null and stats.profile.null):
+    if not stats.metrics.null:
         raise CodegenUnsupported("instrumented run")
     if stats.recorder is not None:
         raise CodegenUnsupported("flight recorder attached")

@@ -1700,8 +1700,6 @@ class Interpreter:
         vt_alloc_extra = cost.vt_alloc_extra
         vt_chunk_cost = cost.vt_chunk_cost
         heap_alloc_extra = cost.heap_alloc_extra
-        profile = stats.profile
-        do_profile = not profile.null
         rec = self._recorder
         class_name = expr.class_name
         line = expr.loc[0]
@@ -1760,8 +1758,6 @@ class Interpreter:
             stats.allocations += 1
             stats.bytes_allocated += size
             stats.alloc_cycles += cycles
-            if do_profile:
-                profile.record_alloc(line, target.name, size)
             if rec is not None:
                 owner0 = owner_values[0]
                 owner_label = owner0.name if isinstance(

@@ -23,7 +23,7 @@ from ..core.api import AnalyzedProgram, analyze
 from ..core.relations import RelationGraph
 from ..errors import OwnershipTypeError, ReproError
 from ..faults import FaultInjector
-from ..obs import FlightRecorder, MetricsRegistry, ProfileCollector
+from ..obs import FlightRecorder, MetricsRegistry
 from ..rtsj.checks import CheckEngine
 from ..rtsj.faults import RecoveryPolicy
 from ..rtsj.gc import GarbageCollector
@@ -53,12 +53,13 @@ class RunOptions:
     #: caller (the CLI does, to export after the run); None means the
     #: machine builds its own
     metrics: Optional[MetricsRegistry] = None
-    #: False wires *null* aggregate sinks (metrics, profile) into the
-    #: run: no histogram samples, no per-site attribution — the
-    #: interpreter's instrumentation code paths are compiled out.  Used
-    #: by ``repro bench`` so wall-clock measurements exclude
-    #: observability overhead.  An explicitly passed ``metrics`` object
-    #: takes precedence.
+    #: False wires a *null* metrics registry into the run: no
+    #: histogram samples, no published gauges — the runtime's
+    #: instrumentation code paths are compiled out.  Used by ``repro
+    #: bench`` so wall-clock measurements exclude observability
+    #: overhead.  An explicitly passed ``metrics`` object takes
+    #: precedence.  Per-site attribution is the flight recorder's
+    #: (``record``).
     instrument: bool = True
     # -- robustness plane (all off by default: a plain run compiles in
     #    none of the fault/sanitizer code paths) --
@@ -82,8 +83,8 @@ class RunOptions:
     #: ring capacity; the ring keeps the newest records
     record_capacity: int = 1 << 16
     #: store only every N-th high-volume record per kind (checks,
-    #: allocs); exact aggregates (kind_counts, check_totals) are kept
-    #: regardless
+    #: allocs); the exact aggregates (kind_counts, site_totals and its
+    #: check_totals view) count every event regardless
     record_sample: int = 1
     # -- execution backend --
     #: "interp" = the coroutine interpreter; "py" = compiled Python
@@ -121,11 +122,9 @@ class Machine:
         self.cost_model = self.options.cost_model
         if self.options.instrument:
             metrics = self.options.metrics or MetricsRegistry()
-            profile = ProfileCollector()
         else:
-            from ..obs import NullMetricsRegistry, NullProfile
+            from ..obs import NullMetricsRegistry
             metrics = self.options.metrics or NullMetricsRegistry()
-            profile = NullProfile()
         # flight recorder: None unless asked for, so every subsystem's
         # ``recorder is not None`` test compiles the hooks out
         recorder = None
@@ -133,8 +132,7 @@ class Machine:
             recorder = FlightRecorder(self.options.record_capacity,
                                       sample=self.options.record_sample)
         self.recorder = recorder
-        self.stats = Stats(metrics=metrics, profile=profile,
-                           recorder=recorder)
+        self.stats = Stats(metrics=metrics, recorder=recorder)
         self.regions = RegionManager()
         if recorder is not None:
             recorder.bind_clock(self.stats)

@@ -11,7 +11,8 @@ imports *us*, never the reverse):
 * :mod:`repro.obs.metrics` — counters / gauges / histograms in a
   :class:`MetricsRegistry`;
 * :mod:`repro.obs.profile` — per-region / per-call-site / per-category
-  cycle attribution behind ``repro profile``;
+  cycle attribution behind ``repro profile``, a view of the flight
+  recorder's per-site aggregate;
 * :mod:`repro.obs.analyze` — the ``repro inspect`` analysis engine
   over flight-recorder dumps;
 * :mod:`repro.obs.telemetry` — the content-addressed cross-run
@@ -36,8 +37,7 @@ from .flightrec import (FLIGHT_SCHEMA, FlightRecord, FlightRecorder,
                         validate_flight)
 from .metrics import (Counter, DEFAULT_CYCLE_BUCKETS, Gauge, Histogram,
                       MetricsRegistry, NullMetricsRegistry)
-from .profile import (CATEGORIES, NullProfile, ProfileCollector,
-                      ProfileReport, build_report)
+from .profile import CATEGORIES, ProfileReport, build_report
 from .telemetry import (TELEMETRY_SCHEMA, TelemetryStore, make_envelope,
                         validate_envelope)
 from .trace import (TRACE_SCHEMA, RequestTrace, TraceBuffer,
@@ -49,8 +49,7 @@ __all__ = [
     "Histogram", "DEFAULT_CYCLE_BUCKETS",
     "trace_lines", "write_trace", "to_prometheus", "write_metrics",
     "snapshot_to_prometheus", "parse_prometheus",
-    "ProfileCollector", "NullProfile", "ProfileReport", "build_report",
-    "CATEGORIES",
+    "ProfileReport", "build_report", "CATEGORIES",
     "FlightRecorder", "FlightRecord",
     "FLIGHT_SCHEMA", "flight_lines", "dump_flight", "load_flight",
     "validate_flight",

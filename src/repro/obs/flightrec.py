@@ -2,9 +2,12 @@
 
 The flight recorder is the one event sink of a simulated run.  It
 answers "what happened, in order" (``repro run --trace-out`` exports
-its window as a span trace, :func:`repro.obs.exporters.trace_lines`)
-and the production question: *when a run crashes, what were the last
-N things the machine did, and why?*  It keeps a fixed-capacity ring of
+its window as a span trace, :func:`repro.obs.exporters.trace_lines`),
+"which lines and regions did the allocations and checks go to"
+(``repro profile`` reads its exact per-site aggregate,
+:func:`repro.obs.profile.build_report`), and the production question:
+*when a run crashes, what were the last N things the machine did, and
+why?*  It keeps a fixed-capacity ring of
 :class:`FlightRecord` entries — region lifecycle, allocations with
 owner and site, LT/VT policy decisions, portal traffic, thread
 spawn/abort, GC pauses, every dynamic check performed and every check
@@ -20,10 +23,12 @@ Design rules, matching the rest of the observability layer:
   cycle counts are identical with recording on or off (recording
   charges nothing to the clock);
 * **bounded** — past ``capacity`` records the ring overwrites the
-  oldest entries.  Aggregate counters (``kind_counts`` and the
-  per-check-kind ``check_totals``) are maintained *outside* the ring,
-  so the check-elimination ledger stays exact no matter how small the
-  window is;
+  oldest entries.  The aggregates — ``kind_counts``, and
+  ``site_totals``, the per-``(kind, line, region)`` sums of every
+  allocation and check — are maintained *outside* the ring, so the
+  check-elimination ledger (``check_totals``, a view of
+  ``site_totals``) and ``repro profile``'s per-site and per-region
+  tables stay exact no matter how small the window is;
 * **causal** — every record's ``parent`` is the innermost open context
   of its thread (the enclosing region entry, or the event that spawned
   the thread).  ``parent == 0`` marks a root.
@@ -50,14 +55,14 @@ FLIGHT_SCHEMA = "repro-flightrec/1"
 #: exhaust host memory
 DEFAULT_CAPACITY = 1 << 16
 
-#: record kinds whose attrs carry ``cycles`` / ``cycles_saved`` and are
-#: aggregated exactly (ring overwrites never lose these totals)
+#: record kinds whose attrs carry ``cycles`` / ``cycles_saved``
 CHECK_KINDS = ("check-assign", "check-read",
                "check-elide-assign", "check-elide-read")
 
-#: kinds eligible for the 1-in-N sampling tier: the per-event volume
-#: producers.  Everything else (region/thread lifecycle, GC, faults) is
-#: low-volume and always stored, so causal context never samples away.
+#: kinds summed exactly into ``site_totals`` and eligible for the 1-in-N
+#: sampling tier: the per-event volume producers.  Everything else
+#: (region/thread lifecycle, GC, faults) is low-volume and always
+#: stored, so causal context never samples away.
 HIGH_VOLUME_KINDS = frozenset(CHECK_KINDS + ("alloc",))
 
 #: every kind the runtime emits, for schema validation and docs; the
@@ -140,10 +145,12 @@ class FlightRecorder:
         self.overhead_s = 0.0
         #: per-kind event counts — aggregate, never evicted or sampled
         self.kind_counts: Dict[str, int] = {}
-        #: per-check-kind ``[count, cycles]`` totals (``cycles`` is the
-        #: cost charged for performed checks, the cost *saved* for
-        #: elided ones) — the exact input to the elimination ledger
-        self.check_totals: Dict[str, List[int]] = {}
+        #: ``(kind, line, region) -> [count, amount]`` for every
+        #: :data:`HIGH_VOLUME_KINDS` event — aggregate, never evicted
+        #: or sampled.  ``amount`` is the bytes of an ``alloc`` and the
+        #: cycles a check charged (performed) or saved (elided);
+        #: ``region`` is an alloc's ``region`` attr, a check's subject
+        self.site_totals: Dict[Tuple[str, int, str], List[int]] = {}
         #: per-kind counters driving the deterministic sample stride
         self._hv_seen: Dict[str, int] = {}
         #: per-thread stack of open context event ids (region entries,
@@ -170,27 +177,36 @@ class FlightRecorder:
                parent: Optional[int] = None) -> int:
         """Append one record; returns its id (0 when sampled out).
 
-        Aggregates (``kind_counts``, ``check_totals``) update for every
+        Aggregates (``kind_counts``, ``site_totals``) update for every
         event regardless of sampling — only ring storage is thinned."""
         start = _perf()
         self.events_seen += 1
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
-        if attrs is not None and kind.startswith("check-"):
-            totals = self.check_totals.get(kind)
-            if totals is None:
-                totals = self.check_totals[kind] = [0, 0]
-            totals[0] += 1
-            cycles = attrs.get("cycles")
-            if cycles is None:
-                cycles = attrs.get("cycles_saved", 0)
-            totals[1] += cycles
-        if self.sample > 1 and kind in HIGH_VOLUME_KINDS:
-            seen = self._hv_seen.get(kind, 0) + 1
-            self._hv_seen[kind] = seen
-            if seen % self.sample != 1:
-                self.sampled_out += 1
-                self.overhead_s += _perf() - start
-                return 0
+        if kind in HIGH_VOLUME_KINDS:
+            line, region, amount = 0, subject, 0
+            if attrs is not None:
+                line = attrs.get("line", 0)
+                if kind == "alloc":
+                    region = attrs.get("region", subject)
+                    amount = attrs.get("bytes", 0)
+                else:
+                    amount = attrs.get("cycles")
+                    if amount is None:
+                        amount = attrs.get("cycles_saved", 0)
+            key = (kind, line, region)
+            site = self.site_totals.get(key)
+            if site is None:
+                self.site_totals[key] = [1, amount]
+            else:
+                site[0] += 1
+                site[1] += amount
+            if self.sample > 1:
+                seen = self._hv_seen.get(kind, 0) + 1
+                self._hv_seen[kind] = seen
+                if seen % self.sample != 1:
+                    self.sampled_out += 1
+                    self.overhead_s += _perf() - start
+                    return 0
         if cycle is None:
             cycle = self._now()
         if parent is None:
@@ -248,6 +264,21 @@ class FlightRecorder:
     def kinds(self) -> Dict[str, int]:
         return dict(self.kind_counts)
 
+    @property
+    def check_totals(self) -> Dict[str, List[int]]:
+        """Per-check-kind ``[count, cycles]`` (``cycles`` charged for
+        performed checks, *saved* for elided ones): ``site_totals``
+        summed over lines and regions, the exact input to the
+        elimination ledger."""
+        totals: Dict[str, List[int]] = {}
+        for (kind, _line, _region), (count, amount) \
+                in self.site_totals.items():
+            if kind != "alloc":
+                pair = totals.setdefault(kind, [0, 0])
+                pair[0] += count
+                pair[1] += amount
+        return totals
+
     def header(self, meta: Optional[Dict[str, Any]] = None
                ) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -261,8 +292,7 @@ class FlightRecorder:
             "sampled_out": self.sampled_out,
             "overhead_s": round(self.overhead_s, 6),
             "kind_counts": dict(self.kind_counts),
-            "check_totals": {k: list(v)
-                             for k, v in self.check_totals.items()},
+            "check_totals": self.check_totals,
         }
         if meta:
             out["meta"] = meta

@@ -16,82 +16,21 @@ three attributions the flat counters cannot give:
   already threads for diagnostics), i.e. a flat line profiler for the
   simulated program.
 
-``ProfileCollector`` is the always-on accumulation half (cheap dict
-updates); ``ProfileReport``/:func:`build_report` is the presentation
-half used by ``repro profile``.
+The last two are a view of the flight recorder: its exact
+``site_totals`` aggregate (:mod:`repro.obs.flightrec`) already sums
+every allocation and check by kind, line and region, whether or not
+the ring kept the record.  :func:`build_report` folds it into a
+``ProfileReport``, the presentation behind ``repro profile``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 #: the cycle categories, in report order; ``compute`` is the remainder
 CATEGORIES = ("compute", "checks", "alloc", "region", "thread", "gc",
               "io")
-
-
-class ProfileCollector:
-    """Accumulates per-site and per-region attributions during a run."""
-
-    __slots__ = ("alloc_sites", "check_sites", "region_alloc",
-                 "region_check_cycles")
-
-    #: False for recording collectors; :class:`NullProfile` flips it so
-    #: the interpreter's compiled closures can skip attribution wholesale
-    null = False
-
-    def __init__(self) -> None:
-        #: line -> [allocations, bytes]
-        self.alloc_sites: Dict[int, List[int]] = {}
-        #: line -> [checks, cycles]
-        self.check_sites: Dict[int, List[int]] = {}
-        #: region name -> [allocations, bytes]
-        self.region_alloc: Dict[str, List[int]] = {}
-        #: region name -> check cycles charged against stores into it
-        self.region_check_cycles: Dict[str, int] = {}
-
-    def record_alloc(self, line: int, region: str, nbytes: int) -> None:
-        site = self.alloc_sites.get(line)
-        if site is None:
-            self.alloc_sites[line] = [1, nbytes]
-        else:
-            site[0] += 1
-            site[1] += nbytes
-        per_region = self.region_alloc.get(region)
-        if per_region is None:
-            self.region_alloc[region] = [1, nbytes]
-        else:
-            per_region[0] += 1
-            per_region[1] += nbytes
-
-    def record_check(self, line: int, region: str, cycles: int) -> None:
-        site = self.check_sites.get(line)
-        if site is None:
-            self.check_sites[line] = [1, cycles]
-        else:
-            site[0] += 1
-            site[1] += cycles
-        self.region_check_cycles[region] = (
-            self.region_check_cycles.get(region, 0) + cycles)
-
-
-class NullProfile(ProfileCollector):
-    """A collector that attributes nothing (``instrument=False`` runs).
-
-    The dicts stay allocated (and empty) so ``build_report`` on a
-    null-profiled run still works — it just reports no sites/regions.
-    """
-
-    __slots__ = ()
-
-    null = True
-
-    def record_alloc(self, line: int, region: str, nbytes: int) -> None:
-        pass
-
-    def record_check(self, line: int, region: str, cycles: int) -> None:
-        pass
 
 
 @dataclass
@@ -184,10 +123,11 @@ def build_report(stats, areas=None) -> ProfileReport:
     """Assemble a :class:`ProfileReport` from a finished run.
 
     ``stats`` is a :class:`repro.rtsj.stats.Stats` (duck-typed — this
-    module stays independent of the runtime packages); ``areas`` is the
-    machine's region list, for watermarks and policies.
+    module stays independent of the runtime packages); its ``recorder``
+    supplies the per-site and per-region tables (a run without one
+    reports none).  ``areas`` is the machine's region list, for
+    watermarks and policies.
     """
-    collector: ProfileCollector = stats.profile
     explicit = {
         "checks": stats.check_cycles,
         "alloc": stats.alloc_cycles,
@@ -200,10 +140,32 @@ def build_report(stats, areas=None) -> ProfileReport:
     categories = {"compute": max(compute, 0)}
     categories.update(explicit)
 
+    # line -> [allocations, bytes, checks, check cycles]
+    by_line: Dict[int, List[int]] = {}
+    # region -> [allocations, bytes, check cycles]
+    by_region: Dict[str, List[int]] = {}
+    recorder = stats.recorder
+    totals = recorder.site_totals if recorder is not None else {}
+    for (kind, line, region), (count, amount) in totals.items():
+        if kind == "alloc":
+            col = 0
+            per_region = by_region.setdefault(region, [0, 0, 0])
+            per_region[0] += count
+            per_region[1] += amount
+        elif kind == "check-assign":
+            col = 2
+            by_region.setdefault(region, [0, 0, 0])[2] += amount
+        elif kind == "check-read":
+            col = 2  # its subject is the reading thread, not a region
+        else:
+            continue  # elided checks: not part of this report
+        site = by_line.setdefault(line, [0, 0, 0, 0])
+        site[col] += count
+        site[col + 1] += amount
+
     regions: List[RegionProfile] = []
     for area in (areas or []):
-        allocs, nbytes = collector.region_alloc.get(area.name, (0, 0))
-        check_cycles = collector.region_check_cycles.get(area.name, 0)
+        allocs, nbytes, check_cycles = by_region.get(area.name, (0, 0, 0))
         if not (allocs or check_cycles or area.peak_bytes):
             continue  # never used; keep the report readable
         regions.append(RegionProfile(
@@ -211,13 +173,7 @@ def build_report(stats, areas=None) -> ProfileReport:
             area.peak_bytes, check_cycles))
     regions.sort(key=lambda r: (-r.alloc_bytes, r.name))
 
-    lines = sorted(set(collector.alloc_sites) | set(collector.check_sites))
-    sites: List[SiteProfile] = []
-    for line in lines:
-        allocs, nbytes = collector.alloc_sites.get(line, (0, 0))
-        checks, check_cycles = collector.check_sites.get(line, (0, 0))
-        sites.append(SiteProfile(line, allocs, nbytes, checks,
-                                 check_cycles))
+    sites = [SiteProfile(line, *cols) for line, cols in by_line.items()]
     sites.sort(key=lambda s: (-(s.alloc_bytes + s.check_cycles), s.line))
 
     return ProfileReport(stats.cycles, categories, regions, sites,

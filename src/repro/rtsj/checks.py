@@ -22,13 +22,13 @@ Two families, exactly as in the paper's introduction:
   a well-typed program never fails a check.
 
 Performance notes (see ``docs/PERFORMANCE.md``): the per-check cost
-constants are hoisted into instance attributes at construction, and all
-instrumentation (histograms, per-site profile attribution) sits behind
-``self._observe`` — a flag computed once from whether the run's
-metrics/profile sinks actually record anything.  A benchmark run with
-``instrument=False`` therefore pays only the counter increments that
-the run summary itself needs.  Check events go to the flight recorder
-alone, on runs that carry one.
+constants are hoisted into instance attributes at construction, and the
+check histograms sit behind ``self._observe`` — a flag computed once
+from whether the run's metrics registry records anything.  A benchmark
+run with ``instrument=False`` therefore pays only the counter
+increments that the run summary itself needs.  Check events go to the
+flight recorder alone, on runs that carry one; its exact per-site
+aggregate is what ``repro profile`` reports.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ class CheckEngine:
         self._read_base = cost_model.check_read_base
         # live instruments: the per-check cost distribution is the core
         # of the Figure 12 story, so it is histogrammed as it happens —
-        # unless every sink is a null implementation, in which case the
-        # whole instrumentation block is skipped (`repro bench` path)
+        # unless the registry is a null implementation, in which case
+        # the whole instrumentation block is skipped (`repro bench` path)
         metrics = stats.metrics
-        self._observe = not (metrics.null and stats.profile.null)
+        self._observe = not metrics.null
         #: flight recorder (None when post-mortem recording is off):
         #: records every check performed, and — the other half of the
         #: Figure 12 ledger — every check the static path *elided*,
@@ -87,8 +87,8 @@ class CheckEngine:
                         line: int = 0, thread: str = "main") -> int:
         """Cycles charged for one RTSJ assignment check (0 when checks
         are compiled out).  Raises on violation when checking is on in
-        either mode.  ``line`` attributes the cost to the source line
-        executing the store (``repro profile``)."""
+        either mode.  ``line`` attributes the check's record to the
+        source line executing the store (``repro profile``)."""
         rec = self._rec
         if not self.active:
             if rec is not None:
@@ -110,8 +110,6 @@ class CheckEngine:
                 if is_ref:
                     self._h_depth.observe(depth)
                 self._h_assign.observe(cycles)
-                stats.profile.record_check(line, target_area.name,
-                                           cycles)
             if rec is not None:
                 rec.record("check-assign", target_area.name,
                            cycle=stats.cycles, thread=thread,
@@ -186,7 +184,6 @@ class CheckEngine:
             stats.check_cycles += cycles
             if self._observe:
                 self._h_read.observe(cycles)
-                stats.profile.record_check(line, "<read-check>", cycles)
             if rec is not None:
                 rec.record("check-read", thread, cycle=stats.cycles,
                            thread=thread,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..obs import Histogram, MetricsRegistry, ProfileCollector
+from ..obs import Histogram, MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,11 @@ class Stats:
 
     Structured observability (the :mod:`repro.obs` subsystem) hangs off
     this object: ``metrics`` is the registry of counters/gauges/
-    histograms, ``profile`` the per-site/per-region attribution, and
-    ``recorder`` the flight recorder, the run's single event sink
-    (``None`` on runs that asked for no event export, so hot paths can
-    test ``recorder is not None`` at closure-compile time).
+    histograms, and ``recorder`` the flight recorder, the run's single
+    event sink and the source of ``repro profile``'s per-site and
+    per-region attribution (``None`` on runs that asked for no event
+    export, so hot paths can test ``recorder is not None`` at
+    closure-compile time).
     """
 
     cycles: int = 0                       # global simulated clock
@@ -124,8 +125,6 @@ class Stats:
 
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry,
                                      repr=False)
-    profile: ProfileCollector = field(default_factory=ProfileCollector,
-                                      repr=False)
     #: the flight recorder, or None when post-mortem recording is off
     #: (typed ``Any`` to keep :mod:`repro.obs` imports one-directional)
     recorder: Optional[Any] = field(default=None, repr=False)

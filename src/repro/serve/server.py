@@ -300,8 +300,16 @@ class ServeService(HTTPEdge):
         self._inflight: Dict[str, PendingJob] = {}
         self._hot: "OrderedDict[str, Tuple[int, Dict[str, Any]]]" = \
             OrderedDict()
-        super().__init__(self.config.host, self.config.port,
-                         self._routes(), service=self)
+        try:
+            super().__init__(self.config.host, self.config.port,
+                             self._routes(), service=self)
+        except OSError:
+            # the bind failed after the fork: reap the workers here, or
+            # they outlive the frontend that never served
+            self.pool.close()
+            if self._access_log is not None:
+                self._access_log.close()
+            raise
 
     # -- degradation ---------------------------------------------------
 

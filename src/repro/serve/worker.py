@@ -246,8 +246,11 @@ def worker_main(conn, cache_root: Optional[str] = None,
                 unwanted=(), flight_dir: Optional[str] = None) -> None:
     """Child-process entry: serve one job per message until the
     sentinel."""
-    # the parent owns shutdown; a terminal Ctrl-C must not race it
+    # the parent owns shutdown; a terminal Ctrl-C must not race it, and
+    # the SIGTERM that reaps a stuck worker must not run the frontend's
+    # handler (inherited across the fork) but just end the process
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # fork-inherited parent-side pipe ends (this worker's own and any
     # earlier siblings'): closed immediately so a vanished parent
     # surfaces as EOF on recv, not a pipe held open by ourselves

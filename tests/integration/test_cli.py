@@ -3,6 +3,8 @@
 import io
 import os
 import pathlib
+import signal
+import socket
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -325,6 +327,59 @@ class TestFileFlags:
                            "--trace-out", str(tmp_path / "traces.jsonl"))
         assert proc.returncode == 2 and proc.stdout == ""
         assert "not allowed with argument --no-trace" in proc.stderr
+
+    def test_serve_on_a_busy_port_is_one_line(self, tmp_path):
+        held = socket.socket()
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        # its own process group, so a worker that outlived the frontend
+        # is still findable (and killable) after the frontend exits
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--host",
+             "127.0.0.1", "--port", str(port), "--workers", "2",
+             "--cache-dir", str(tmp_path / "cache")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            held.close()
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+                leftover = True
+            except ProcessLookupError:
+                leftover = False
+        assert proc.returncode == 1 and out == ""
+        assert "Traceback" not in err
+        assert err.startswith(f"error: cannot bind 127.0.0.1:{port}: ")
+        assert len(err.splitlines()) == 1
+        assert not leftover, "a serve worker outlived the frontend"
+
+
+class TestCountFlags:
+    """A worker count below one or a negative ``--top`` is a usage
+    error (exit 2), not a traceback or a silently shortened table."""
+
+    @pytest.mark.parametrize("argv", [
+        ("serve", "--workers", "0"),
+        ("serve", "--workers", "-1"),
+        ("chaos", "--target", "serve", "--serve-workers", "0"),
+        ("bench", "--suite", "serve", "--serve-workers", "0"),
+        ("profile", "--top", "-2", "FILE"),
+        ("profile", "--top", "many", "FILE"),
+    ], ids=lambda argv: "-".join(a for a in argv if a != "FILE"))
+    def test_bad_count_is_a_usage_error(self, good_file, argv):
+        argv = [good_file if arg == "FILE" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+
+    def test_top_zero_lists_no_sites(self, good_file):
+        code, out, _ = run_cli("profile", "--top", "0", good_file)
+        assert code == 0
+        assert "hottest call sites (top 0)" in out
 
 
 class TestAnalysisCache:

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.bench.suite import BENCHMARKS
+from repro.cli import _read, main
 from repro.core.api import analyze
-from repro.interp.machine import Machine, RunOptions
+from repro.interp.machine import Machine, RunOptions, execute
 from repro.obs import build_report, to_prometheus, trace_lines
 
 #: a producer/consumer-style program (Figure 8 shape): two threads
@@ -193,6 +194,33 @@ class TestProfileIntegration:
                               traced_machine.regions.areas)
         assert report.sites
         assert all(s.line > 0 for s in report.sites)
+
+    @pytest.mark.parametrize("checks", [True, False],
+                             ids=["dynamic", "static"])
+    @pytest.mark.parametrize("name", [*BENCHMARKS, "realtime_pipeline"])
+    def test_site_sums_equal_stats(self, name, checks):
+        """The view loses nothing: every allocation and every performed
+        check lands on a site, with a one-record ring as ``repro
+        profile`` arms it.  The registry does no no-heap read checks;
+        the real-time pipeline example does."""
+        if name in BENCHMARKS:
+            source = BENCHMARKS[name].source(fast=True)
+        else:
+            source = _read(str(Path(__file__).resolve().parents[2]
+                               / "examples" / f"{name}.py"))
+        analyzed = analyze(source)
+        _result, machine = execute(analyzed, RunOptions(
+            checks_enabled=checks, record=True, record_capacity=1))
+        stats = machine.stats
+        sites = build_report(stats, machine.regions.areas).sites
+        assert sum(s.allocations for s in sites) == stats.allocations
+        assert sum(s.alloc_bytes for s in sites) == stats.bytes_allocated
+        assert sum(s.checks for s in sites) \
+            == stats.assignment_checks + stats.read_checks
+        assert sum(s.check_cycles for s in sites) == stats.check_cycles
+        assert stats.allocations > 0
+        if name == "realtime_pipeline" and checks:
+            assert stats.read_checks > 0
 
 
 def run_cli(*argv):

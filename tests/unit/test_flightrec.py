@@ -5,6 +5,8 @@ import io
 
 import pytest
 
+from repro.bench.suite import BENCHMARKS
+from repro.interp.machine import RunOptions, run_source
 from repro.obs import (FLIGHT_SCHEMA, FlightRecord, FlightRecorder,
                        dump_flight, load_flight, validate_flight)
 
@@ -95,6 +97,33 @@ class TestAggregates:
                        attrs={"cycles_saved": 8})
         assert rec.check_totals == {"check-assign": [5, 160],
                                     "check-elide-read": [3, 24]}
+
+    def test_check_totals_view_site_totals(self):
+        rec = FlightRecorder(capacity=2)
+        rec.record("check-assign", "r", attrs={"cycles": 32, "line": 3})
+        rec.record("check-assign", "s", attrs={"cycles": 36, "line": 4})
+        rec.record("alloc", "A -> r", attrs={"bytes": 16, "region": "r",
+                                             "line": 3})
+        assert rec.site_totals == {("check-assign", 3, "r"): [1, 32],
+                                   ("check-assign", 4, "s"): [1, 36],
+                                   ("alloc", 3, "r"): [1, 16]}
+        assert rec.check_totals == {"check-assign": [2, 68]}
+
+    def test_evicting_sampled_run_keeps_exact_aggregates(self):
+        source = BENCHMARKS["Tree"].source(fast=True)
+
+        def recorder(**opts):
+            return run_source(source, RunOptions(record=True, **opts)) \
+                .stats.recorder
+
+        thin = recorder(record_capacity=2, record_sample=8)
+        full = recorder()
+        assert thin.dropped > 0 and thin.sampled_out > 0
+        assert full.dropped == 0 and full.sampled_out == 0
+        assert {kind for kind, _line, _region in full.site_totals} \
+            == {"alloc", "check-assign"}
+        assert thin.site_totals == full.site_totals
+        assert thin.check_totals == full.check_totals
 
     def test_bind_clock_stamps_cycles(self):
         class FakeStats:

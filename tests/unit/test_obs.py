@@ -2,11 +2,12 @@
 the flight recorder, metric instrument math, and exporter formats."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from repro.obs import (FlightRecorder, MetricsRegistry, ProfileCollector,
-                       to_prometheus, trace_lines)
+from repro.obs import (FlightRecorder, MetricsRegistry, to_prometheus,
+                       trace_lines)
 from repro.obs.profile import build_report
 
 
@@ -251,36 +252,58 @@ class TestPrometheusExport:
         assert snapshot["h"]["series"][0]["buckets"]["+Inf"] == 1
 
 
-class TestProfileCollector:
+def _fake_stats(recorder=None):
+    return SimpleNamespace(
+        cycles=1000, check_cycles=100, alloc_cycles=200,
+        region_cycles=150, thread_cycles=50, gc_pause_cycles=300,
+        io_cycles=0, cycles_by_thread={"main": 1000}, recorder=recorder)
+
+
+class TestProfileView:
+    """``repro profile``'s per-site and per-region tables are a view of
+    the flight recorder's exact ``site_totals``."""
+
     def test_alloc_and_check_accumulation(self):
-        p = ProfileCollector()
-        p.record_alloc(10, "r", 16)
-        p.record_alloc(10, "r", 24)
-        p.record_alloc(12, "heap", 16)
-        p.record_check(11, "r", 32)
-        p.record_check(11, "r", 36)
-        assert p.alloc_sites[10] == [2, 40]
-        assert p.alloc_sites[12] == [1, 16]
-        assert p.region_alloc["r"] == [2, 40]
-        assert p.check_sites[11] == [2, 68]
-        assert p.region_check_cycles["r"] == 68
+        rec = FlightRecorder(capacity=1)  # the report needs no ring
+        for nbytes in (16, 24):
+            rec.record("alloc", "A -> r", attrs={
+                "bytes": nbytes, "region": "r", "line": 10})
+        rec.record("alloc", "A -> heap", attrs={
+            "bytes": 16, "region": "heap", "line": 12})
+        for cycles in (32, 36):
+            rec.record("check-assign", "r", attrs={
+                "cycles": cycles, "line": 11})
+        rec.record("check-read", "main", attrs={"cycles": 8, "line": 11})
+        rec.record("check-elide-assign", "r", attrs={
+            "cycles_saved": 28, "line": 13})
+        assert rec.site_totals == {
+            ("alloc", 10, "r"): [2, 40],
+            ("alloc", 12, "heap"): [1, 16],
+            ("check-assign", 11, "r"): [2, 68],
+            ("check-read", 11, "main"): [1, 8],
+            ("check-elide-assign", 13, "r"): [1, 28]}
+        areas = [SimpleNamespace(name=name, policy="LT",
+                                 kind_name="LocalRegion", peak_bytes=0)
+                 for name in ("r", "heap", "main")]
+        report = build_report(_fake_stats(rec), areas)
+        sites = {s.line: s for s in report.sites}
+        assert (sites[10].allocations, sites[10].alloc_bytes) == (2, 40)
+        assert (sites[12].allocations, sites[12].alloc_bytes) == (1, 16)
+        # performed checks only: an elided check charged nothing
+        assert (sites[11].checks, sites[11].check_cycles) == (3, 76)
+        assert 13 not in sites
+        regions = {r.name: r for r in report.regions}
+        assert (regions["r"].allocations, regions["r"].alloc_bytes,
+                regions["r"].check_cycles) == (2, 40, 68)
+        # a read check's subject is its thread, never a region
+        assert "main" not in regions
 
     def test_build_report_category_attribution(self):
-        class FakeStats:
-            cycles = 1000
-            check_cycles = 100
-            alloc_cycles = 200
-            region_cycles = 150
-            thread_cycles = 50
-            gc_pause_cycles = 300
-            io_cycles = 0
-            cycles_by_thread = {"main": 1000}
-            profile = ProfileCollector()
-
-        report = build_report(FakeStats())
+        report = build_report(_fake_stats())
         assert report.total_cycles == 1000
         assert report.categories["compute"] == 200
         assert report.attributed_fraction == 1.0
+        assert report.sites == [] and report.regions == []
         assert "compute" in report.format()
 
 
