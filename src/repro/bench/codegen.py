@@ -1,6 +1,21 @@
-"""Differential wall-clock benchmark of the codegen backends.
+"""The bench runner: a program in both check modes, on the interpreter
+and on the codegen backends.
 
-Two jobs in one suite:
+:func:`measure_source` is the only code that runs a program for a
+harness.  It returns one cell per mode and backend: the best-of-
+``repeats`` wall time, simulated cycles, output digest and steps, and
+for the interpreter cell the assignment and read check counts too;
+beside the cells, the lines the interpreter printed in each mode.
+Three harnesses are views of it:
+
+* the ``codegen`` suite (:func:`measure`) reads every cell;
+* the ``interp`` suite (:func:`repro.bench.timing.measure`) reads only
+  the interpreter cells, measured without a codegen backend and so
+  without a warm-up run;
+* Figure 12 (:func:`repro.bench.timing.figure12`) reads the
+  interpreter cells of one run per mode.
+
+The ``codegen`` suite has two jobs:
 
 * **Equivalence gate** — every backend run is compared against the
   interpreter reference on the same analyzed program: simulated
@@ -36,10 +51,9 @@ numbers are unjudged ``seed`` rows.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import platform
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.api import analyze
 from ..interp.machine import RunOptions, execute
@@ -47,7 +61,7 @@ from .compare import cell_rows, make_payload, row
 from .suite import BENCHMARKS
 
 __all__ = ["MODES", "DEFAULT_BACKENDS", "SEED_STATIC_WALL_S", "JUDGES",
-           "measure", "measure_benchmark"]
+           "measure", "measure_benchmark", "measure_source"]
 
 #: mode name -> checks_enabled
 MODES = {"dynamic": True, "static": False}
@@ -80,13 +94,15 @@ def _options(enabled: bool, backend: str) -> RunOptions:
                       instrument=False, backend=backend)
 
 
-def _run_best(analyzed, options: RunOptions, repeats: int):
+def _run_best(analyzed, options: RunOptions, repeats: int,
+              warm: bool = True):
     """Best-of-``repeats`` wall time (min: timer noise is additive).
 
-    One untimed run first builds the backend's form (cc + dlopen for
-    C), which ``analyzed.compiled`` keeps, so every timed run measures
-    execution alone, even at ``repeats=1``."""
-    execute(analyzed, dataclasses.replace(options))
+    With ``warm``, one untimed run first builds the backend's form (cc
+    + dlopen for C), which ``analyzed.compiled`` keeps, so every timed
+    run measures execution alone, even at ``repeats=1``."""
+    if warm:
+        execute(analyzed, dataclasses.replace(options))
     best = None
     result = machine = None
     for _ in range(max(repeats, 1)):
@@ -98,71 +114,93 @@ def _run_best(analyzed, options: RunOptions, repeats: int):
     return best, result, machine
 
 
-def _row(wall: float, result) -> Dict[str, Any]:
-    digest = hashlib.sha256(
-        "\n".join(result.output).encode()).hexdigest()
+def _cell(wall: float, result) -> Dict[str, Any]:
     return {
         "wall_s": round(wall, 6),
         "cycles": result.stats.cycles,
         "mcycles_per_s": round(result.stats.cycles / wall / 1e6, 3)
         if wall else 0.0,
-        "output_sha256": digest,
+        "output_sha256": result.output_sha256,
         "steps": result.stats.steps,
     }
 
 
-def measure_benchmark(name: str, backends: Iterable[str],
-                      fast: bool = True, repeats: int = 3,
-                      divergences: Optional[List[str]] = None
-                      ) -> Dict[str, Any]:
-    """One benchmark across modes and backends, with the interpreter
-    reference row and per-backend equivalence verdicts."""
-    bench = BENCHMARKS[name]
-    analyzed = analyze(bench.source(fast=fast))
+def measure_source(source: str, backends: Iterable[str] = (),
+                   repeats: int = 3, name: str = "?",
+                   divergences: Optional[List[str]] = None
+                   ) -> Tuple[Dict[str, Dict[str, Any]],
+                              Dict[str, List[str]]]:
+    """Run ``source`` in both check modes: ``({mode: {backend: cell}},
+    {mode: output})``, the output being what the interpreter printed.
+
+    The ``interp`` cell is the reference; each of ``backends`` adds a
+    cell with its equivalence verdict against it (a divergence is also
+    appended to ``divergences``).  Only a run with backends warms each
+    form first, the reference included, so that a speedup compares
+    like with like.  Instrumentation is off: it charges no cycles, so
+    the cells' cycles and check counts are those of an instrumented
+    run."""
+    backends = tuple(backends)
+    analyzed = analyze(source)
     if analyzed.errors:
         raise analyzed.errors[0]
-    out: Dict[str, Any] = {}
+    out: Dict[str, Dict[str, Any]] = {}
+    outputs: Dict[str, List[str]] = {}
     for mode, enabled in MODES.items():
         wall, ref, _m = _run_best(analyzed, _options(enabled, "interp"),
-                                  repeats)
-        rows: Dict[str, Any] = {"interp": _row(wall, ref)}
+                                  repeats, warm=bool(backends))
+        outputs[mode] = ref.output
+        cells: Dict[str, Any] = {"interp": dict(
+            _cell(wall, ref),
+            assignment_checks=ref.stats.assignment_checks,
+            read_checks=ref.stats.read_checks)}
         ref_summary = ref.stats.summary()
         for backend in backends:
             if backend == "c" and enabled:
                 # checks-erased by design: dynamic mode is py territory
-                rows[backend] = {"skipped":
-                                 "checks-erased (static mode only)"}
+                cells[backend] = {"skipped":
+                                  "checks-erased (static mode only)"}
                 continue
             wall_b, res, machine = _run_best(
                 analyzed, _options(enabled, backend), repeats)
             used = (machine.program.backend
                     if machine.program is not None else "interp")
-            row = _row(wall_b, res)
-            row["backend_used"] = used
+            cell = _cell(wall_b, res)
+            cell["backend_used"] = used
             if machine.codegen_fallback:
-                row["fallback"] = machine.codegen_fallback
+                cell["fallback"] = machine.codegen_fallback
             if backend == "c" and used != "c":
                 note = machine.codegen_fallback or "unsupported"
                 if ("toolchain" in note or "cffi" in note
                         or "cc failed" in note):
                     # environmental, not a program property: skip
-                    rows[backend] = {"skipped": note}
+                    cells[backend] = {"skipped": note}
                     continue
             equivalent = (res.stats.cycles == ref.stats.cycles
                           and res.output == ref.output
                           and res.stats.summary() == ref_summary)
-            row["equivalent"] = equivalent
+            cell["equivalent"] = equivalent
             if not equivalent and divergences is not None:
                 divergences.append(
                     f"{name}/{mode}/{backend}: cycles "
                     f"{ref.stats.cycles} -> {res.stats.cycles}, "
                     f"output "
                     f"{'same' if res.output == ref.output else 'DIFFERS'}")
-            row["speedup_vs_interp"] = (round(wall / wall_b, 2)
-                                        if wall_b else 0.0)
-            rows[backend] = row
-        out[mode] = rows
-    return out
+            cell["speedup_vs_interp"] = (round(wall / wall_b, 2)
+                                         if wall_b else 0.0)
+            cells[backend] = cell
+        out[mode] = cells
+    return out, outputs
+
+
+def measure_benchmark(name: str, backends: Iterable[str] = (),
+                      fast: bool = True, repeats: int = 3,
+                      divergences: Optional[List[str]] = None
+                      ) -> Dict[str, Any]:
+    """The cells of :func:`measure_source` of one registry program."""
+    cells, _outputs = measure_source(BENCHMARKS[name].source(fast=fast),
+                                     backends, repeats, name, divergences)
+    return cells
 
 
 def measure(names: Optional[Iterable[str]] = None,

@@ -1,6 +1,6 @@
 """Wall-clock benchmark of the static frontend (parse → infer → check).
 
-The interpreter benchmark (:mod:`repro.bench.wallclock`) guards the
+The interp suite (:func:`repro.bench.timing.measure`) guards the
 runtime hot loop; this module guards the *frontend* hot path that the
 performance work in ``docs/PERFORMANCE.md`` optimises: interned
 owners/types, memoized substitution and relation queries, the regex

@@ -34,7 +34,6 @@ fail every run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import platform
 import tempfile
@@ -42,6 +41,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..obs.exporters import sample_total
 from .compare import cell_rows, make_payload, set_bound
 
 __all__ = ["WARM_MIN_REQ_S", "JUDGES", "measure", "serve_payload"]
@@ -77,8 +77,7 @@ def _reference_results(sources: Dict[str, str]) -> Dict[str, Dict[str, Any]]:
             backend="py"))
         out[name] = {
             "cycles": result.stats.cycles,
-            "output_sha256": hashlib.sha256(
-                "\n".join(result.output).encode()).hexdigest(),
+            "output_sha256": result.output_sha256,
             "backend_used": (machine.program.backend
                              if machine.program is not None
                              else "interp"),
@@ -88,17 +87,6 @@ def _reference_results(sources: Dict[str, str]) -> Dict[str, Dict[str, Any]]:
 
 def _metrics_text(client) -> str:
     return client.get("/metrics")[1].decode("utf-8")
-
-
-def _metric_value(text: str, name: str) -> float:
-    """Sum of all samples of one metric family in exposition text."""
-    total = 0.0
-    for line in text.splitlines():
-        if line.startswith(name) and not line.startswith("#"):
-            head = line.split(" ")
-            if head[0] == name or head[0].startswith(name + "{"):
-                total += float(head[-1])
-    return total
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -196,13 +184,13 @@ def measure(names: Optional[Sequence[str]] = None, fast: bool = True,
             for t in threads:
                 t.join(timeout=60)
             after = _metrics_text(client)
-            d_analyses = (_metric_value(after,
-                                        "repro_serve_analyses_total")
-                          - _metric_value(before,
-                                          "repro_serve_analyses_total"))
-            d_coalesced = (_metric_value(after,
-                                         "repro_serve_coalesced_total")
-                           - _metric_value(
+            d_analyses = (sample_total(after,
+                                       "repro_serve_analyses_total")
+                          - sample_total(before,
+                                         "repro_serve_analyses_total"))
+            d_coalesced = (sample_total(after,
+                                        "repro_serve_coalesced_total")
+                           - sample_total(
                                before, "repro_serve_coalesced_total"))
             coalesce = {"requests": COALESCE_CLIENTS,
                         "ok": sum(1 for s in statuses if s == 200),
@@ -272,8 +260,8 @@ def measure(names: Optional[Sequence[str]] = None, fast: bool = True,
                 divergences.append(
                     f"warm: {warm['errors']} non-200 responses")
 
-            hits = _metric_value(_metrics_text(client),
-                                 "repro_serve_result_cache_hits_total")
+            hits = sample_total(_metrics_text(client),
+                                "repro_serve_result_cache_hits_total")
             client.close()
 
     return serve_payload(

@@ -1,20 +1,38 @@
-"""Figure 12 — dynamic checking overhead.
+"""Figure 12 — dynamic checking overhead — and the ``interp`` bench suite.
 
-Runs each benchmark twice on the simulated platform: once with the RTSJ
-dynamic checks performed and charged ("Dynamic Checks"), once with them
-compiled out ("Static Checks"), and reports the cycle counts and their
-ratio next to the paper's measured overheads.  Output determinism is
-asserted: both runs must print exactly the same thing.
+Both are views of the interpreter cells of
+:func:`repro.bench.codegen.measure_source`, which runs a program once
+with the RTSJ dynamic checks performed and charged ("Dynamic Checks")
+and once with them compiled out ("Static Checks"):
+
+* :func:`figure12` reports the cycle counts of one run per mode and
+  their ratio next to the paper's measured overheads.  Output
+  determinism is asserted: both runs must print exactly the same thing,
+  and that must be the program's expected output.
+* :func:`measure` is ``repro bench --suite interp``: the best-of-
+  ``repeats`` cells as ``repro-bench/2`` rows (``BENCH_interp.json``
+  at the repo root), plus each program's cycle and wall overhead.  The
+  ``bench-smoke`` CI job judges a fresh payload against the committed
+  one: ``cycles`` and ``output_sha256`` exactly (a difference means
+  the program or cost model changed), ``wall_s`` against the
+  regression threshold, which is how it fails a PR that slows the
+  interpreter down.
+
+The ``codegen`` suite measures the same interpreter cells next to its
+backends; this suite keeps its own baseline file because CI judges
+interpreter walls at a 30% threshold, and the codegen suite's
+sub-millisecond py walls only at 200%.
 """
 
 from __future__ import annotations
 
-import time
+import platform
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
-from ..core.api import analyze
-from ..interp.machine import RunOptions, run_source
+from .codegen import JUDGES, measure_benchmark, measure_source
+from .compare import cell_rows, make_payload
+from .suite import BENCHMARKS
 
 
 @dataclass
@@ -25,8 +43,6 @@ class CheckOverheadRow:
     assignment_checks: int
     read_checks: int
     paper_overhead: Optional[float]
-    static_wall: float
-    dynamic_wall: float
 
     @property
     def overhead(self) -> float:
@@ -36,39 +52,26 @@ class CheckOverheadRow:
 
 def measure_check_overhead(source: str, name: str = "?",
                            paper_overhead: Optional[float] = None,
-                           expected_output: Optional[List[str]] = None,
-                           **option_overrides) -> CheckOverheadRow:
-    """Run ``source`` in both modes and return the Figure 12 row."""
-    analyzed = analyze(source)
-    if analyzed.errors:
-        raise analyzed.errors[0]
-
-    def run(enabled: bool):
-        opts = RunOptions(checks_enabled=enabled, validate=False,
-                          **option_overrides)
-        start = time.perf_counter()
-        result = run_source(analyzed, opts)
-        return result, time.perf_counter() - start
-
-    dynamic, dyn_wall = run(True)
-    static, sta_wall = run(False)
-    if dynamic.output != static.output:
+                           expected_output: Optional[List[str]] = None
+                           ) -> CheckOverheadRow:
+    """Run ``source`` once per mode and return the Figure 12 row."""
+    cells, outputs = measure_source(source, repeats=1, name=name)
+    if outputs["dynamic"] != outputs["static"]:
         raise AssertionError(
             f"{name}: nondeterministic output between modes: "
-            f"{dynamic.output!r} vs {static.output!r}")
-    if expected_output is not None and static.output != expected_output:
+            f"{outputs['dynamic']!r} vs {outputs['static']!r}")
+    if expected_output is not None and outputs["static"] != expected_output:
         raise AssertionError(
-            f"{name}: wrong output {static.output!r}, expected "
+            f"{name}: wrong output {outputs['static']!r}, expected "
             f"{expected_output!r}")
+    dynamic, static = cells["dynamic"]["interp"], cells["static"]["interp"]
     return CheckOverheadRow(
         name=name,
-        static_cycles=static.cycles,
-        dynamic_cycles=dynamic.cycles,
-        assignment_checks=dynamic.stats.assignment_checks,
-        read_checks=dynamic.stats.read_checks,
+        static_cycles=static["cycles"],
+        dynamic_cycles=dynamic["cycles"],
+        assignment_checks=dynamic["assignment_checks"],
+        read_checks=dynamic["read_checks"],
         paper_overhead=paper_overhead,
-        static_wall=sta_wall,
-        dynamic_wall=dyn_wall,
     )
 
 
@@ -76,7 +79,7 @@ def figure12(fast: bool = True,
              programs: Optional[List[str]] = None) -> List[CheckOverheadRow]:
     """Regenerate Figure 12: every benchmark plus the six ImageRec
     pipeline stages."""
-    from .suite import (BENCHMARKS, IMAGEREC_STAGES, PAPER_STAGE_OVERHEAD)
+    from .suite import IMAGEREC_STAGES, PAPER_STAGE_OVERHEAD
     rows: List[CheckOverheadRow] = []
     selected = programs or list(BENCHMARKS)
     for name in selected:
@@ -123,3 +126,36 @@ def figure12_dict(rows: List[CheckOverheadRow]) -> List[Dict]:
         }
         for row in rows
     ]
+
+
+def measure(names: Optional[Iterable[str]] = None, fast: bool = True,
+            repeats: int = 3) -> Dict[str, Any]:
+    """The ``interp`` suite: the interpreter cells of the (selected)
+    registry as a ``repro-bench/2`` payload."""
+    selected = list(names) if names is not None else list(BENCHMARKS)
+    rows: List[Dict[str, Any]] = []
+    total_wall = 0.0
+    total_cycles = 0
+    for name in selected:
+        cells = {mode: by_backend["interp"] for mode, by_backend in
+                 measure_benchmark(name, fast=fast,
+                                   repeats=repeats).items()}
+        for mode, cell in cells.items():
+            rows += cell_rows(name, mode, "interp", cell, JUDGES)
+            total_wall += cell["wall_s"]
+            total_cycles += cell["cycles"]
+        dyn, sta = cells["dynamic"], cells["static"]
+        rows += cell_rows(name, None, "interp", {
+            "cycle_overhead": (round(dyn["cycles"] / sta["cycles"], 4)
+                               if sta["cycles"] else 0.0),
+            "wall_overhead": (round(dyn["wall_s"] / sta["wall_s"], 4)
+                              if sta["wall_s"] else 0.0)})
+    rows += cell_rows("total", None, "interp", {
+        "wall_s": round(total_wall, 6),
+        "cycles": total_cycles,
+        "mcycles_per_s": round(total_cycles / total_wall / 1e6, 3)
+        if total_wall else 0.0,
+    })
+    return make_payload("interp", {
+        "fast": fast, "repeats": repeats,
+        "python": platform.python_version()}, rows)

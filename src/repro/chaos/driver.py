@@ -69,6 +69,9 @@ def _error_identity(diag: Optional[Dict[str, Any]]) \
 
 
 def _output_sha(output: Sequence[str]) -> str:
+    # each line plus "\n", unlike RunResult.output_sha256: committed
+    # schedules (tests/data/schedule_v1_runtime.jsonl) record this value
+    # as identity.output_sha256, so replay must keep computing it
     digest = hashlib.sha256()
     for line in output:
         digest.update(line.encode("utf-8"))

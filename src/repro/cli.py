@@ -62,13 +62,9 @@ import dataclasses
 
 from .core.api import analyze
 from .errors import LexError, ParseError, ReproError
-from .interp.machine import Machine, RunOptions, execute
+from .interp.machine import BACKENDS, Machine, RunOptions, execute
 from .interp.translate import translate as run_translate
 from .lang import pretty_program
-
-#: --backend choices shared by run/profile/bench/chaos (see
-#: RunOptions.backend); None = the subcommand's own default
-BACKEND_CHOICES = ("interp", "py", "py-fused", "py-faithful", "c")
 
 _EMBEDDED_PROGRAM = re.compile(r'^PROGRAM\s*=\s*r?"""(.*?)"""',
                                re.S | re.M)
@@ -246,9 +242,12 @@ def cmd_run(args) -> int:
         # renders the run's own registry on every request
         from .obs.live import telemetry_routes
         from .serve.server import HTTPEdge
-        server = HTTPEdge("127.0.0.1", args.serve_metrics,
-                          telemetry_routes(_telemetry_store(args),
-                                           metrics))
+        routes = telemetry_routes(_telemetry_store(args), metrics)
+        try:
+            server = HTTPEdge("127.0.0.1", args.serve_metrics, routes)
+        except OSError as err:
+            # nothing has run or been written yet
+            return _cannot_bind("127.0.0.1", args.serve_metrics, err)
         server.serve_background()
         # bound + listening before this prints: the line is the ready
         # signal (stderr so it never mixes with program output), and
@@ -444,9 +443,9 @@ def _measure(args):
         from .bench import serve_chaos
         return serve_chaos.measure(workers=args.serve_workers,
                                    fast=not args.full), None
-    from .bench import wallclock
-    return wallclock.measure(args.only, fast=not args.full,
-                             repeats=args.repeats), None
+    from .bench import timing
+    return timing.measure(args.only, fast=not args.full,
+                          repeats=args.repeats), None
 
 
 def _load_payloads(paths, what: str):
@@ -729,13 +728,24 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+def _cannot_bind(host: str, port: int, err: OSError) -> int:
+    """Report a failed listen in one line; the exit status."""
+    print(f"error: cannot bind {host}:{port}: {err.strerror or err}",
+          file=sys.stderr)
+    return 1
+
+
 def cmd_metricsd(args) -> int:
     from .obs.live import telemetry_routes
     from .obs.telemetry import TelemetryStore
     from .serve.server import HTTPEdge
 
     store = TelemetryStore(args.store)
-    server = HTTPEdge(args.host, args.port, telemetry_routes(store))
+    routes = telemetry_routes(store)
+    try:
+        server = HTTPEdge(args.host, args.port, routes)
+    except OSError as err:
+        return _cannot_bind(args.host, args.port, err)
     # the constructor bound the socket, so the kernel is already
     # queueing connections: this line IS the readiness signal, and
     # with --port 0 it is the only place the real port appears.
@@ -801,9 +811,7 @@ def cmd_serve(args) -> int:
             with _writing(config.access_log):
                 raise
         # otherwise the bind failed (the service has reaped its pool)
-        print(f"error: cannot bind {config.host}:{config.port}: "
-              f"{err.strerror or err}", file=sys.stderr)
-        return 1
+        return _cannot_bind(config.host, config.port, err)
     # workers are forked and the socket is listening: connections are
     # already queueing in the backlog, so this ready line is accurate
     # (and, for --port 0, the only place the real port appears)
@@ -980,7 +988,7 @@ def _shared_parents():
     """
     backend = argparse.ArgumentParser(add_help=False)
     backend.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default=None,
+        "--backend", choices=BACKENDS, default=None,
         help="execution backend: the coroutine interpreter (default), "
              "compiled Python source ('py': fused straight-line code "
              "with checks erased at emit time where possible, faithful "
@@ -1304,7 +1312,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=".repro/serve-cache",
                        help="shared content-addressed AnalysisCache "
                             "tree (default .repro/serve-cache)")
-    p_srv.add_argument("--backend", choices=BACKEND_CHOICES,
+    p_srv.add_argument("--backend", choices=BACKENDS,
                        default=None,
                        help="default execution backend when a request "
                             "names none (default py)")

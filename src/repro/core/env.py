@@ -173,21 +173,6 @@ class Env:
             raise OwnershipTypeError(f"owner '{owner}' is not in scope")
         return kind
 
-    def knows_owner(self, owner: Owner) -> bool:
-        if owner in (HEAP, IMMORTAL, INITIAL_REGION):
-            return True
-        if owner == THIS:
-            return self.this_type is not None
-        return owner.name in self.owner_kinds
-
-    def is_region_owner(self, owner: Owner) -> bool:
-        """Does ``owner`` denote a region (its kind is ≤ Region)?"""
-        try:
-            kind = self.kind_of(owner)
-        except OwnershipTypeError:
-            return False
-        return self.program.kind_table.is_subkind(kind, K_REGION)
-
     def is_object_owner(self, owner: Owner) -> bool:
         """Does ``owner`` certainly denote an object?  ``this`` does;
         formals of kind ObjOwner do.  A formal of kind plain ``Owner``

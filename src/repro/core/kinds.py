@@ -104,9 +104,6 @@ class KindTable:
     supers: Dict[str, Tuple[Tuple[str, ...], Kind]] = field(
         default_factory=dict)
 
-    def is_user_kind(self, name: str) -> bool:
-        return name in self.supers
-
     def direct_super(self, kind: Kind) -> Optional[Kind]:
         """The direct super-kind with owner arguments substituted
         ([SUBKIND SHARED REGION KIND]); preserves the ``:LT`` refinement
@@ -143,10 +140,6 @@ class KindTable:
 
     def is_shared_kind(self, kind: Kind) -> bool:
         return self.is_subkind(kind, K_SHARED_REGION)
-
-    def is_object_kind(self, kind: Kind) -> bool:
-        """True for kinds that can only denote objects (ObjOwner)."""
-        return kind.name == OBJ_OWNER
 
     def lineage(self, kind: Kind) -> Tuple[Kind, ...]:
         """The chain ``kind, super(kind), ...`` up to ``Owner``."""

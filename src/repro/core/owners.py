@@ -46,18 +46,12 @@ class Owner:
     def __str__(self) -> str:
         return self.name
 
-    @property
-    def is_special(self) -> bool:
-        return self.name in _SPECIALS
-
 
 THIS = Owner("this")
 HEAP = Owner("heap")
 IMMORTAL = Owner("immortal")
 INITIAL_REGION = Owner("initialRegion")
 RT_EFFECT = Owner("RT")
-
-_SPECIALS = frozenset({"this", "heap", "immortal", "initialRegion", "RT"})
 
 #: A substitution maps owner atoms (typically formals) to owner atoms.
 Subst = Dict[Owner, Owner]

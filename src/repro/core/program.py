@@ -375,12 +375,6 @@ class ProgramInfo:
 
     # -- region-kind member lookup ---------------------------------------
 
-    def region_kind_info(self, name: str) -> RegionKindInfo:
-        info = self.region_kinds.get(name)
-        if info is None:
-            raise OwnershipTypeError(f"unknown region kind '{name}'")
-        return info
-
     def lookup_portal(self, kind: Kind,
                       field_name: str) -> Optional[FieldInfo]:
         """Portal field lookup through the region-kind hierarchy; the

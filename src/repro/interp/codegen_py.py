@@ -953,7 +953,8 @@ def select_program(machine: Any, backend: str) -> PyProgram:
     the machine then runs the interpreter.  The machine gate runs once,
     before anything is lowered.
     """
-    if backend not in ("c", "py", "py-fused", "py-faithful"):
+    from .machine import BACKENDS
+    if backend == "interp" or backend not in BACKENDS:
         raise CodegenUnsupported(f"unknown backend {backend!r}")
     _machine_gate(machine)
     if backend == "c":

@@ -1024,12 +1024,6 @@ class _FaithfulEmitter:
         return w.source()
 
 
-def faithful_source(lowered: LoweredProgram, active: bool,
-                    cost: Any) -> str:
-    """The generated module text (exposed for tests and debugging)."""
-    return _FaithfulEmitter(lowered, active, cost).emit_module()
-
-
 def _faithful_bind(analyzed: Any, lowered: LoweredProgram, active: bool,
                    cost: Any) -> Any:
     def build() -> Any:

@@ -406,19 +406,6 @@ class Interpreter:
                 f"object {obj!r} has no method '{method_name}'")
         return entry
 
-    def _resolve_impl(self, obj: ObjRef, method_name: str):
-        """Dynamic dispatch (cached): returns the defining class info,
-        method info, and the receiver's owner values translated to that
-        class's formals."""
-        entry = self._call_entry(obj, method_name)
-        selectors, info, mi = entry[1], entry[7], entry[8]
-        if selectors is None:
-            return info, mi, obj.owners
-        owners = obj.owners
-        return info, mi, tuple(
-            obj if s is _THIS else owners[s] if type(s) is int else s
-            for s in selectors)
-
     def call_method(self, obj: ObjRef, method_name: str,
                     owner_values: Tuple[Any, ...], args: Tuple[Any, ...],
                     caller_region: MemoryArea, thread: SimThread):
@@ -506,16 +493,6 @@ class Interpreter:
             yield  # pragma: no cover
         return run_unknown
 
-    def _native_call(self, obj: ObjRef, native: str, args: Tuple[Any, ...]):
-        yield from self._native_code(native)(obj, args)
-
-    def _array_index(self, storage: ArrayStorage, index: int) -> Any:
-        if not 0 <= index < len(storage.values):
-            raise InterpreterError(
-                f"array index {index} out of bounds "
-                f"(length {len(storage.values)})")
-        return storage.values[index]
-
     # ------------------------------------------------------------------
     # compilation driver
     # ------------------------------------------------------------------
@@ -523,10 +500,6 @@ class Interpreter:
     def exec_block(self, block: ast.Block, frame: Frame,
                    region: MemoryArea, thread: SimThread):
         return self._compile_block(block)(frame, region, thread)
-
-    def exec_stmt(self, stmt: ast.Stmt, frame: Frame, region: MemoryArea,
-                  thread: SimThread):
-        return self._compile_stmt(stmt)(frame, region, thread)
 
     def eval_expr(self, expr: ast.Expr, frame: Frame, region: MemoryArea,
                   thread: SimThread):
@@ -1222,14 +1195,6 @@ class Interpreter:
 
     # -- field access -------------------------------------------------------
 
-    def _static_target(self, target: ast.Expr,
-                       frame: Frame) -> Optional[str]:
-        if (isinstance(target, ast.VarRef)
-                and target.name not in frame.vars
-                and target.name in self.info.classes):
-            return target.name
-        return None
-
     def _field_write_checked(self, recv: Any, field_name: str, value: Any,
                              thread: SimThread, loc):
         obj = self._require_object(recv, loc,
@@ -1408,13 +1373,6 @@ class Interpreter:
             meta = dict(self.info.all_subregions(kind).items())
         self._kind_cache[kind_name] = (portals, meta)
         return portals, meta
-
-    def _subregion_meta(self, kind_name: str):
-        return self._kind_meta(kind_name)[1]
-
-    def _portal_defaults(self, kind_name: str):
-        """Portal slots with Java zero-initialization by declared type."""
-        return self._kind_meta(kind_name)[0]
 
     def _create_area(self, name: str, kind_name: str, policy: str,
                      budget: int, ancestors, parent, realtime_only: bool,

@@ -16,6 +16,7 @@ check.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -33,6 +34,11 @@ from ..rtsj.sanitizer import RegionSanitizer
 from ..rtsj.stats import CostModel, Stats
 from ..rtsj.threads import Scheduler, SimThread
 from .interpreter import Frame, Interpreter
+
+#: every ``RunOptions.backend`` name (and so every ``--backend`` choice
+#: and every backend a serve request may name); all but "interp" are
+#: compiled by ``codegen_py.select_program``
+BACKENDS = ("interp", "py", "py-fused", "py-faithful", "c")
 
 
 @dataclass
@@ -110,6 +116,12 @@ class RunResult:
     @property
     def cycles(self) -> int:
         return self.stats.cycles
+
+    @property
+    def output_sha256(self) -> str:
+        """sha256 of the output lines joined by newlines: the digest
+        every harness and serve body reports."""
+        return hashlib.sha256("\n".join(self.output).encode()).hexdigest()
 
 
 class Machine:

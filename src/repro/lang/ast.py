@@ -449,9 +449,3 @@ class Program:
             if cls.name == name:
                 return cls
         return None
-
-    def region_kind_named(self, name: str) -> Optional[RegionKindDecl]:
-        for rk in self.region_kinds:
-            if rk.name == name:
-                return rk
-        return None

@@ -74,11 +74,6 @@ class RegionLife:
     leak_suspect: bool = False
     leak_reasons: List[str] = field(default_factory=list)
 
-    def _touch(self, cycle: int) -> None:
-        if not self.curve and self.created_cycle is None:
-            self.first_cycle = cycle
-        self.last_cycle = max(self.last_cycle, cycle)
-
     def _point(self, cycle: int) -> None:
         self.curve.append((cycle, self.live_bytes))
         self.last_cycle = max(self.last_cycle, cycle)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import IO, Any, Dict, Iterator, List, Tuple, Union
+from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from .flightrec import FlightRecord, FlightRecorder
 from .metrics import (MetricsRegistry, QUANTILES, _HistogramChild,
@@ -302,6 +302,16 @@ def parse_prometheus(text: str) -> Tuple[Dict[str, str], Dict[str, str],
         except ValueError:
             raise ValueError(f"non-numeric sample value in {line!r}")
     return help_text, types, samples
+
+
+def sample_total(text: str, name: str,
+                 labels: Optional[Dict[str, str]] = None) -> float:
+    """Sum of the samples of ``name`` in exposition ``text`` whose labels
+    include ``labels``."""
+    want = set((labels or {}).items())
+    return sum((value for (sample, items), value
+                in parse_prometheus(text)[2].items()
+                if sample == name and want <= set(items)), 0.0)
 
 
 def write_metrics(registry: MetricsRegistry,

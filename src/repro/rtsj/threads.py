@@ -44,11 +44,6 @@ class SimThread:
     last_scheduled: int = 0
     max_dispatch_latency: int = 0
 
-    @property
-    def no_heap(self) -> bool:
-        """Our RT forked threads are no-heap real-time threads."""
-        return self.realtime
-
 
 class Scheduler:
     def __init__(self, stats: Stats, quantum: int = 2000,

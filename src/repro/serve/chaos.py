@@ -49,6 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults import (FaultInjector, FaultPlan, FaultRecord, fault_key,
                       judge_replay, save_schedule)
+from ..obs.exporters import sample_total
 from .client import ClientPolicy, ResilientClient
 from .server import ServeConfig, ServeService
 
@@ -131,8 +132,7 @@ def _references(sources: Dict[str, str]) -> Dict[str, Dict[str, Any]]:
         out[name] = {
             "classes": len(analyzed.program.classes),
             "cycles": result.stats.cycles,
-            "output_sha256": hashlib.sha256(
-                "\n".join(result.output).encode()).hexdigest(),
+            "output_sha256": result.output_sha256,
         }
     return out
 
@@ -144,25 +144,6 @@ def _body_digest(body: Dict[str, Any]) -> str:
     return hashlib.sha256(json.dumps(
         trimmed, sort_keys=True,
         separators=(",", ":")).encode()).hexdigest()
-
-
-def _labeled_value(text: str, name: str,
-                   want: Dict[str, str]) -> float:
-    """Sum of exposition samples of ``name`` whose labels include
-    ``want`` — how the campaign reads rung transitions off /metrics."""
-    total = 0.0
-    prefix = name + "{"
-    for line in text.splitlines():
-        if not line.startswith(prefix):
-            continue
-        label_part = line[len(prefix):line.index("}")]
-        pairs = {}
-        for item in label_part.split(","):
-            key, _, value = item.partition("=")
-            pairs[key] = value.strip('"')
-        if all(pairs.get(k) == v for k, v in want.items()):
-            total += float(line.split()[-1])
-    return total
 
 
 def _count_quarantined(cache_dir: str) -> int:
@@ -289,12 +270,12 @@ def run_campaign(plan: Optional[FaultPlan] = None,
 
     wall_s = time.perf_counter() - started
     counts = injector.counts()
-    down = _labeled_value(metrics_text,
-                          "repro_serve_rung_transitions_total",
-                          {"src": "healthy", "dst": "brownout"})
-    up = _labeled_value(metrics_text,
+    down = sample_total(metrics_text,
                         "repro_serve_rung_transitions_total",
-                        {"src": "brownout", "dst": "healthy"})
+                        {"src": "healthy", "dst": "brownout"})
+    up = sample_total(metrics_text,
+                      "repro_serve_rung_transitions_total",
+                      {"src": "brownout", "dst": "healthy"})
 
     contract_failures.extend(parity_failures)
     for site, floor in minima.items():

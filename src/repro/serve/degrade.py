@@ -74,7 +74,6 @@ class DegradationLadder:
         self._rung = RUNG_HEALTHY
         self._streak = 0          # troubles since last step down
         self._last_trouble = 0.0  # clock stamp of the newest trouble
-        self._last_reason = ""
         if metrics is not None:
             self._rung_gauge = metrics.gauge(
                 "repro_serve_degradation_rung",
@@ -98,11 +97,6 @@ class DegradationLadder:
     def rung_name(self) -> str:
         return RUNG_NAMES[self.rung]
 
-    @property
-    def last_reason(self) -> str:
-        with self._lock:
-            return self._last_reason
-
     # -- transitions ----------------------------------------------------
 
     def _move(self, target: int) -> None:
@@ -125,7 +119,6 @@ class DegradationLadder:
         now = self._clock()
         with self._lock:
             self._last_trouble = now
-            self._last_reason = reason
             self._streak += 1
             if self._rung == RUNG_HEALTHY:
                 self._move(RUNG_BROWNOUT)

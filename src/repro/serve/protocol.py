@@ -191,9 +191,9 @@ def validate_request(payload: Any) -> Optional[str]:
     if mode not in MODES:
         return f"mode must be one of {MODES}, not {mode!r}"
     backend = payload.get("backend", "py")
-    from ..cli import BACKEND_CHOICES
-    if backend not in BACKEND_CHOICES:
-        return (f"backend must be one of {BACKEND_CHOICES}, "
+    from ..interp.machine import BACKENDS
+    if backend not in BACKENDS:
+        return (f"backend must be one of {BACKENDS}, "
                 f"not {backend!r}")
     deadline_ms = payload.get("deadline_ms")
     if deadline_ms is not None:

@@ -53,7 +53,6 @@ with.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import signal
 import time
@@ -202,8 +201,7 @@ class WarmWorker:
             "cycles": result.stats.cycles,
             "steps": result.stats.steps,
             "output_lines": len(result.output),
-            "output_sha256": hashlib.sha256(
-                "\n".join(result.output).encode()).hexdigest(),
+            "output_sha256": result.output_sha256,
             "output": result.output,
         }
         if endpoint == "inspect":

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from repro.bench import codegen, frontend, serve, serve_chaos, wallclock
+from repro.bench import codegen, frontend, serve, serve_chaos, timing
 from repro.bench.compare import (SCHEMA, failures, judge, key,
                                  load_payload, save_payload)
 from repro.cli import main
@@ -19,7 +19,7 @@ from repro.obs.telemetry import TelemetryStore, make_envelope
 
 ROOT = pathlib.Path(__file__).parent.parent.parent
 
-SUITES = {"interp": wallclock, "frontend": frontend, "codegen": codegen,
+SUITES = {"interp": timing, "frontend": frontend, "codegen": codegen,
           "serve": serve, "serve-chaos": serve_chaos}
 
 #: a payload as a suite wrote it before repro-bench/2

@@ -1,5 +1,8 @@
 """Integration tests over the eight benchmark programs of Section 3."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro import RunOptions, analyze, run_source
@@ -8,6 +11,10 @@ from repro.bench.suite import BENCHMARKS, IMAGEREC_STAGES
 from repro.bench.timing import measure_check_overhead
 
 ALL = sorted(BENCHMARKS)
+
+#: cycles, output digests and check counts of the seed interpreter
+SEED = json.loads((pathlib.Path(__file__).parent.parent / "data"
+                   / "seed_equivalence.json").read_text())["fixture"]
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -24,6 +31,11 @@ def test_benchmark_runs_identically_in_both_modes(name):
                                  expected_output=bench.expected_output())
     assert row.dynamic_cycles > 0
     assert row.static_cycles > 0
+    # Figure 12's cycles and check counts are the seed interpreter's
+    assert row.dynamic_cycles == SEED[name]["dynamic"]["cycles"]
+    assert row.static_cycles == SEED[name]["static"]["cycles"]
+    assert row.assignment_checks == SEED[name]["dynamic"]["assignment_checks"]
+    assert row.read_checks == SEED[name]["dynamic"]["read_checks"]
 
 
 @pytest.mark.parametrize("name", ALL)

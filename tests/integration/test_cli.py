@@ -357,6 +357,32 @@ class TestFileFlags:
         assert len(err.splitlines()) == 1
         assert not leftover, "a serve worker outlived the frontend"
 
+    @pytest.mark.parametrize("argv", [
+        ("metricsd", "--port", "{port}", "--store", "store"),
+        ("run", str(REPO_ROOT / "examples" / "producer_consumer.py"),
+         "--serve-metrics", "{port}"),
+    ], ids=["metricsd", "run-serve-metrics"])
+    def test_telemetry_endpoint_on_a_busy_port_is_one_line(self, argv,
+                                                           tmp_path):
+        held = socket.socket()
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro",
+                 *(arg.format(port=port) for arg in argv)],
+                capture_output=True, text=True, env=env, cwd=tmp_path,
+                timeout=60)
+        finally:
+            held.close()
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(
+            f"error: cannot bind 127.0.0.1:{port}: ")
+        assert len(proc.stderr.splitlines()) == 1
+
 
 class TestCountFlags:
     """A worker count below one or a negative ``--top`` is a usage

@@ -9,7 +9,8 @@ GC behavior is a correctness bug, not a performance detail.
 
 Also covers the ``instrument=False`` fast path (null observability
 sinks must not change program behavior, and must record nothing) and
-the ``repro bench`` wall-clock harness built on top of it.
+the ``repro bench`` interp suite, a view of the bench runner's
+interpreter cells built on top of it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pathlib
 
 import pytest
 
-from repro.bench import wallclock
+from repro.bench import timing
 from repro.bench.compare import (SCHEMA, failures, judge, load_payload,
                                  save_payload)
 from repro.bench.suite import BENCHMARKS
@@ -95,19 +96,8 @@ def test_instrumented_run_still_records_by_default():
 
 
 # ---------------------------------------------------------------------------
-# the wall-clock bench harness
+# the interp suite: a view of the interpreter cells
 # ---------------------------------------------------------------------------
-
-def test_measure_benchmark_row_shape():
-    row = wallclock.measure_benchmark("Array", fast=True, repeats=1)
-    for mode in ("dynamic", "static"):
-        data = row[mode]
-        assert data["wall_s"] > 0
-        assert data["cycles"] == FIXTURE["Array"][mode]["cycles"]
-        assert data["output_sha256"] == \
-            FIXTURE["Array"][mode]["output_sha256"]
-    assert row["cycle_overhead"] > 1.0  # dynamic checks cost cycles
-
 
 def _values(payload, **where):
     """``{(program, mode, metric): value}`` of the rows matching
@@ -125,8 +115,21 @@ def _edit(payload, program, mode, metric, change):
     return edited
 
 
+def test_measure_benchmark_row_shape():
+    row = _values(timing.measure(["Array"], fast=True, repeats=1),
+                  program="Array")
+    for mode in ("dynamic", "static"):
+        assert row[("Array", mode, "wall_s")] > 0
+        assert row[("Array", mode, "cycles")] == \
+            FIXTURE["Array"][mode]["cycles"]
+        assert row[("Array", mode, "output_sha256")] == \
+            FIXTURE["Array"][mode]["output_sha256"]
+    # dynamic checks cost cycles
+    assert row[("Array", None, "cycle_overhead")] > 1.0
+
+
 def test_measure_payload_and_compare_roundtrip(tmp_path):
-    payload = wallclock.measure(["Array"], fast=True, repeats=1)
+    payload = timing.measure(["Array"], fast=True, repeats=1)
     assert payload["schema"] == SCHEMA and payload["suite"] == "interp"
     path = tmp_path / "bench.json"
     save_payload(payload, str(path))
@@ -136,7 +139,7 @@ def test_measure_payload_and_compare_roundtrip(tmp_path):
 
 
 def test_compare_flags_cycle_drift_and_wall_regression():
-    payload = wallclock.measure(["Array"], fast=True, repeats=1)
+    payload = timing.measure(["Array"], fast=True, repeats=1)
     drifted = _edit(payload, "Array", "static", "cycles", lambda v: v + 1)
     assert any("determinism break" in f
                for f in failures(judge(drifted, payload)))
