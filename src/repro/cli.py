@@ -1153,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=2, metavar="N",
                          help="serve suite: worker processes behind "
                               "the benched service (default 2)")
-    p_bench.add_argument("--serve-clients", type=int, default=4,
+    p_bench.add_argument("--serve-clients", type=_positive_int, default=4,
                          metavar="N",
                          help="serve suite: closed-loop client threads "
                               "in the warm phase (default 4)")
@@ -1167,7 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--full", action="store_true",
                          help="use the full benchmark parameters "
                               "(default: fast parameters)")
-    p_bench.add_argument("--repeats", type=int, default=3,
+    p_bench.add_argument("--repeats", type=_positive_int, default=3,
                          help="timing repeats per benchmark/mode; the "
                               "best run is reported (default 3)")
     p_bench.add_argument("--only", nargs="+", metavar="NAME",
@@ -1207,7 +1207,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(service-level faults: worker kills, "
                               "stalls, pipe failures, torn cache "
                               "shards, latency spikes)")
-    p_chaos.add_argument("--requests", type=int, default=32,
+    p_chaos.add_argument("--requests", type=_positive_int, default=32,
                          help="serve target: campaign traffic "
                               "(default 32; topped up until the "
                               "schedule minima are met)")
@@ -1215,7 +1215,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=2, metavar="N",
                          help="serve target: worker processes behind "
                               "the campaigned service (default 2)")
-    p_chaos.add_argument("--seeds", type=int, default=5,
+    p_chaos.add_argument("--seeds", type=_positive_int, default=5,
                          help="fault plans per program (default 5)")
     p_chaos.add_argument("--seed-base", type=int, default=0,
                          help="first seed (default 0)")

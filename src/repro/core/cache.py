@@ -34,7 +34,8 @@ Two tiers, looked up in this order:
   fingerprint: the annotated (post-inference) ``ClassDecl``, its
   class-relative diagnostics and its inferred owner annotations.  A
   table outlives the analyses that fill it and may be shared by many
-  programs (the serve worker keeps one per process), because a
+  programs (the serve worker keeps one per process, bounded, which
+  admits a class on its second sighting), because a
   fingerprint names everything a class's analysis observes — except
   where the class sits.  So a hit at the same ``(line, col, filename)``
   reuses the stored decl and skips lexing *and* parsing of that chunk;
@@ -533,12 +534,31 @@ class ClassTable:
     (``entries``), plus the text scans :func:`fingerprints` memoizes by
     chunk SHA (``texts``), each an LRU of at most ``capacity`` keys
     (``None``: no bound).  It holds no :class:`AnalysisCache`, so one
-    table can outlive and serve any number of analyses."""
+    table can outlive and serve any number of analyses.
+
+    An unbounded table keeps every class it is given.  A bounded one
+    admits a class on its second sighting: ``seen`` (an LRU of the same
+    capacity) holds the fingerprints sighted once, so a class no later
+    program declares costs one string, not a decl the collector walks
+    for as long as the table lives."""
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         self.entries: Dict[str, ClassEntry] = _Lru(capacity)
         self.texts: Dict[str, Tuple[str, Tuple[str, ...]]] = \
             _Lru(capacity)
+        self.seen: Dict[str, None] = _Lru(capacity)
+
+    def admits(self, fingerprint: str) -> bool:
+        """Whether a class analysis of ``fingerprint`` enters
+        ``entries`` now; a bounded table's first sighting only notes it
+        in ``seen``."""
+        if self.entries.capacity is None or fingerprint in self.entries:
+            return True
+        if fingerprint in self.seen:
+            del self.seen[fingerprint]
+            return True
+        self.seen[fingerprint] = None
+        return False
 
 
 class AnalysisCache:
@@ -675,16 +695,22 @@ class AnalysisCache:
                errors: Optional[List[dict]],
                annotations: Optional[Annotations] = None,
                where: Optional[Where] = None) -> None:
-        """Learn one class analysis: into the table, and into the shard
-        when it lacks it.  ``where`` is the chunk's position; an entry
-        without one is only ever replayed onto a fresh parse.
-        ``errors`` of ``None`` (a diagnostic the cache cannot replay)
-        records nothing: the class stays live."""
+        """Learn one class analysis: into the table when it admits the
+        class (:meth:`ClassTable.admits`), and into the shard when it
+        lacks it — also on a first sighting, so siblings warm from disk.
+        ``where`` is the chunk's position; an entry without one is only
+        ever replayed onto a fresh parse.  ``errors`` of ``None`` (a
+        diagnostic the cache cannot replay) records nothing: the class
+        stays live."""
         if errors is None:
+            return
+        admitted = self.table.admits(fingerprint)
+        if not admitted and not self.path:
             return
         if annotations is None:
             annotations = collect_annotations(decl)
-        self.table.entries[fingerprint] = ClassEntry(where, decl, errors,
-                                                     annotations)
+        if admitted:
+            self.table.entries[fingerprint] = ClassEntry(
+                where, decl, errors, annotations)
         self.keep_in_shard(name, chunk_sha, policy_key, fingerprint,
                            errors, annotations)

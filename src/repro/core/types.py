@@ -7,12 +7,19 @@ Class and handle types are *interned* (hash-consed) like
 yields the same object, which makes the checker's substitution-heavy hot
 path allocate nothing for repeated types and turns deep equality into a
 pointer check in the common case.  Equality/hashing remain structural.
+Class types are interned *weakly*: a type lives only as long as
+something else holds it, so the types of a class no later program
+declares (a serve worker's first-sight traffic) die with its program.
+Handle and primitive types, like owners, are named by formals, regions
+and scalars, which such traffic does not rename, so those interners
+stay strong.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Dict, MutableMapping, Optional, Tuple
 
 from .owners import Owner, Subst, substitute, substitute_all
 
@@ -84,8 +91,9 @@ class ClassType(Type):
     name: str
     owners: Tuple[Owner, ...]
 
-    _interned: ClassVar[Dict[Tuple[str, Tuple[Owner, ...]],
-                             "ClassType"]] = {}
+    _interned: ClassVar[MutableMapping[Tuple[str, Tuple[Owner, ...]],
+                                       "ClassType"]] = \
+        weakref.WeakValueDictionary()
 
     def __new__(cls, name: Optional[str] = None,
                 owners: Tuple[Owner, ...] = ()) -> "ClassType":

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.api import AnalyzedProgram
+from ..core.owners import Owner
 from ..core.program import (ClassInfo, MethodInfo, ProgramInfo,
                             convert_type, make_subst)
 from ..core.types import BOOLEAN, ClassType, FLOAT, HandleType, INT, Type
@@ -321,7 +322,6 @@ class _FactsPass:
         return t
 
     def _type_of(self, expr: ast.Expr) -> Optional[Type]:
-        from ..core.owners import Owner
         info = self.info
         if isinstance(expr, ast.IntLit):
             return INT
@@ -523,7 +523,6 @@ class _FactsPass:
         saved_type = self.tenv.get(handle_name, _MISSING)
         self.owner_env[region_name] = ("region", region_slot)
         self.scope[handle_name] = handle_slot
-        from ..core.owners import Owner
         self.tenv[handle_name] = HandleType(Owner(region_name))
         try:
             self.walk_block(body)

@@ -4,11 +4,22 @@ Each serve fact has one in-memory home.  The worker's is class
 analyses, in one :class:`~repro.core.cache.ClassTable` of
 ``MAX_CLASSES`` entries keyed by class fingerprint that lasts as long
 as the worker.  Every analysis looks a class up there first, so a
-program re-infers and re-checks only the classes no earlier program
-had, and re-parses only those and the ones that moved (paper §2.5:
-inference is intra-procedural, so a class's analysis depends only on
-what its fingerprint names).  The :class:`AnalyzedProgram` and the
-compiled forms it carries (``analyzed.compiled``) die with the reply.
+program re-infers and re-checks only the classes the table lacks, and
+re-parses only those and the ones that moved (paper §2.5: inference is
+intra-procedural, so a class's analysis depends only on what its
+fingerprint names).  A class enters the table on its second sighting:
+the first only notes its fingerprint, so the one-off classes of
+first-sight traffic never sit in the heap the collector walks, and a
+class's analysis is reused from its third sighting on.  The
+:class:`AnalyzedProgram` and the compiled forms it carries
+(``analyzed.compiled``) die with the reply, and so do its class types
+(they are interned weakly).
+
+Before its first job a worker imports the request path's entry
+modules and freezes its start-up heap out of the collector's view
+(``gc.freeze()``), so a full collection walks only what jobs left
+behind: the class table, the modules the first jobs import lazily,
+and the garbage of the request in flight.
 
 The other facts live elsewhere:
 
@@ -53,6 +64,7 @@ with.
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import time
@@ -64,13 +76,14 @@ from ..obs.trace import end_span, start_span
 from .protocol import error_body
 
 #: class-table bound, per worker, in entries (an annotated ClassDecl with
-#: its diagnostics and annotations each).  Measured on one worker's
-#: 500-request share of perfbench ``cold`` (seed 7, in process): 16 to
-#: 256 entries all replay 1,120-1,121 of its 1,625 classes, and the share
-#: ends with 30.9k/37.6k/51.0k/77.8k/131.5k tracked objects and a
-#: 38.9/40.5/43.5/48.3/59.0 MB peak RSS at 16/32/64/128/256 entries.
-#: Those programs draw on the registry's 25 classes only; 128 leaves room
-#: for a wider mix, where a bound sized to 25 would thrash
+#: its diagnostics and annotations each), and in fingerprints sighted
+#: once.  A class is admitted on its second sighting, so on perfbench
+#: ``cold`` (seed 7) the two workers' tables end with the few registry
+#: classes that recur (9 entries on the even share), where admitting on
+#: first sight filled all 128 with salted classes no request read again
+#: (1,008 of the plan's 1,025 stored classes).  128 leaves room for a
+#: wider mix of recurring classes, where a bound sized to today's would
+#: thrash
 MAX_CLASSES = 128
 
 #: flight-recorder ring capacity for served /v1/inspect jobs
@@ -257,7 +270,16 @@ def worker_main(conn, cache_root: Optional[str] = None,
             stale.close()
         except OSError:
             pass
+    # the request path's modules (the package already imports the
+    # first two; only inspect jobs use the third, which the frontend
+    # never imports), then the whole start-up heap, which no job frees,
+    # moved out of the collector's view: a full collection walks only
+    # what jobs leave behind
+    from ..core import api  # noqa: F401
+    from ..interp import machine  # noqa: F401
+    from ..obs import analyze  # noqa: F401
     worker = WarmWorker(cache_root, flight_dir=flight_dir)
+    gc.freeze()
     try:
         while True:
             try:

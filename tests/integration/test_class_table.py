@@ -8,6 +8,7 @@ one must leave the decls the other holds untouched: no pass writes onto
 a shared node.
 """
 
+import gc
 import hashlib
 import re
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro import RunOptions, analyze
 from repro.bench.suite import BENCHMARKS
+from repro.core.types import ClassType
 from repro.interp.machine import execute
 from repro.serve.protocol import program_sha
 from repro.serve.worker import WarmWorker
@@ -81,6 +83,9 @@ def test_two_live_programs_share_a_class(name):
     base = BENCHMARKS[name].source(fast=True)
     first_src, second_src = salted(base, "1"), salted(base, "2")
     worker = WarmWorker()
+    # a class enters the worker's table on its second sighting
+    zeroth = salted(base, "0")
+    worker._analyze(zeroth, program_sha(zeroth))
     first = worker._analyze(first_src, program_sha(first_src))
     snapshot = (dump(first.program.classes),
                 identities(first.program.classes))
@@ -125,6 +130,52 @@ def test_table_is_bounded():
     base = BENCHMARKS["Tree"].source(fast=True)
     for i in range(worker_mod.MAX_CLASSES + 10):
         src = salted(base, str(i))
-        worker._analyze(src, program_sha(src))
+        for _ in range(2):  # admitted on the second sighting
+            worker._analyze(src, program_sha(src))
     assert len(worker._classes.entries) == worker_mod.MAX_CLASSES
     assert len(worker._classes.texts) == worker_mod.MAX_CLASSES
+    assert len(worker._classes.seen) <= worker_mod.MAX_CLASSES
+
+
+def test_a_class_enters_the_table_on_its_second_sighting():
+    worker = WarmWorker()
+    table = worker._classes
+    base = BENCHMARKS["Tree"].source(fast=True)
+    unchanged = class_names(base)[:-1]
+    variants = [salted(base, str(i)) for i in (1, 2, 3)]
+    stored = []
+
+    def analyze_variant(src):
+        analyzed = worker._analyze(src, program_sha(src))
+        assert not analyzed.errors
+        stored.extend(entry.decl.name for entry in table.entries.values())
+        return analyzed
+
+    analyze_variant(variants[0])
+    assert not table.entries
+    second = analyze_variant(variants[1])
+    assert sorted(e.decl.name for e in table.entries.values()) == \
+        sorted(unchanged)
+    third = analyze_variant(variants[2])
+    cache = third.cache_stats
+    assert cache["ast_hits"] == cache["memory_hits"] == len(unchanged) == 1
+    (reused,) = [d for d in third.program.classes if d.name in unchanged]
+    assert any(reused is d for d in second.program.classes)
+    # a salted class is sighted once, so it never enters the table
+    assert set(stored) <= set(unchanged)
+
+
+def test_class_types_of_a_dropped_program_are_collected():
+    worker = WarmWorker()
+    base = BENCHMARKS["Barnes"].source(fast=True)
+    salt_marker = "_sw"
+    for i in range(3):
+        src = salted(base, f"w{i}")
+        analyzed = worker._analyze(src, program_sha(src))
+        assert not analyzed.errors
+        assert any(salt_marker in t.name
+                   for t in list(ClassType._interned.values()))
+    del analyzed
+    gc.collect()
+    assert not [t for t in list(ClassType._interned.values())
+                if salt_marker in t.name]

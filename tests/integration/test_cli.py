@@ -385,14 +385,20 @@ class TestFileFlags:
 
 
 class TestCountFlags:
-    """A worker count below one or a negative ``--top`` is a usage
-    error (exit 2), not a traceback or a silently shortened table."""
+    """A worker, client, seed, request or repeat count below one, or a
+    negative ``--top``, is a usage error (exit 2), not a traceback, a
+    vacuous run or a silently shortened table."""
 
     @pytest.mark.parametrize("argv", [
         ("serve", "--workers", "0"),
         ("serve", "--workers", "-1"),
         ("chaos", "--target", "serve", "--serve-workers", "0"),
         ("bench", "--suite", "serve", "--serve-workers", "0"),
+        ("bench", "--suite", "serve", "--serve-clients", "0"),
+        ("bench", "--repeats", "-1"),
+        ("bench", "--repeats", "0"),
+        ("chaos", "--seeds", "0"),
+        ("chaos", "--target", "serve", "--requests", "0"),
         ("profile", "--top", "-2", "FILE"),
         ("profile", "--top", "many", "FILE"),
     ], ids=lambda argv: "-".join(a for a in argv if a != "FILE"))

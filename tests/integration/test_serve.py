@@ -538,3 +538,26 @@ class TestReadySignals:
             self._reap(proc)
         assert statuses == [200, 200, 404, 404, 400]
         assert one_connection
+
+
+def test_worker_freezes_its_start_up_heap():
+    """A worker imports the request path and freezes its start-up heap
+    before its first job, so a full collection walks only what jobs
+    leave behind."""
+    script = (
+        "import gc, multiprocessing, sys\n"
+        "from repro.serve.worker import worker_main\n"
+        "ours, theirs = multiprocessing.Pipe()\n"
+        "ours.send(None)\n"
+        "worker_main(theirs)\n"
+        "print(gc.get_freeze_count(),\n"
+        "      'repro.core.api' in sys.modules,\n"
+        "      'repro.obs.analyze' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    frozen, api_loaded, analyze_loaded = done.stdout.split()
+    assert int(frozen) > 0
+    assert api_loaded == analyze_loaded == "True"
