@@ -34,8 +34,9 @@ reproduce straight-line:
 
 On bail the orchestrator (``machine.execute``) discards the machine
 and reruns on a fresh one with the *faithful* generator backend, which
-reproduces the interpreter yield-for-yield.  Bailing is therefore
-always safe — a spurious bail costs wall clock, never correctness.
+reproduces the interpreter charge for charge, with the same preemption
+points.  Bailing is therefore always safe — a spurious bail costs wall
+clock, never correctness.
 
 Eligibility is decided once per machine, before anything is lowered,
 by the machine gate in :func:`select_program` — a well-typed program

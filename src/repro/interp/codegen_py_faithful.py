@@ -2,7 +2,9 @@
 
 ``compile_faithful`` emits one Python *generator* function per method
 body that transliterates the interpreter's compiled closures statement
-by statement: the same ``yield <cycles>`` stream, the same
+by statement: the same cycle costs in the same order (yielded to the
+scheduler, which charges each one as the interpreter charges it in
+place, so slices end at the same points), the same
 :class:`~repro.interp.interpreter.Frame` objects on ``thread.frames``
 (so GC roots are identical at every preemption point), the same
 ``frame.temps`` pinning discipline, and the same error sites with the

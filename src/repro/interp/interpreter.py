@@ -1,11 +1,17 @@
 """Generator-based tree-walking interpreter with compiled dispatch.
 
-Every ``eval``/``exec`` produces a Python generator that yields cycle
-costs (ints) or the scheduler sentinel :data:`~repro.rtsj.threads.YIELD`;
-the scheduler in :mod:`repro.rtsj.threads` drives thread coroutines round
-robin, so threads can interleave between any two simulated operations —
-which is what makes the producer/consumer and real-time experiments
-meaningful.
+Every ``eval``/``exec`` produces a Python generator that charges each
+cycle cost in place, where it is spent: it adds the cost to the global
+clock (``stats.cycles``) and takes it off the running thread's slice
+budget (``thread.budget``).  It suspends only when that budget is spent
+(the scheduler sentinel :data:`~repro.rtsj.threads.PREEMPT`) or when the
+program gives up the CPU (:data:`~repro.rtsj.threads.YIELD`, e.g.
+``yieldnow()``).  The scheduler in :mod:`repro.rtsj.threads` drives
+thread coroutines round robin, so any charge can end a slice and threads
+can interleave between any two simulated operations — which is what
+makes the producer/consumer and real-time experiments meaningful.  A
+suspension climbs every live generator frame of the thread, so it is
+paid once per slice, not once per cost.
 
 The interpreter is *owner-passing*: objects carry their runtime owners so
 allocation sites can resolve their target region directly.  A real
@@ -30,8 +36,9 @@ identity.
 Two invariants the compiler must preserve exactly, because the paper's
 numbers are *simulated* cycle counts:
 
-* the **yield sequence** (values and order) of every construct is
-  byte-identical to the reference tree-walker — preemption points and the
+* the **charge sequence** (values and order) of every construct is
+  identical to the reference tree-walker, and a thread suspends exactly
+  at the charge that spends its slice budget — preemption points and the
   global clock depend on it;
 * errors keep their type, message, and *timing* — an unknown node or
   builtin raises when it first executes, never at compile time (unknown
@@ -60,7 +67,7 @@ from ..lang import ast
 from ..source import loc_span
 from ..rtsj.objects import ArrayStorage, ObjRef, make_array
 from ..rtsj.regions import LT, MemoryArea, VT, release_shared
-from ..rtsj.threads import SimThread, YIELD
+from ..rtsj.threads import PREEMPT, SimThread, YIELD
 from .values import RegionHandle, format_value, region_of_owner
 
 
@@ -344,7 +351,7 @@ class Interpreter:
         # one fewer generator frame in its resume chain
         entry = self._call_entry(receiver, method_name)
         if entry[0] is not None:
-            yield from entry[0](receiver, args)
+            yield from entry[0](receiver, args, thread)
         else:
             yield from self._frame_call(entry, receiver, owner_values,
                                         args, initial_region, thread)
@@ -411,7 +418,7 @@ class Interpreter:
                     caller_region: MemoryArea, thread: SimThread):
         entry = self._call_entry(obj, method_name)
         if entry[0] is not None:
-            result = yield from entry[0](obj, args)
+            result = yield from entry[0](obj, args, thread)
         else:
             result = yield from self._frame_call(entry, obj, owner_values,
                                                  args, caller_region,
@@ -447,15 +454,19 @@ class Interpreter:
         return default_ret
 
     def _native_code(self, native: str):
-        """Compile a native (array) method to an ``(obj, args)``
+        """Compile a native (array) method to an ``(obj, args, thread)``
         generator function."""
         op = native.split(".")[1]
+        stats = self.stats
         if op == "get":
             cycles = self._c_field_read
 
-            def run_get(obj, args):
+            def run_get(obj, args, thread):
                 storage: ArrayStorage = obj.fields["__storage__"]
-                yield cycles
+                stats.cycles += cycles
+                thread.budget -= cycles
+                if thread.budget <= 0:
+                    yield PREEMPT
                 values = storage.values
                 index = args[0]
                 if 0 <= index < len(values):
@@ -467,9 +478,12 @@ class Interpreter:
         if op == "set":
             cycles = self._c_field_write
 
-            def run_set(obj, args):
+            def run_set(obj, args, thread):
                 storage: ArrayStorage = obj.fields["__storage__"]
-                yield cycles
+                stats.cycles += cycles
+                thread.budget -= cycles
+                if thread.budget <= 0:
+                    yield PREEMPT
                 index = args[0]
                 values = storage.values
                 if not 0 <= index < len(values):
@@ -482,13 +496,16 @@ class Interpreter:
         if op == "length":
             cycles = self._c_basic
 
-            def run_length(obj, args):
+            def run_length(obj, args, thread):
                 storage: ArrayStorage = obj.fields["__storage__"]
-                yield cycles
+                stats.cycles += cycles
+                thread.budget -= cycles
+                if thread.budget <= 0:
+                    yield PREEMPT
                 return len(storage.values)
             return run_length
 
-        def run_unknown(obj, args):
+        def run_unknown(obj, args, thread):
             raise InterpreterError(f"unknown native '{native}'")
             yield  # pragma: no cover
         return run_unknown
@@ -570,14 +587,14 @@ class Interpreter:
 
         Flat operands — literals, ``this``, variable reads — are the
         leaves of almost every hot expression; evaluating each through
-        its own generator costs a frame creation plus one resume of the
-        whole coroutine chain per yield.  Consumers therefore inline
-        them: the returned ``(kind, payload, loc, code)`` tuple drives
-        a small compile-time-constant branch inside the consumer's own
-        generator, reproducing the leaf's exact yield sequence and
+        its own generator costs a frame creation and a ``yield from``
+        per evaluation.  Consumers therefore inline them: the returned
+        ``(kind, payload, loc, code)`` tuple drives a small
+        compile-time-constant branch inside the consumer's own
+        generator, reproducing the leaf's exact charge sequence and
         ``temps`` bookkeeping without a nested frame.
 
-        kind 0 = constant (payload is the value; literals yield nothing),
+        kind 0 = constant (payload is the value; literals charge nothing),
         kind 1 = variable reference (payload is the name; falls back to
         an implicit-this field read when the name is not a local),
         kind 2 = ``this``, kind 3 = anything else (``code`` is the
@@ -626,7 +643,10 @@ class Interpreter:
             def run(frame, region, thread):
                 stats.steps += 1
                 frame.temps.clear()
-                yield op_local
+                stats.cycles += op_local
+                thread.budget -= op_local
+                if thread.budget <= 0:
+                    yield PREEMPT
                 frame.vars[name] = None
             return run
         field_read = self._field_read
@@ -640,7 +660,10 @@ class Interpreter:
             elif v_kind == 1:
                 value = frame.vars.get(v_val, _MISSING)
                 if value is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    thread.budget -= op_local
+                    if thread.budget <= 0:
+                        yield PREEMPT
                 else:
                     value = yield from field_read(frame.this, v_val,
                                                   thread, v_loc)
@@ -652,7 +675,10 @@ class Interpreter:
                     frame.temps.append(value)
             else:
                 value = yield from v_code(frame, region, thread)
-            yield op_local
+            stats.cycles += op_local
+            thread.budget -= op_local
+            if thread.budget <= 0:
+                yield PREEMPT
             frame.vars[name] = value
         return run
 
@@ -673,7 +699,10 @@ class Interpreter:
             elif v_kind == 1:
                 value = frame.vars.get(v_val, _MISSING)
                 if value is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    thread.budget -= op_local
+                    if thread.budget <= 0:
+                        yield PREEMPT
                 else:
                     value = yield from field_read(frame.this, v_val,
                                                   thread, v_loc)
@@ -686,7 +715,10 @@ class Interpreter:
             else:
                 value = yield from v_code(frame, region, thread)
             if name in frame.vars:
-                yield op_local
+                stats.cycles += op_local
+                thread.budget -= op_local
+                if thread.budget <= 0:
+                    yield PREEMPT
                 frame.vars[name] = value
             else:
                 yield from field_write(frame.this, name, value,
@@ -718,7 +750,10 @@ class Interpreter:
                 elif v_kind == 1:
                     value = frame.vars.get(v_val, _MISSING)
                     if value is not _MISSING:
-                        yield op_local
+                        stats.cycles += op_local
+                        thread.budget -= op_local
+                        if thread.budget <= 0:
+                            yield PREEMPT
                     else:
                         value = yield from field_read(frame.this, v_val,
                                                       thread, v_loc)
@@ -735,7 +770,10 @@ class Interpreter:
                                             thread, loc)
                     return
                 recv = frame.vars[cls_name]
-                yield op_local
+                stats.cycles += op_local
+                thread.budget -= op_local
+                if thread.budget <= 0:
+                    yield PREEMPT
                 if isinstance(recv, ObjRef):
                     frame.temps.append(recv)
                 if isinstance(recv, RegionHandle):
@@ -756,7 +794,10 @@ class Interpreter:
             elif v_kind == 1:
                 value = frame.vars.get(v_val, _MISSING)
                 if value is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    thread.budget -= op_local
+                    if thread.budget <= 0:
+                        yield PREEMPT
                 else:
                     value = yield from field_read(frame.this, v_val,
                                                   thread, v_loc)
@@ -771,7 +812,10 @@ class Interpreter:
             if t_kind == 1:
                 recv = frame.vars.get(t_val, _MISSING)
                 if recv is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    thread.budget -= op_local
+                    if thread.budget <= 0:
+                        yield PREEMPT
                 else:
                     recv = yield from field_read(frame.this, t_val,
                                                  thread, t_loc)
@@ -848,7 +892,10 @@ class Interpreter:
                 elif l_kind == 1:
                     left = frame.vars.get(l_val, _MISSING)
                     if left is not _MISSING:
-                        yield op_local
+                        stats.cycles += op_local
+                        thread.budget -= op_local
+                        if thread.budget <= 0:
+                            yield PREEMPT
                     else:
                         left = yield from field_read(frame.this, l_val,
                                                      thread, l_loc)
@@ -863,7 +910,10 @@ class Interpreter:
                 elif r_kind == 1:
                     right = frame.vars.get(r_val, _MISSING)
                     if right is not _MISSING:
-                        yield op_local
+                        stats.cycles += op_local
+                        thread.budget -= op_local
+                        if thread.budget <= 0:
+                            yield PREEMPT
                     else:
                         right = yield from field_read(frame.this, r_val,
                                                       thread, r_loc)
@@ -873,9 +923,15 @@ class Interpreter:
                     right = frame.this
                     if right is not None:
                         frame.temps.append(right)
-                yield op_basic
+                stats.cycles += op_basic
+                thread.budget -= op_basic
+                if thread.budget <= 0:
+                    yield PREEMPT
                 cond = fn(left, right)
-                yield op_branch
+                stats.cycles += op_branch
+                thread.budget -= op_branch
+                if thread.budget <= 0:
+                    yield PREEMPT
                 if cond:
                     yield from then_code(frame, region, thread)
                 elif else_code is not None:
@@ -888,7 +944,10 @@ class Interpreter:
             stats.steps += 1
             frame.temps.clear()
             cond = yield from cond_code(frame, region, thread)
-            yield op_branch
+            stats.cycles += op_branch
+            thread.budget -= op_branch
+            if thread.budget <= 0:
+                yield PREEMPT
             if cond:
                 yield from then_code(frame, region, thread)
             elif else_code is not None:
@@ -917,7 +976,10 @@ class Interpreter:
                     elif l_kind == 1:
                         left = frame.vars.get(l_val, _MISSING)
                         if left is not _MISSING:
-                            yield op_local
+                            stats.cycles += op_local
+                            thread.budget -= op_local
+                            if thread.budget <= 0:
+                                yield PREEMPT
                         else:
                             left = yield from field_read(
                                 frame.this, l_val, thread, l_loc)
@@ -932,7 +994,10 @@ class Interpreter:
                     elif r_kind == 1:
                         right = frame.vars.get(r_val, _MISSING)
                         if right is not _MISSING:
-                            yield op_local
+                            stats.cycles += op_local
+                            thread.budget -= op_local
+                            if thread.budget <= 0:
+                                yield PREEMPT
                         else:
                             right = yield from field_read(
                                 frame.this, r_val, thread, r_loc)
@@ -942,9 +1007,15 @@ class Interpreter:
                         right = frame.this
                         if right is not None:
                             frame.temps.append(right)
-                    yield op_basic
+                    stats.cycles += op_basic
+                    thread.budget -= op_basic
+                    if thread.budget <= 0:
+                        yield PREEMPT
                     cond = fn(left, right)
-                    yield op_branch
+                    stats.cycles += op_branch
+                    thread.budget -= op_branch
+                    if thread.budget <= 0:
+                        yield PREEMPT
                     if not cond:
                         break
                     yield from body_code(frame, region, thread)
@@ -957,7 +1028,10 @@ class Interpreter:
             frame.temps.clear()
             while True:
                 cond = yield from cond_code(frame, region, thread)
-                yield op_branch
+                stats.cycles += op_branch
+                thread.budget -= op_branch
+                if thread.budget <= 0:
+                    yield PREEMPT
                 if not cond:
                     break
                 yield from body_code(frame, region, thread)
@@ -980,7 +1054,10 @@ class Interpreter:
             elif v_kind == 1:
                 value = frame.vars.get(v_val, _MISSING)
                 if value is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    thread.budget -= op_local
+                    if thread.budget <= 0:
+                        yield PREEMPT
                 else:
                     value = yield from field_read(frame.this, v_val,
                                                   thread, v_loc)
@@ -992,7 +1069,10 @@ class Interpreter:
                     frame.temps.append(value)
             else:
                 value = yield from v_code(frame, region, thread)
-            yield op_return
+            stats.cycles += op_return
+            thread.budget -= op_return
+            if thread.budget <= 0:
+                yield PREEMPT
             raise _Return(value)
         return run
 
@@ -1047,7 +1127,10 @@ class Interpreter:
                                        budget, ancestors, None, False,
                                        thread)
             stats.region_cycles += cycles
-            yield cycles
+            stats.cycles += cycles
+            thread.budget -= cycles
+            if thread.budget <= 0:
+                yield PREEMPT
             saved_owner = frame.owners.get(region_name)
             saved_var = frame.vars.get(handle_name)
             frame.owners[region_name] = area
@@ -1106,7 +1189,10 @@ class Interpreter:
             if h_kind == 1:
                 handle = frame.vars.get(h_val, _MISSING)
                 if handle is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    thread.budget -= op_local
+                    if thread.budget <= 0:
+                        yield PREEMPT
                 else:
                     handle = yield from field_read(frame.this, h_val,
                                                    thread, h_loc)
@@ -1145,7 +1231,10 @@ class Interpreter:
                     sub.realtime, thread)
                 parent.subregions[sub_name] = slot
                 stats.region_cycles += cycles
-                yield cycles
+                stats.cycles += cycles
+                thread.budget -= cycles
+                if thread.budget <= 0:
+                    yield PREEMPT
             if rt_guard:
                 if thread.realtime and not slot.realtime_only:
                     raise RealtimeViolationError(
@@ -1159,7 +1248,10 @@ class Interpreter:
                 # the persistent subregion slot stays valid on denial;
                 # only this thread's entry is refused
                 yield from enter_guard(slot.name, thread)
-            yield region_enter
+            stats.cycles += region_enter
+            thread.budget -= region_enter
+            if thread.budget <= 0:
+                yield PREEMPT
             stats.region_cycles += region_enter
             stats.region_enters += 1
             slot.thread_count += 1
@@ -1214,7 +1306,10 @@ class Interpreter:
         if value_is_ref or isinstance(old, ObjRef):
             cycles += checks.read_cost(thread.realtime, value, old,
                                        line, thread.name)
-        yield cycles
+        self.stats.cycles += cycles
+        thread.budget -= cycles
+        if thread.budget <= 0:
+            yield PREEMPT
         fields[field_name] = value
 
     def _field_write_unchecked(self, recv: Any, field_name: str,
@@ -1226,7 +1321,11 @@ class Interpreter:
         if field_name not in fields:
             raise InterpreterError(
                 f"{recv!r} has no field '{field_name}'")
-        yield self._c_field_write
+        cycles = self._c_field_write
+        self.stats.cycles += cycles
+        thread.budget -= cycles
+        if thread.budget <= 0:
+            yield PREEMPT
         fields[field_name] = value
 
     def _field_read_checked(self, recv: Any, field_name: str,
@@ -1242,7 +1341,10 @@ class Interpreter:
             cycles += self.checks.read_cost(thread.realtime, value,
                                             line=loc[0],
                                             thread=thread.name)
-        yield cycles
+        self.stats.cycles += cycles
+        thread.budget -= cycles
+        if thread.budget <= 0:
+            yield PREEMPT
         return value
 
     def _field_read_unchecked(self, recv: Any, field_name: str,
@@ -1254,7 +1356,11 @@ class Interpreter:
         if field_name not in fields:
             raise InterpreterError(
                 f"{recv!r} has no field '{field_name}'")
-        yield self._c_field_read
+        cycles = self._c_field_read
+        self.stats.cycles += cycles
+        thread.budget -= cycles
+        if thread.budget <= 0:
+            yield PREEMPT
         return fields[field_name]
 
     def _static_write_checked(self, class_name: str, field_name: str,
@@ -1273,12 +1379,19 @@ class Interpreter:
         if value_is_ref or isinstance(old, ObjRef):
             cycles += checks.read_cost(thread.realtime, value, old,
                                        line, thread.name)
-        yield cycles
+        self.stats.cycles += cycles
+        thread.budget -= cycles
+        if thread.budget <= 0:
+            yield PREEMPT
         statics[key] = value
 
     def _static_write_unchecked(self, class_name: str, field_name: str,
                                 value: Any, thread: SimThread, loc):
-        yield self._c_field_write
+        cycles = self._c_field_write
+        self.stats.cycles += cycles
+        thread.budget -= cycles
+        if thread.budget <= 0:
+            yield PREEMPT
         self.machine.statics[(class_name, field_name)] = value
 
     def _static_read_checked(self, class_name: str, field_name: str,
@@ -1289,12 +1402,19 @@ class Interpreter:
             cycles += self.checks.read_cost(thread.realtime, value,
                                             line=loc[0],
                                             thread=thread.name)
-        yield cycles
+        self.stats.cycles += cycles
+        thread.budget -= cycles
+        if thread.budget <= 0:
+            yield PREEMPT
         return value
 
     def _static_read_unchecked(self, class_name: str, field_name: str,
                                thread: SimThread, loc):
-        yield self._c_field_read
+        cycles = self._c_field_read
+        self.stats.cycles += cycles
+        thread.budget -= cycles
+        if thread.budget <= 0:
+            yield PREEMPT
         return self.machine.statics.get((class_name, field_name))
 
     def _portal_write_checked(self, area: MemoryArea, field_name: str,
@@ -1314,7 +1434,10 @@ class Interpreter:
         if value_is_ref or isinstance(old, ObjRef):
             cycles += checks.read_cost(thread.realtime, value, old,
                                        line, thread.name)
-        yield cycles
+        self.stats.cycles += cycles
+        thread.budget -= cycles
+        if thread.budget <= 0:
+            yield PREEMPT
         portals[field_name] = value
 
     def _portal_write_unchecked(self, area: MemoryArea, field_name: str,
@@ -1323,7 +1446,11 @@ class Interpreter:
         if field_name not in portals:
             raise InterpreterError(
                 f"region '{area.name}' has no portal '{field_name}'")
-        yield self._c_portal_write
+        cycles = self._c_portal_write
+        self.stats.cycles += cycles
+        thread.budget -= cycles
+        if thread.budget <= 0:
+            yield PREEMPT
         portals[field_name] = value
 
     def _portal_read_checked(self, area: MemoryArea, field_name: str,
@@ -1338,7 +1465,10 @@ class Interpreter:
             cycles += self.checks.read_cost(thread.realtime, value,
                                             line=loc[0],
                                             thread=thread.name)
-        yield cycles
+        self.stats.cycles += cycles
+        thread.budget -= cycles
+        if thread.budget <= 0:
+            yield PREEMPT
         return value
 
     def _portal_read_unchecked(self, area: MemoryArea, field_name: str,
@@ -1347,7 +1477,11 @@ class Interpreter:
         if field_name not in portals:
             raise InterpreterError(
                 f"region '{area.name}' has no portal '{field_name}'")
-        yield self._c_portal_read
+        cycles = self._c_portal_read
+        self.stats.cycles += cycles
+        thread.budget -= cycles
+        if thread.budget <= 0:
+            yield PREEMPT
         return portals[field_name]
 
     # -- regions ----------------------------------------------------------
@@ -1410,10 +1544,10 @@ class Interpreter:
     #
     # These generators exist only on chaos runs (the compiled closures
     # call them solely when an injector is bound).  Backoff is charged
-    # to the simulated clock by *yielding* the cycles, so recovery has
-    # an honest cost in the Figure-12 currency and is preemptible.
+    # to the simulated clock like any other cost, so recovery has an
+    # honest cost in the Figure-12 currency and is preemptible.
 
-    def _backoff(self, attempt: int, thread_name: str = "main"):
+    def _backoff(self, attempt: int, thread: SimThread):
         """Charge the exponential backoff before retry ``attempt``."""
         stats = self.stats
         backoff = self._recovery.backoff_cycles(attempt)
@@ -1422,9 +1556,12 @@ class Interpreter:
         rec = self._recorder
         if rec is not None:
             rec.record("recovery", f"retry {attempt}",
-                       cycle=stats.cycles, thread=thread_name,
+                       cycle=stats.cycles, thread=thread.name,
                        attrs={"backoff": backoff, "attempt": attempt})
-        yield backoff
+        stats.cycles += backoff
+        thread.budget -= backoff
+        if thread.budget <= 0:
+            yield PREEMPT
 
     def _alloc_with_recovery(self, target: MemoryArea, obj,
                              thread: SimThread):
@@ -1452,7 +1589,7 @@ class Interpreter:
                 if not err.injected:
                     raise
                 if attempt < policy.max_retries:
-                    yield from self._backoff(attempt, thread.name)
+                    yield from self._backoff(attempt, thread)
                     attempt += 1
                     continue
                 if err.site != "vt_chunk" or not policy.vt_spill:
@@ -1494,7 +1631,7 @@ class Interpreter:
             err.thread = thread.name
             if attempt >= policy.max_retries:
                 raise err
-            yield from self._backoff(attempt, thread.name)
+            yield from self._backoff(attempt, thread)
             attempt += 1
         if attempt:
             self.stats.faults_recovered += 1
@@ -1518,7 +1655,7 @@ class Interpreter:
                 except ReproError as err:
                     if not err.injected or attempt >= policy.max_retries:
                         raise
-                    yield from backoff(attempt, thread.name)
+                    yield from backoff(attempt, thread)
                     attempt += 1
             return (yield from inner(area, field_name, value, thread,
                                      loc))
@@ -1563,7 +1700,7 @@ class Interpreter:
                     child.shared_stack.clear()
                     child.coroutine.close()
                     raise
-                yield from self._backoff(attempt, thread.name)
+                yield from self._backoff(attempt, thread)
                 attempt += 1
 
     # -- fork ---------------------------------------------------------------
@@ -1586,8 +1723,13 @@ class Interpreter:
                     raise MemoryAccessError(
                         "RT fork passed a heap reference "
                         f"{value!r} to a no-heap real-time thread")
-        yield self.cost.thread_spawn
-        self.stats.thread_cycles += self.cost.thread_spawn
+        stats = self.stats
+        thread_spawn = self.cost.thread_spawn
+        stats.cycles += thread_spawn
+        thread.budget -= thread_spawn
+        if thread.budget <= 0:
+            yield PREEMPT
+        stats.thread_cycles += thread_spawn
         name = f"{'rt-' if stmt.realtime else ''}thread-" \
                f"{len(self.machine.scheduler.threads)}"
         child = SimThread(name=name, coroutine=iter(()),
@@ -1632,6 +1774,7 @@ class Interpreter:
         return _run_this
 
     def _build_var_ref(self, expr: ast.VarRef):
+        stats = self.stats
         name = expr.name
         loc = expr.loc
         op_local = self._c_local
@@ -1640,7 +1783,10 @@ class Interpreter:
         def run(frame, region, thread):
             value = frame.vars.get(name, _MISSING)
             if value is not _MISSING:
-                yield op_local
+                stats.cycles += op_local
+                thread.budget -= op_local
+                if thread.budget <= 0:
+                    yield PREEMPT
             else:
                 value = yield from field_read(frame.this, name, thread,
                                               loc)
@@ -1725,14 +1871,19 @@ class Interpreter:
                            attrs={"bytes": size, "region": target.name,
                                   "policy": target.policy,
                                   "owner": owner_label, "line": line})
-            # pin before yielding the allocation cost: a GC at this very
-            # preemption point must see the newborn object
+            # pin before charging the allocation cost: a GC at the
+            # preemption point this charge may end on must see the
+            # newborn object
             frame.temps.append(obj)
-            yield cycles
+            stats.cycles += cycles
+            thread.budget -= cycles
+            if thread.budget <= 0:
+                yield PREEMPT
             return obj
         return run
 
     def _build_field_read(self, expr: ast.FieldRead):
+        stats = self.stats
         fname = expr.field_name
         loc = expr.loc
         op_local = self._c_local
@@ -1750,7 +1901,10 @@ class Interpreter:
                                                    thread, loc)
                 else:
                     recv = frame.vars[cls_name]
-                    yield op_local
+                    stats.cycles += op_local
+                    thread.budget -= op_local
+                    if thread.budget <= 0:
+                        yield PREEMPT
                     if isinstance(recv, ObjRef):
                         frame.temps.append(recv)
                     if isinstance(recv, RegionHandle):
@@ -1770,7 +1924,10 @@ class Interpreter:
             if t_kind == 1:
                 recv = frame.vars.get(t_val, _MISSING)
                 if recv is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    thread.budget -= op_local
+                    if thread.budget <= 0:
+                        yield PREEMPT
                 else:
                     recv = yield from field_read(frame.this, t_val,
                                                  thread, t_loc)
@@ -1820,7 +1977,10 @@ class Interpreter:
             if t_kind == 1:
                 recv = frame.vars.get(t_val, _MISSING)
                 if recv is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    thread.budget -= op_local
+                    if thread.budget <= 0:
+                        yield PREEMPT
                 else:
                     recv = yield from field_read(frame.this, t_val,
                                                  thread, t_loc)
@@ -1844,7 +2004,10 @@ class Interpreter:
                 elif a_kind == 1:
                     value = frame.vars.get(a_val, _MISSING)
                     if value is not _MISSING:
-                        yield op_local
+                        stats.cycles += op_local
+                        thread.budget -= op_local
+                        if thread.budget <= 0:
+                            yield PREEMPT
                     else:
                         value = yield from field_read(frame.this, a_val,
                                                       thread, a_loc)
@@ -1860,11 +2023,14 @@ class Interpreter:
             if obj.class_name not in ("IntArray", "FloatArray"):
                 # primitive-array accesses compile to plain loads/stores
                 # on a JVM; only real method calls pay call overhead
-                yield op_invoke
+                stats.cycles += op_invoke
+                thread.budget -= op_invoke
+                if thread.budget <= 0:
+                    yield PREEMPT
             entry = call_entry(obj, method_name)
             if entry[0] is not None:
                 # native (array) methods run in the invoke frame itself
-                result = yield from entry[0](obj, args)
+                result = yield from entry[0](obj, args, thread)
             else:
                 result = yield from frame_call(entry, obj, owner_values,
                                                tuple(args), region,
@@ -1875,6 +2041,7 @@ class Interpreter:
         return run
 
     def _build_binary(self, expr: ast.Binary):
+        stats = self.stats
         op = expr.op
         op_basic = self._c_basic
         left_code = self._compile_expr(expr.left)
@@ -1882,7 +2049,10 @@ class Interpreter:
         if op == "&&":
             def run(frame, region, thread):
                 left = yield from left_code(frame, region, thread)
-                yield op_basic
+                stats.cycles += op_basic
+                thread.budget -= op_basic
+                if thread.budget <= 0:
+                    yield PREEMPT
                 if not left:
                     return False
                 right = yield from right_code(frame, region, thread)
@@ -1891,7 +2061,10 @@ class Interpreter:
         if op == "||":
             def run(frame, region, thread):
                 left = yield from left_code(frame, region, thread)
-                yield op_basic
+                stats.cycles += op_basic
+                thread.budget -= op_basic
+                if thread.budget <= 0:
+                    yield PREEMPT
                 if left:
                     return True
                 right = yield from right_code(frame, region, thread)
@@ -1902,7 +2075,10 @@ class Interpreter:
             def run(frame, region, thread):
                 yield from left_code(frame, region, thread)
                 yield from right_code(frame, region, thread)
-                yield op_basic
+                stats.cycles += op_basic
+                thread.budget -= op_basic
+                if thread.budget <= 0:
+                    yield PREEMPT
                 raise InterpreterError(f"unknown operator '{op}'")
             return run
 
@@ -1917,7 +2093,10 @@ class Interpreter:
             elif l_kind == 1:
                 left = frame.vars.get(l_val, _MISSING)
                 if left is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    thread.budget -= op_local
+                    if thread.budget <= 0:
+                        yield PREEMPT
                 else:
                     left = yield from field_read(frame.this, l_val,
                                                  thread, l_loc)
@@ -1934,7 +2113,10 @@ class Interpreter:
             elif r_kind == 1:
                 right = frame.vars.get(r_val, _MISSING)
                 if right is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    thread.budget -= op_local
+                    if thread.budget <= 0:
+                        yield PREEMPT
                 else:
                     right = yield from field_read(frame.this, r_val,
                                                   thread, r_loc)
@@ -1946,11 +2128,15 @@ class Interpreter:
                     frame.temps.append(right)
             else:
                 right = yield from r_code(frame, region, thread)
-            yield op_basic
+            stats.cycles += op_basic
+            thread.budget -= op_basic
+            if thread.budget <= 0:
+                yield PREEMPT
             return fn(left, right)
         return run
 
     def _build_unary(self, expr: ast.Unary):
+        stats = self.stats
         op_basic = self._c_basic
         op_local = self._c_local
         field_read = self._field_read
@@ -1963,7 +2149,10 @@ class Interpreter:
             elif v_kind == 1:
                 operand = frame.vars.get(v_val, _MISSING)
                 if operand is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    thread.budget -= op_local
+                    if thread.budget <= 0:
+                        yield PREEMPT
                 else:
                     operand = yield from field_read(frame.this, v_val,
                                                     thread, v_loc)
@@ -1975,7 +2164,10 @@ class Interpreter:
                     frame.temps.append(operand)
             else:
                 operand = yield from v_code(frame, region, thread)
-            yield op_basic
+            stats.cycles += op_basic
+            thread.budget -= op_basic
+            if thread.budget <= 0:
+                yield PREEMPT
             return (not operand) if negate else -operand
         return run
 
@@ -2011,7 +2203,10 @@ class Interpreter:
                 elif v_kind == 1:
                     value = frame.vars.get(v_val, _MISSING)
                     if value is not _MISSING:
-                        yield op_local
+                        stats.cycles += op_local
+                        thread.budget -= op_local
+                        if thread.budget <= 0:
+                            yield PREEMPT
                     else:
                         value = yield from field_read(frame.this, v_val,
                                                       thread, v_loc)
@@ -2024,7 +2219,10 @@ class Interpreter:
                 else:
                     value = yield from v_code(frame, region, thread)
                 if bi == 0:
-                    yield op_builtin
+                    stats.cycles += op_builtin
+                    thread.budget -= op_builtin
+                    if thread.budget <= 0:
+                        yield PREEMPT
                     machine.output.append(format_value(value))
                     return None
                 if bi == 1:
@@ -2032,20 +2230,35 @@ class Interpreter:
                     # server loops
                     cycles = op_builtin + max(int(value), 0)
                     stats.io_cycles += cycles
-                    yield cycles
+                    stats.cycles += cycles
+                    thread.budget -= cycles
+                    if thread.budget <= 0:
+                        yield PREEMPT
                     return int(value)
                 if bi == 2:
-                    yield op_builtin
+                    stats.cycles += op_builtin
+                    thread.budget -= op_builtin
+                    if thread.budget <= 0:
+                        yield PREEMPT
                     if value < 0:
                         raise InterpreterError(f"sqrt of negative {value}")
                     return math.sqrt(value)
                 if bi == 3:
-                    yield op_basic
+                    stats.cycles += op_basic
+                    thread.budget -= op_basic
+                    if thread.budget <= 0:
+                        yield PREEMPT
                     return float(value)
                 if bi == 4:
-                    yield op_basic
+                    stats.cycles += op_basic
+                    thread.budget -= op_basic
+                    if thread.budget <= 0:
+                        yield PREEMPT
                     return int(value)
-                yield op_basic
+                stats.cycles += op_basic
+                thread.budget -= op_basic
+                if thread.budget <= 0:
+                    yield PREEMPT
                 if not value:
                     raise InterpreterError(
                         f"program assertion failed at {loc_span(loc)}")
@@ -2061,7 +2274,10 @@ class Interpreter:
                     stats.steps += 1
                     frame.temps.clear()
                 stats.thread_cycles += thread_yield
-                yield thread_yield
+                stats.cycles += thread_yield
+                thread.budget -= thread_yield
+                if thread.budget <= 0:
+                    yield PREEMPT
                 yield YIELD
                 return None
             return run
@@ -2078,32 +2294,53 @@ class Interpreter:
                 value = yield from code(frame, region, thread)
                 args.append(value)
             if name == "print":
-                yield op_builtin
+                stats.cycles += op_builtin
+                thread.budget -= op_builtin
+                if thread.budget <= 0:
+                    yield PREEMPT
                 machine.output.append(format_value(args[0]))
                 return None
             if name == "io":
                 cycles = op_builtin + max(int(args[0]), 0)
                 stats.io_cycles += cycles
-                yield cycles
+                stats.cycles += cycles
+                thread.budget -= cycles
+                if thread.budget <= 0:
+                    yield PREEMPT
                 return int(args[0])
             if name == "yieldnow":
                 stats.thread_cycles += cost.thread_yield
-                yield cost.thread_yield
+                stats.cycles += cost.thread_yield
+                thread.budget -= cost.thread_yield
+                if thread.budget <= 0:
+                    yield PREEMPT
                 yield YIELD
                 return None
             if name == "sqrt":
-                yield op_builtin
+                stats.cycles += op_builtin
+                thread.budget -= op_builtin
+                if thread.budget <= 0:
+                    yield PREEMPT
                 if args[0] < 0:
                     raise InterpreterError(f"sqrt of negative {args[0]}")
                 return math.sqrt(args[0])
             if name == "itof":
-                yield op_basic
+                stats.cycles += op_basic
+                thread.budget -= op_basic
+                if thread.budget <= 0:
+                    yield PREEMPT
                 return float(args[0])
             if name == "ftoi":
-                yield op_basic
+                stats.cycles += op_basic
+                thread.budget -= op_basic
+                if thread.budget <= 0:
+                    yield PREEMPT
                 return int(args[0])
             if name == "check":
-                yield op_basic
+                stats.cycles += op_basic
+                thread.budget -= op_basic
+                if thread.budget <= 0:
+                    yield PREEMPT
                 if not args[0]:
                     raise InterpreterError(
                         f"program assertion failed at {expr.span}")

@@ -217,8 +217,8 @@ class Machine:
                 self.statics[(cls.name, fld.name)] = value
 
     def charge_direct(self, thread: SimThread, cycles: int) -> None:
-        """Charge cycles outside the scheduler's quantum accounting (used
-        from ``finally`` blocks where yielding is unsafe)."""
+        """Charge cycles outside the slice budget (used from ``finally``
+        blocks, where a suspension is unsafe)."""
         thread.cycles += cycles
         self.stats.charge(cycles, thread.name)
 

@@ -1,12 +1,21 @@
 """Deterministic cooperative scheduler.
 
-Threads are generator coroutines produced by the interpreter; each yield
-is either an ``int`` (cycles to charge) or the :data:`YIELD` sentinel (end
-the time slice, e.g. ``yieldnow()``).  Scheduling is strict-priority
-round-robin: all runnable real-time threads run before any regular
-thread, matching the RTSJ model where real-time threads preempt regular
-ones.  A pending garbage collection runs between slices and pauses only
-the regular threads.
+Threads are generator coroutines produced by the interpreter.  A slice
+gives a thread a budget of :attr:`Scheduler.quantum` cycles
+(``SimThread.budget``).  The interpreter charges each cost in place: it
+adds the cycles to the global clock (``stats.cycles``), takes them off
+the budget, and suspends only when the budget is spent, by yielding the
+:data:`PREEMPT` sentinel.  A coroutine also suspends to give up the rest
+of its slice (:data:`YIELD`, e.g. ``yieldnow()``), and it may yield an
+``int`` instead, which the scheduler charges the same way (the fused and
+C programs' one whole-run yield, the ``py-faithful`` backend).  Either
+way a slice ends at the same point of the program, and the clock reads
+the same there.
+
+Scheduling is strict-priority round-robin: all runnable real-time
+threads run before any regular thread, matching the RTSJ model where
+real-time threads preempt regular ones.  A pending garbage collection
+runs between slices and pauses only the regular threads.
 
 The whole machine is single-CPU: the global cycle clock advances by every
 charged cost, so "execution time" (Figure 12) is the final clock value.
@@ -24,6 +33,8 @@ from .stats import Stats
 
 #: yielded by a coroutine to voluntarily end its time slice
 YIELD = object()
+#: yielded by a coroutine whose in-place charges spent its slice budget
+PREEMPT = object()
 
 Coroutine = Generator[Any, None, None]
 
@@ -40,6 +51,9 @@ class SimThread:
     frames: List[Dict[str, Any]] = field(default_factory=list)
     #: cycles consumed by this thread
     cycles: int = 0
+    #: cycles left in the current slice; every charge takes its cost
+    #: off, and the thread suspends once it is spent
+    budget: int = 0
     #: clock value when the thread last got the CPU (latency metric)
     last_scheduled: int = 0
     max_dispatch_latency: int = 0
@@ -141,22 +155,22 @@ class Scheduler:
             self._h_latency.labels(
                 realtime="true" if thread.realtime else "false"
             ).observe(latency)
-        # hot loop: every simulated cycle cost is one yielded int that
-        # passes through here.  ``stats.cycles`` must advance per yield
-        # (trace timestamps and watermarks read it mid-slice), but the
-        # per-thread attribution is batched to one update per slice —
-        # committed before _finish so the thread-finished event sees the
-        # thread's final cycle count.
-        budget = self.quantum
+        # the coroutine runs until its charges spend the budget
+        # (PREEMPT), it gives up the slice (YIELD), or it finishes; it
+        # has already added each in-place charge to ``stats.cycles``.
+        # An int yield is charged here, at the same point.  The
+        # per-thread attribution is what the budget lost, folded once
+        # per slice — committed before _finish so the thread-finished
+        # event sees the thread's final cycle count.
+        thread.budget = self.quantum
         stats = self.stats
         coro_next = thread.coroutine.__next__
-        spent = 0
         try:
-            while budget > 0:
+            while thread.budget > 0:
                 try:
                     item = coro_next()
                 except StopIteration:
-                    spent = self._commit(thread, spent)
+                    self._commit(thread)
                     self._finish(thread)
                     return
                 except RecursionError:
@@ -164,13 +178,13 @@ class Scheduler:
                     # host interpreter's: surface it as the simulated
                     # platform's StackOverflowError equivalent
                     from ..errors import InterpreterError
-                    spent = self._commit(thread, spent)
+                    self._commit(thread)
                     self._fail(thread, InterpreterError(
                         f"simulated call stack overflow in thread "
                         f"'{thread.name}' (deep recursion)"))
                     return
                 except ReproError as err:
-                    spent = self._commit(thread, spent)
+                    self._commit(thread)
                     self._fail(thread, err)
                     return
                 except Exception as exc:
@@ -178,29 +192,30 @@ class Scheduler:
                     # must not abandon the whole run queue with a bare
                     # traceback: finish the thread and surface a
                     # structured diagnostic instead
-                    spent = self._commit(thread, spent)
+                    self._commit(thread)
                     self._fail(thread, ThreadCrashError(
                         f"thread '{thread.name}' crashed: "
                         f"{type(exc).__name__}: {exc}", cause=exc))
                     return
-                if item is YIELD:
+                if item is PREEMPT or item is YIELD:
                     break
-                budget -= item
-                spent += item
+                thread.budget -= item
                 stats.cycles += item
         finally:
-            self._commit(thread, spent)
+            self._commit(thread)
         thread.last_scheduled = self.stats.cycles
 
-    def _commit(self, thread: SimThread, spent: int) -> int:
-        """Fold one slice's cycles into the per-thread attribution.
-        Returns 0 so callers can reset their accumulator."""
+    def _commit(self, thread: SimThread) -> None:
+        """Fold the cycles the slice has charged (what its budget lost)
+        into the per-thread attribution.  The budget is refilled, so a
+        second commit of the same slice adds nothing."""
+        spent = self.quantum - thread.budget
         if spent:
+            thread.budget = self.quantum
             thread.cycles += spent
             by_thread = self.stats.cycles_by_thread
             by_thread[thread.name] = \
                 by_thread.get(thread.name, 0) + spent
-        return 0
 
     def _shutdown(self) -> None:
         """Abort path: close every unfinished coroutine so region

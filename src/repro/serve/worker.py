@@ -270,12 +270,15 @@ def worker_main(conn, cache_root: Optional[str] = None,
             stale.close()
         except OSError:
             pass
-    # the request path's modules (the package already imports the
-    # first two; only inspect jobs use the third, which the frontend
-    # never imports), then the whole start-up heap, which no job frees,
-    # moved out of the collector's view: a full collection walks only
-    # what jobs leave behind
-    from ..core import api  # noqa: F401
+    # the request path's modules (analysis, the machine, the `py`
+    # backend's lowering, codegen and well-formedness pass, its faithful
+    # form for programs with lowering hazards, and inspect's post-mortem
+    # report), then the whole start-up heap, which no job frees, moved
+    # out of the collector's view: a full collection walks only what
+    # jobs leave behind.  `codegen_c` stays lazy: it loads cffi and
+    # pycparser, which only C jobs need
+    from ..core import api, wellformed  # noqa: F401
+    from ..interp import codegen_py, codegen_py_faithful  # noqa: F401
     from ..interp import machine  # noqa: F401
     from ..obs import analyze  # noqa: F401
     worker = WarmWorker(cache_root, flight_dir=flight_dir)

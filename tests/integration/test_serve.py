@@ -541,23 +541,28 @@ class TestReadySignals:
 
 
 def test_worker_freezes_its_start_up_heap():
-    """A worker imports the request path and freezes its start-up heap
-    before its first job, so a full collection walks only what jobs
-    leave behind."""
+    """A worker imports the whole `py` request path and freezes its
+    start-up heap before its first job, so a full collection walks only
+    what jobs leave behind; the C backend's modules stay unloaded until
+    a C job needs them."""
+    loaded = ("repro.core.api", "repro.core.wellformed",
+              "repro.interp.lower", "repro.interp.codegen_base",
+              "repro.interp.codegen_py", "repro.interp.codegen_py_faithful",
+              "repro.obs.analyze")
     script = (
         "import gc, multiprocessing, sys\n"
         "from repro.serve.worker import worker_main\n"
         "ours, theirs = multiprocessing.Pipe()\n"
         "ours.send(None)\n"
         "worker_main(theirs)\n"
-        "print(gc.get_freeze_count(),\n"
-        "      'repro.core.api' in sys.modules,\n"
-        "      'repro.obs.analyze' in sys.modules)\n")
+        f"print(gc.get_freeze_count(), *(m in sys.modules for m in "
+        f"{loaded + ('repro.interp.codegen_c',)!r}))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    frozen, api_loaded, analyze_loaded = done.stdout.split()
+    frozen, *flags = done.stdout.split()
     assert int(frozen) > 0
-    assert api_loaded == analyze_loaded == "True"
+    assert dict(zip(loaded, flags)) == {m: "True" for m in loaded}
+    assert flags[-1] == "False"  # repro.interp.codegen_c
